@@ -102,20 +102,17 @@ def classify4(strict: bool = True) -> list[TFD4]:
     for a, b, k in dedupe_case3(enumerate_case3_tuples()):
         rows.append(TFD4(None, -1, 1, k, b))
     rows.sort(key=lambda r: (r.min_level != -2, r.max_level != 2, r.k, -r.euler_min))
+    reference = {
+        (g["crit"], g["components"], g["euler_min"]): g["label"] for g in golden.GOLDEN4
+    }
     labeled = []
-    matched = set()
     for r in rows:
-        label = None
-        for g in golden.GOLDEN4:
-            key = (g["min_level"], g["max_level"], g["k"], g["euler_min"])
-            if key == (r.min_level, r.max_level, r.k, r.euler_min):
-                label = g["label"]
-                matched.add(label)
-                break
+        cols = golden.report_row_from_tfd4(r)
+        label = reference.get((cols["crit"], cols["components"], cols["euler_min"]))
         labeled.append(TFD4(label, r.min_level, r.max_level, r.k, r.euler_min))
     if strict:
         extra = sorted(str(r) for r in labeled if r.label is None)
-        missing = sorted(set(golden.GOLDEN4_BY_LABEL) - matched)
+        missing = sorted(set(reference.values()) - {r.label for r in labeled})
         if extra or missing:
             raise ClassificationMismatch(
                 f"4-dimensional table mismatch (extra {extra}, missing {missing})",

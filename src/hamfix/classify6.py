@@ -21,8 +21,9 @@ from .errors import (
     BoundTooSmall,
     CapacityFormulaInapplicable,
     ClassificationMismatch,
-    HamfixError,
     InternalArithmeticError,
+    NonDisjointBlowdown,
+    VanishingCycleMismatch,
 )
 from .lattice import (
     BLOWUP,
@@ -48,12 +49,14 @@ from .localization import (
 from .reduction import (
     SliceState,
     area,
-    blowdown_lattice,
+    blow_down,
+    blow_up,
     bmax_from_euler,
     dh,
     fiber_classes_of,
     initial_slice,
     positive_square_throughout,
+    shift,
     vanishing_classes,
 )
 
@@ -187,56 +190,34 @@ class _Reject(Exception):
     """Internal: candidate fails a predicate."""
 
 
+# predicate rejections; any other error is a bug and propagates
+_REJECTIONS = (_Reject, VanishingCycleMismatch, NonDisjointBlowdown)
+
+
 def _sweep_path(max_dim: int, k: int, total: CohClass | None, m: int, bound: int):
     """Build the slice path for (k points, total surface class, m points).
 
-    Returns (slices, blowdowns) or raises _Reject.
+    Returns (slices, blowdowns); a blow-down whose zero-area classes do not
+    match the m points raises VanishingCycleMismatch or NonDisjointBlowdown.
     """
-    top = TOP_LEVEL[max_dim]
     state = initial_slice(point(-3, MIN_WEIGHTS))
     slices = []
     blowdowns = []
-    prev = Fraction(-3)
+
+    def close(level):
+        slices.append(state.with_interval(state.interval[0], level))
 
     if k:
-        slices.append(state.with_interval(prev, -1))
-        lat = make_blowup_lattice(k)
-        euler = -lat.basis_class(0)
-        for i in range(k):
-            euler = euler + lat.basis_class(1 + i)
-        omega = lat.anticanonical + euler  # value at the crossing level -1
-        state = SliceState(lat, euler, Fraction(-1), omega, (Fraction(-1), Fraction(top)))
-        prev = Fraction(-1)
-
+        close(-1)
+        state = blow_up(state, -1, k)
     if total is not None:
-        if total.lattice != state.lattice:
-            raise InternalArithmeticError("total class over wrong lattice")
-        slices.append(state.with_interval(prev, 0))
-        euler = state.euler + total
-        omega = state.omega(0)
-        state = SliceState(state.lattice, euler, Fraction(0), omega, (Fraction(0), Fraction(top)))
-        prev = Fraction(0)
-
+        close(0)
+        state = shift(state, 0, total)
     if m:
-        slices.append(state.with_interval(prev, 1))
-        vanish = vanishing_classes(state, 1, bound)
-        if len(vanish) != m:
-            raise _Reject(f"{len(vanish)} vanishing classes for {m} blow-downs")
-        for a, b in itertools.combinations(vanish, 2):
-            if pair(a, b) != 0:
-                raise _Reject("vanishing classes not disjoint")
-        new_lat, push = blowdown_lattice(state.lattice, vanish)
-        euler = state.euler
-        for v in vanish:
-            euler = euler + v
-        omega_c = state.omega(1)
-        state = SliceState(
-            new_lat, push(euler), Fraction(1), push(omega_c), (Fraction(1), Fraction(top))
-        )
-        blowdowns.append((1, vanish))
-        prev = Fraction(1)
-
-    slices.append(state.with_interval(prev, top))
+        close(1)
+        state, vanishing = blow_down(state, 1, m, bound)
+        blowdowns.append((1, vanishing))
+    close(TOP_LEVEL[max_dim])
     return slices, blowdowns
 
 
@@ -389,7 +370,7 @@ def enumerate_tfd(profile: ExtremalProfile, crit, bound: int = 6) -> list[TFD]:
                 slices, blowdowns = _sweep_path(max_dim, k, total, m, bound)
                 top_data = _check_top(max_dim, slices[-1], bound)
                 _check_slices(slices, max_dim, bound)
-            except (_Reject, HamfixError):
+            except _REJECTIONS:
                 continue
             if total is not None:
                 splittings = component_splittings(total.lattice, total, bound)
@@ -416,15 +397,17 @@ def enumerate_tfd(profile: ExtremalProfile, crit, bound: int = 6) -> list[TFD]:
     return sorted(found.values(), key=sort_key)
 
 
+def largest_coefficient(tfd: TFD) -> int:
+    """Largest absolute coefficient of a fixed surface class or a blow-down class."""
+    classes = [
+        fc.spec.surface_class for fc in tfd.components if isinstance(fc.spec, InteriorSurface)
+    ]
+    classes += [c for _, contracted in tfd.blowdowns for c in contracted]
+    return max((abs(x) for c in classes for x in c.coeffs), default=0)
+
+
 def _check_bound_witness(tfd: TFD, bound: int):
-    coeff_pools = []
-    for fc in tfd.components:
-        if isinstance(fc.spec, InteriorSurface):
-            coeff_pools.extend(fc.spec.surface_class.coeffs)
-    for _, classes in tfd.blowdowns:
-        for c in classes:
-            coeff_pools.extend(c.coeffs)
-    if any(abs(c) >= bound for c in coeff_pools):
+    if largest_coefficient(tfd) >= bound:
         raise BoundTooSmall(f"candidate coefficients reach the search bound {bound}")
 
 
@@ -452,7 +435,7 @@ def _canonicalize(tfd: TFD, k: int, bound: int) -> TFD:
                 tfd.max_dim, k, total if interior else None, m, bound
             )
             top_data = _check_top(tfd.max_dim, slices[-1], bound)
-        except (_Reject, HamfixError):
+        except _REJECTIONS:
             continue
         cand = _assemble(tfd.max_dim, k, m, tuple(split), slices, blowdowns, top_data)
         key = serialization(cand)
@@ -541,12 +524,12 @@ def _classify_cached(bound: int) -> tuple[TFD, ...]:
 def _attach_labels(ordered: list[TFD]) -> list[TFD]:
     from . import golden
 
-    by_key = {golden.golden_serialization(row): row["label"] for row in golden.GOLDEN6}
+    by_key = {(row["crit"], row["components"]): row["label"] for row in golden.GOLDEN6}
     out = []
     prev_label = None
     extra_idx = 0
     for tfd in ordered:
-        label = by_key.get(serialization(tfd))
+        label = by_key.get(golden.fixed_point_columns(tfd))
         if label is None:
             extra_idx += 1
             base = prev_label if prev_label else "row"

@@ -10,17 +10,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import golden
-from .classify4 import TFD4, classify4, enumerate_case3_tuples
-from .classify6 import TFD, capacities, classify_all
+from .classify4 import classify4, enumerate_case3_tuples
+from .classify6 import classify_all, largest_coefficient
 from .errors import HamfixError
-from .localization import (
-    ExtremalFourManifold,
-    ExtremalSurface,
-    InteriorSurface,
-    IsolatedPoint,
-    betti,
-    chern_number,
-)
+from .golden import FIELDS4, FIELDS6, render_tsv, report_row_from_tfd, report_row_from_tfd4
+from .localization import chern_number
 from .reduction import dh
 from .toric import (
     CircleDirection,
@@ -32,165 +26,13 @@ from .toric import (
     verify_corpus,
 )
 
-REPORT_FIELDS = (
-    "label", "crit", "components", "b2", "b_odd", "c1_cubed",
-    "gromov_width", "hofer_zehnder",
-)
-
-
-def _class_str(coeffs) -> str:
-    names = ["u"] + [f"E{i}" for i in range(1, len(coeffs))]
-    out = ""
-    for c, n in zip(coeffs, names):
-        if c == 0:
-            continue
-        if c == 1:
-            out += f"+{n}"
-        elif c == -1:
-            out += f"-{n}"
-        else:
-            out += f"{c:+}{n}"
-    if not out:
-        return "0"
-    return out[1:] if out.startswith("+") else out
-
-
-def _surface_str(coeffs, genus) -> str:
-    head = {0: "S2", 1: "T2"}.get(genus, f"g{genus}")
-    return f"{head}[{_class_str(coeffs)}]"
-
-
-def _lattice_str(kind, blowups) -> str:
-    if kind == "product":
-        return "S2xS2"
-    return "P2" if blowups == 0 else f"P2#{blowups}"
-
-
-def report_row_from_tfd(tfd: TFD) -> dict:
-    per_level = []
-    for level in tfd.crit_levels:
-        comps = tfd.at_level(level)
-        pts = sum(1 for fc in comps if isinstance(fc.spec, IsolatedPoint))
-        descs = []
-        if pts == 1:
-            descs.append("pt")
-        elif pts > 1:
-            descs.append(f"pt*{pts}")
-        for fc in comps:
-            s = fc.spec
-            if isinstance(s, InteriorSurface):
-                descs.append(_surface_str(s.surface_class.coeffs, s.genus))
-            elif isinstance(s, ExtremalSurface):
-                descs.append(f"S2(vol {2 + s.normal_degrees[0] + s.normal_degrees[1]})")
-            elif isinstance(s, ExtremalFourManifold):
-                descs.append(_lattice_str(s.lattice.kind, s.lattice.blowups))
-        per_level.append(f"{level}:{'+'.join(sorted(descs))}")
-    b = betti(tfd)
-    w, h = capacities(tfd)
-    return {
-        "label": tfd.label,
-        "crit": ",".join(str(c) for c in tfd.crit_levels),
-        "components": " | ".join(per_level),
-        "b2": b[2],
-        "b_odd": b[1] + b[3] + b[5],
-        "c1_cubed": chern_number(tfd),
-        "gromov_width": _num(w),
-        "hofer_zehnder": _num(h),
-    }
-
-
-def _num(x):
-    f = Fraction(x)
-    return int(f) if f.denominator == 1 else str(f)
-
-
-def report_row_from_golden6(row: dict) -> dict:
-    per_level = [f"-3:pt"]
-    if row["minus1"]:
-        per_level.append(f"-1:pt" if row["minus1"] == 1 else f"-1:pt*{row['minus1']}")
-    if row["interior"]:
-        descs = sorted(_surface_str(c, g) for c, g in row["interior"])
-        per_level.append(f"0:{'+'.join(descs)}")
-    top = row["top"]
-    level1 = []
-    if row["plus1"]:
-        level1.append("pt" if row["plus1"] == 1 else f"pt*{row['plus1']}")
-    if top[0] == "fourmanifold":
-        level1.append(_lattice_str(top[1], top[2]))
-    if level1:
-        per_level.append(f"1:{'+'.join(sorted(level1))}")
-    if top[0] == "sphere":
-        per_level.append(f"2:S2(vol {2 + top[1]})")
-    elif top[0] == "pt":
-        per_level.append("3:pt")
-    crit = [-3]
-    if row["minus1"]:
-        crit.append(-1)
-    if row["interior"]:
-        crit.append(0)
-    if row["plus1"] or top[0] == "fourmanifold":
-        crit.append(1)
-    if top[0] == "sphere":
-        crit.append(2)
-    elif top[0] == "pt":
-        crit.append(3)
-    return {
-        "label": row["label"],
-        "crit": ",".join(str(c) for c in crit),
-        "components": " | ".join(per_level),
-        "b2": row["b2"],
-        "b_odd": row["b3"],
-        "c1_cubed": row["c1cubed"],
-        "gromov_width": row["capacities"][0],
-        "hofer_zehnder": row["capacities"][1],
-    }
-
-
-def report_row_from_tfd4(row: TFD4) -> dict:
-    per_level = []
-    for level in row.crit_levels:
-        if level in (-2, 2):
-            per_level.append(f"{level}:pt")
-        elif level in (-1, 1):
-            per_level.append(f"{level}:S2")
-        else:
-            per_level.append(f"0:pt" if row.k == 1 else f"0:pt*{row.k}")
-    e = row.euler_min
-    e_str = "0" if e == 0 else ("-u" if e == -1 else f"{e}u")
-    name = None
-    g = golden.GOLDEN4_BY_LABEL.get(row.label)
-    if g:
-        name = g["name"]
-    return {
-        "label": row.label or "?",
-        "m": name or "?",
-        "crit": ",".join(str(c) for c in row.crit_levels),
-        "components": " | ".join(per_level),
-        "b2": row.betti[2],
-        "euler_min": e_str,
-    }
-
-
-def report_row_from_golden4(row: dict) -> dict:
-    tfd4 = TFD4(row["label"], row["min_level"], row["max_level"], row["k"], row["euler_min"])
-    return report_row_from_tfd4(tfd4)
-
-
-def render_tsv(rows: list[dict], fields) -> str:
-    lines = ["\t".join(fields)]
-    for r in rows:
-        lines.append("\t".join(str(r[f]) for f in fields))
-    return "\n".join(lines) + "\n"
-
 
 def render_json(rows: list[dict]) -> str:
     return json.dumps(rows, indent=2, sort_keys=True) + "\n"
 
 
-def _filter_case(rows, case):
-    if case in (None, "all"):
-        return rows
-    return [r for r in rows if (r.label or "").startswith(case + "-")]
+def _in_case(label: str, case: str) -> bool:
+    return case == "all" or label.startswith(case + "-")
 
 
 def _emit_dh(rows, directory):
@@ -208,50 +50,30 @@ def _emit_dh(rows, directory):
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _bound_witness(rows) -> int:
-    worst = 0
-    for tfd in rows:
-        for fc in tfd.components:
-            if isinstance(fc.spec, InteriorSurface):
-                worst = max(worst, *(abs(c) for c in fc.spec.surface_class.coeffs))
-        for _, classes in tfd.blowdowns:
-            for c in classes:
-                worst = max(worst, *(abs(x) for x in c.coeffs))
-    return worst
-
-
 def cmd_classify(args) -> int:
     if args.dim == 6:
-        rows = classify_all(bound=args.bound, strict=False)
-        rows = _filter_case(rows, args.case)
+        rows = [
+            t for t in classify_all(bound=args.bound, strict=False)
+            if _in_case(t.label, args.case)
+        ]
         if args.verbose:
+            witness = max((largest_coefficient(t) for t in rows), default=0)
             print(
                 f"bound sufficiency: largest surviving coefficient "
-                f"{_bound_witness(rows)} inside the search box {args.bound}",
+                f"{witness} inside the search box {args.bound}",
                 file=sys.stderr,
             )
         if args.emit_dh:
             _emit_dh(rows, args.emit_dh)
         computed = [report_row_from_tfd(t) for t in rows]
-        reference = [report_row_from_golden6(r) for r in golden.GOLDEN6]
-        reference = [
-            r for r in reference
-            if args.case in (None, "all") or r["label"].startswith(args.case + "-")
-        ]
-        fields = REPORT_FIELDS
+        reference, fields = golden.GOLDEN6, FIELDS6
     else:
-        rows4 = classify4(strict=False)
-        rows4 = [
-            r for r in rows4
-            if args.case in (None, "all") or (r.label or "").startswith(args.case + "-")
+        computed = [
+            r for r in map(report_row_from_tfd4, classify4(strict=False))
+            if _in_case(r["label"], args.case)
         ]
-        computed = [report_row_from_tfd4(r) for r in rows4]
-        reference = [report_row_from_golden4(r) for r in golden.GOLDEN4]
-        reference = [
-            r for r in reference
-            if args.case in (None, "all") or r["label"].startswith(args.case + "-")
-        ]
-        fields = ("label", "m", "crit", "components", "b2", "euler_min")
+        reference, fields = golden.GOLDEN4, FIELDS4
+    reference = [r for r in reference if _in_case(r["label"], args.case)]
     text = render_json(computed) if args.format == "json" else render_tsv(computed, fields)
     sys.stdout.write(text)
     if computed != reference:
@@ -272,16 +94,8 @@ def cmd_chern(args) -> int:
 
 
 def cmd_capacities(_args) -> int:
-    rows = classify_all(strict=False)
-    out = [
-        {
-            "label": t.label,
-            "gromov_width": _num(capacities(t)[0]),
-            "hofer_zehnder": _num(capacities(t)[1]),
-        }
-        for t in rows
-    ]
-    sys.stdout.write(render_tsv(out, ("label", "gromov_width", "hofer_zehnder")))
+    rows = [report_row_from_tfd(t) for t in classify_all(strict=False)]
+    sys.stdout.write(render_tsv(rows, ("label", "gromov_width", "hofer_zehnder")))
     return 0
 
 
@@ -322,20 +136,13 @@ def cmd_tables(args) -> int:
     if args.action != "diff":
         print(f"unknown tables action {args.action!r}", file=sys.stderr)
         return 2
-    fields6 = REPORT_FIELDS
-    fields4 = ("label", "m", "crit", "components", "b2", "euler_min")
     computed6 = [report_row_from_tfd(t) for t in classify_all(strict=False)]
-    reference6 = [report_row_from_golden6(r) for r in golden.GOLDEN6]
     computed4 = [report_row_from_tfd4(r) for r in classify4(strict=False)]
-    reference4 = [report_row_from_golden4(r) for r in golden.GOLDEN4]
     got = (
-        "# dim 6\n" + render_tsv(computed6, fields6)
-        + "# dim 4\n" + render_tsv(computed4, fields4)
+        "# dim 6\n" + render_tsv(computed6, FIELDS6)
+        + "# dim 4\n" + render_tsv(computed4, FIELDS4)
     )
-    want = (
-        "# dim 6\n" + render_tsv(reference6, fields6)
-        + "# dim 4\n" + render_tsv(reference4, fields4)
-    )
+    want = "# dim 6\n" + golden.GOLDEN6_TSV + "# dim 4\n" + golden.GOLDEN4_TSV
     if got == want:
         print("tables match")
         return 0

@@ -37,10 +37,6 @@ class VanishingCycleMismatch(HamfixError):
     """Zero-area exceptional classes do not match the blow-down count."""
 
 
-class AreaContinuityViolation(HamfixError):
-    """A class scheduled for blow-down has nonzero limiting area."""
-
-
 class NonDisjointBlowdown(HamfixError):
     """Candidate vanishing classes are not pairwise orthogonal."""
 

@@ -1,111 +1,158 @@
-"""Embedded reference tables for the six- and four-dimensional classifications.
+"""Embedded reference tables and the one renderer of table rows.
 
-These are the published reference rows the command-line tool diffs against.
-Class coefficients are written in the canonical basis ordering used by the
-classifier (exceptional coefficients nondecreasing, jointly minimized with
-the blow-down data over index permutations).
+The reference tables are stored as the exact TSV text `hamfix classify`
+prints for them, and parsed once into row dicts with the same keys and cell
+types the renderer produces.  Interior surface classes are written in the
+canonical basis ordering used by the classifier (exceptional coefficients
+nondecreasing, jointly minimized with the blow-down data over index
+permutations).
 """
 
 from __future__ import annotations
 
-MIN_W = (1, 1, 1)
-IDX2_W = (-1, 1, 1)
-IDX4_W = (-1, -1, 1)
-MAX_W = (-1, -1, -1)
+from fractions import Fraction
+
+from .classify6 import TFD, capacities
+from .lattice import PRODUCT
+from .localization import (
+    ExtremalFourManifold,
+    ExtremalSurface,
+    InteriorSurface,
+    IsolatedPoint,
+    betti,
+    chern_number,
+)
+
+FIELDS6 = (
+    "label", "crit", "components", "b2", "b_odd", "c1_cubed",
+    "gromov_width", "hofer_zehnder",
+)
+FIELDS4 = ("label", "m", "crit", "components", "b2", "euler_min")
+_NUMERIC = {"b2", "b_odd", "c1_cubed", "gromov_width", "hofer_zehnder"}
+
+GOLDEN6_TSV = """\
+label\tcrit\tcomponents\tb2\tb_odd\tc1_cubed\tgromov_width\thofer_zehnder
+I-1\t-3,0,3\t-3:pt | 0:S2[2u] | 3:pt\t1\t0\t54\t2\t6
+I-2\t-3,-1,1,3\t-3:pt | -1:pt*3 | 1:pt*3 | 3:pt\t3\t0\t48\t2\t6
+I-3\t-3,-1,0,1,3\t-3:pt | -1:pt | 0:S2[u-E1]+S2[u-E1] | 1:pt | 3:pt\t3\t0\t52\t2\t6
+II-3.1\t-3,-1,0,2\t-3:pt | -1:pt | 0:S2[E1] | 2:S2(vol 5)\t2\t0\t62\t2\t5
+II-3.2\t-3,-1,0,2\t-3:pt | -1:pt | 0:S2[u] | 2:S2(vol 3)\t2\t0\t54\t2\t5
+II-3.3\t-3,-1,0,2\t-3:pt | -1:pt | 0:S2[2u-E1] | 2:S2(vol 1)\t2\t0\t46\t2\t5
+II-4.1\t-3,-1,0,1,2\t-3:pt | -1:pt*2 | 0:S2[u-E1-E2]+S2[u-E1] | 1:pt | 2:S2(vol 1)\t4\t0\t44\t2\t5
+II-4.2\t-3,-1,0,1,2\t-3:pt | -1:pt*3 | 0:S2[u-E1-E2] | 1:pt*2 | 2:S2(vol 1)\t4\t0\t42\t2\t5
+III-1\t-3,1\t-3:pt | 1:P2\t1\t0\t64\t4\t4
+III-2\t-3,-1,1\t-3:pt | -1:pt | 1:P2#1\t2\t0\t56\t2\t4
+III-3.1\t-3,0,1\t-3:pt | 0:S2[u] | 1:P2\t2\t0\t54\t3\t4
+III-3.2\t-3,0,1\t-3:pt | 0:S2[2u] | 1:P2\t2\t0\t46\t3\t4
+III-3.3\t-3,0,1\t-3:pt | 0:T2[3u] | 1:P2\t2\t2\t40\t3\t4
+III-4.1\t-3,-1,0,1\t-3:pt | -1:pt | 0:S2[E1] | 1:P2#1\t3\t0\t50\t2\t4
+III-4.2\t-3,-1,0,1\t-3:pt | -1:pt | 0:S2[u-E1] | 1:P2#1\t3\t0\t50\t2\t4
+III-4.3\t-3,-1,0,1\t-3:pt | -1:pt | 0:S2[u] | 1:P2#1\t3\t0\t46\t2\t4
+III-4.4\t-3,-1,0,1\t-3:pt | -1:pt | 0:S2[2u-E1] | 1:P2#1\t3\t0\t42\t2\t4
+III-4.5\t-3,-1,0,1\t-3:pt | -1:pt*2 | 0:S2[u-E1-E2] | 1:P2#2\t4\t0\t46\t2\t4
+"""
+
+GOLDEN4_TSV = """\
+label\tm\tcrit\tcomponents\tb2\teuler_min
+I-1\tP1xP1\t-2,0,2\t-2:pt | 0:pt*2 | 2:pt\t2\t-u
+II-1\tP2\t-2,1\t-2:pt | 1:S2\t1\t-u
+II-2\tP2#1\t-2,0,1\t-2:pt | 0:pt | 1:S2\t2\t-u
+II-3\tP2#2\t-2,0,1\t-2:pt | 0:pt*2 | 1:S2\t3\t-u
+III-1\tP1xP1\t-1,1\t-1:S2 | 1:S2\t2\t0
+III-2\tP2#1\t-1,1\t-1:S2 | 1:S2\t2\t-u
+III-3\tP2#2\t-1,0,1\t-1:S2 | 0:pt | 1:S2\t3\t0
+III-4\tP2#3\t-1,0,1\t-1:S2 | 0:pt*2 | 1:S2\t4\t-u
+"""
 
 
-def _row(label, max_dim, k, minus1, plus1, interior, top, c1cubed, b2, b3, caps):
-    return {
-        "label": label,
-        "max_dim": max_dim,
-        "k": k,
-        "minus1": minus1,
-        "plus1": plus1,
-        "interior": tuple(interior),
-        "top": top,
-        "c1cubed": c1cubed,
-        "b2": b2,
-        "b3": b3,
-        "capacities": caps,
-    }
+def _num(x):
+    f = Fraction(x)
+    return int(f) if f.denominator == 1 else str(f)
 
 
-GOLDEN6 = [
-    _row("I-1", 0, 0, 0, 0, [((2,), 0)], ("pt",), 54, 1, 0, (2, 6)),
-    _row("I-2", 0, 3, 3, 3, [], ("pt",), 48, 3, 0, (2, 6)),
-    _row("I-3", 0, 1, 1, 1, [((1, -1), 0), ((1, -1), 0)], ("pt",), 52, 3, 0, (2, 6)),
-    _row("II-3.1", 2, 1, 1, 0, [((0, 1), 0)], ("sphere", 3), 62, 2, 0, (2, 5)),
-    _row("II-3.2", 2, 1, 1, 0, [((1, 0), 0)], ("sphere", 1), 54, 2, 0, (2, 5)),
-    _row("II-3.3", 2, 1, 1, 0, [((2, -1), 0)], ("sphere", -1), 46, 2, 0, (2, 5)),
-    _row("II-4.1", 2, 2, 2, 1, [((1, -1, -1), 0), ((1, -1, 0), 0)],
-         ("sphere", -1), 44, 4, 0, (2, 5)),
-    _row("II-4.2", 2, 3, 3, 2, [((1, -1, -1, 0), 0)], ("sphere", -1), 42, 4, 0, (2, 5)),
-    _row("III-1", 4, 0, 0, 0, [], ("fourmanifold", "blowup", 0, (-1,)), 64, 1, 0, (4, 4)),
-    _row("III-2", 4, 1, 1, 0, [], ("fourmanifold", "blowup", 1, (-1, 1)), 56, 2, 0, (2, 4)),
-    _row("III-3.1", 4, 0, 0, 0, [((1,), 0)],
-         ("fourmanifold", "blowup", 0, (0,)), 54, 2, 0, (3, 4)),
-    _row("III-3.2", 4, 0, 0, 0, [((2,), 0)],
-         ("fourmanifold", "blowup", 0, (1,)), 46, 2, 0, (3, 4)),
-    _row("III-3.3", 4, 0, 0, 0, [((3,), 1)],
-         ("fourmanifold", "blowup", 0, (2,)), 40, 2, 2, (3, 4)),
-    _row("III-4.1", 4, 1, 1, 0, [((0, 1), 0)],
-         ("fourmanifold", "blowup", 1, (-1, 2)), 50, 3, 0, (2, 4)),
-    _row("III-4.2", 4, 1, 1, 0, [((1, -1), 0)],
-         ("fourmanifold", "blowup", 1, (0, 0)), 50, 3, 0, (2, 4)),
-    _row("III-4.3", 4, 1, 1, 0, [((1, 0), 0)],
-         ("fourmanifold", "blowup", 1, (0, 1)), 46, 3, 0, (2, 4)),
-    _row("III-4.4", 4, 1, 1, 0, [((2, -1), 0)],
-         ("fourmanifold", "blowup", 1, (1, 0)), 42, 3, 0, (2, 4)),
-    _row("III-4.5", 4, 2, 2, 0, [((1, -1, -1), 0)],
-         ("fourmanifold", "blowup", 2, (0, 0, 0)), 46, 4, 0, (2, 4)),
-]
-
-GOLDEN6_BY_LABEL = {row["label"]: row for row in GOLDEN6}
+def parse_tsv(text: str) -> list[dict]:
+    """Rows of a rendered table, numeric columns back as numbers."""
+    header, *lines = text.splitlines()
+    fields = header.split("\t")
+    return [
+        {f: _num(v) if f in _NUMERIC else v for f, v in zip(fields, line.split("\t"))}
+        for line in lines
+    ]
 
 
-def golden_serialization(row):
-    """The nested-tuple form classify6.serialization would produce for this row."""
+GOLDEN6 = parse_tsv(GOLDEN6_TSV)
+GOLDEN4 = parse_tsv(GOLDEN4_TSV)
+
+
+def _lattice_str(lat) -> str:
+    if lat.kind == PRODUCT:
+        return "S2xS2"
+    return "P2" if lat.blowups == 0 else f"P2#{lat.blowups}"
+
+
+def fixed_point_columns(tfd: TFD) -> tuple[str, str]:
+    """The `crit` and `components` cells of a six-dimensional row."""
     per_level = []
-    per_level.append((-3, (("pt", MIN_W),)))
-    if row["minus1"]:
-        per_level.append((-1, tuple(("pt", IDX2_W) for _ in range(row["minus1"]))))
-    if row["interior"]:
-        descs = sorted(("surface", coeffs, g) for coeffs, g in row["interior"])
-        per_level.append((0, tuple(descs)))
-    top = row["top"]
-    level1 = [("pt", IDX4_W) for _ in range(row["plus1"])]
-    if top[0] == "fourmanifold":
-        level1.append(("fourmanifold", top[1], top[2], top[3]))
-    if level1:
-        per_level.append((1, tuple(sorted(level1))))
-    if top[0] == "sphere":
-        per_level.append((2, (("sphere", top[1]),)))
-    elif top[0] == "pt":
-        per_level.append((3, (("pt", MAX_W),)))
-    return (row["max_dim"], ("blowup", row["k"]), tuple(per_level))
+    for level in tfd.crit_levels:
+        comps = tfd.at_level(level)
+        pts = sum(1 for fc in comps if isinstance(fc.spec, IsolatedPoint))
+        descs = []
+        if pts == 1:
+            descs.append("pt")
+        elif pts > 1:
+            descs.append(f"pt*{pts}")
+        for fc in comps:
+            s = fc.spec
+            if isinstance(s, InteriorSurface):
+                head = {0: "S2", 1: "T2"}.get(s.genus, f"g{s.genus}")
+                descs.append(f"{head}[{s.surface_class!r}]")
+            elif isinstance(s, ExtremalSurface):
+                descs.append(f"S2(vol {2 + s.normal_degrees[0] + s.normal_degrees[1]})")
+            elif isinstance(s, ExtremalFourManifold):
+                descs.append(_lattice_str(s.lattice))
+        per_level.append(f"{level}:{'+'.join(sorted(descs))}")
+    return ",".join(str(c) for c in tfd.crit_levels), " | ".join(per_level)
 
 
-def _row4(label, name, min_level, max_level, k, euler_min, b2):
+def report_row_from_tfd(tfd: TFD) -> dict:
+    crit, components = fixed_point_columns(tfd)
+    b = betti(tfd)
+    w, h = capacities(tfd)
     return {
-        "label": label,
-        "name": name,
-        "min_level": min_level,
-        "max_level": max_level,
-        "k": k,
-        "euler_min": euler_min,
-        "b2": b2,
+        "label": tfd.label,
+        "crit": crit,
+        "components": components,
+        "b2": b[2],
+        "b_odd": b[1] + b[3] + b[5],
+        "c1_cubed": chern_number(tfd),
+        "gromov_width": _num(w),
+        "hofer_zehnder": _num(h),
     }
 
 
-GOLDEN4 = [
-    _row4("I-1", "P1xP1", -2, 2, 2, -1, 2),
-    _row4("II-1", "P2", -2, 1, 0, -1, 1),
-    _row4("II-2", "P2#1", -2, 1, 1, -1, 2),
-    _row4("II-3", "P2#2", -2, 1, 2, -1, 3),
-    _row4("III-1", "P1xP1", -1, 1, 0, 0, 2),
-    _row4("III-2", "P2#1", -1, 1, 0, -1, 2),
-    _row4("III-3", "P2#2", -1, 1, 1, 0, 3),
-    _row4("III-4", "P2#3", -1, 1, 2, -1, 4),
-]
+def report_row_from_tfd4(row) -> dict:
+    per_level = []
+    for level in row.crit_levels:
+        if level in (-2, 2):
+            per_level.append(f"{level}:pt")
+        elif level in (-1, 1):
+            per_level.append(f"{level}:S2")
+        else:
+            per_level.append("0:pt" if row.k == 1 else f"0:pt*{row.k}")
+    e = row.euler_min
+    e_str = "0" if e == 0 else ("-u" if e == -1 else f"{e}u")
+    return {
+        "label": row.label or "?",
+        "m": next((g["m"] for g in GOLDEN4 if g["label"] == row.label), "?"),
+        "crit": ",".join(str(c) for c in row.crit_levels),
+        "components": " | ".join(per_level),
+        "b2": row.betti[2],
+        "euler_min": e_str,
+    }
 
-GOLDEN4_BY_LABEL = {row["label"]: row for row in GOLDEN4}
+
+def render_tsv(rows: list[dict], fields) -> str:
+    lines = ["\t".join(fields)]
+    for r in rows:
+        lines.append("\t".join(str(r[f]) for f in fields))
+    return "\n".join(lines) + "\n"

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
-    AreaContinuityViolation,
     InternalArithmeticError,
     NonDisjointBlowdown,
     NotAdjacentSlices,
@@ -161,62 +160,60 @@ def cross(state: SliceState, event: CrossingEvent, bound: int = 6) -> SliceState
     kinds = {type(fc.spec) for fc in event.components}
     if len(kinds) > 1:
         raise ValueError("mixed component types on one level")
-    omega_c = state.omega(c)
+    n = len(event.components)
     if kinds == {IsolatedPoint}:
         indices = {fc.index for fc in event.components}
         if indices == {2}:
-            return _cross_blowup(state, event, omega_c)
+            return blow_up(state, event.level, n)
         if indices == {4}:
-            return _cross_blowdown(state, event, omega_c, bound)
+            return blow_down(state, event.level, n, bound)[0]
         raise ValueError(f"unsupported isolated-point indices {indices}")
     if kinds == {InteriorSurface}:
-        total = state.lattice.zero()
-        for fc in event.components:
-            total = total + fc.spec.surface_class
-        new_euler = state.euler + total
-        return _state(state.lattice, new_euler, c, omega_c, c, state.interval[1])
+        total = sum((fc.spec.surface_class for fc in event.components), state.lattice.zero())
+        return shift(state, event.level, total)
     raise ValueError("crossing events carry isolated points or interior surfaces")
 
 
-def _cross_blowup(state: SliceState, event: CrossingEvent, omega_c: CohClass) -> SliceState:
-    k = len(event.components)
+def blow_up(state: SliceState, level, k: int) -> SliceState:
+    """Cross k index-two points: each adds an exceptional class of zero area."""
+    omega_c = state.omega(level)
     lat = state.lattice
     if lat.kind == PRODUCT:
         # one blow-up turns the product into a two-fold blow-up of the plane
         new_lat = make_blowup_lattice(2)
         u, e1, e2 = (new_lat.basis_class(i) for i in range(3))
-        embed = {0: u - e1, 1: u - e2}
 
         def lift(cls: CohClass) -> CohClass:
-            out = new_lat.zero()
-            for i, co in enumerate(cls.coeffs):
-                out = out + co * embed[i]
-            return out
+            return cls.coeffs[0] * (u - e1) + cls.coeffs[1] * (u - e2)
 
         euler = lift(state.euler) + (u - e1 - e2)
-        omega = lift(omega_c)
-        state = _state(new_lat, euler, event.level, omega, event.level, state.interval[1])
-        if k == 1:
-            return state
-        rest = CrossingEvent(event.level, event.components[1:])
-        return _cross_blowup(state, rest, state.omega(event.level))
+        state = _state(new_lat, euler, level, lift(omega_c), level, state.interval[1])
+        return state if k == 1 else blow_up(state, level, k - 1)
     old = lat.blowups
     new_lat = make_blowup_lattice(old + k)
 
     def extend(cls: CohClass) -> CohClass:
         return CohClass(new_lat, cls.coeffs + (0,) * k)
 
-    new_exc = [new_lat.basis_class(old + 1 + i) for i in range(k)]
-    euler = extend(state.euler)
-    for e in new_exc:
-        euler = euler + e
+    euler = sum((new_lat.basis_class(old + 1 + i) for i in range(k)), extend(state.euler))
     omega = extend(omega_c)  # new exceptional classes have zero area at the crossing
-    return _state(new_lat, euler, event.level, omega, event.level, state.interval[1])
+    return _state(new_lat, euler, level, omega, level, state.interval[1])
 
 
-def _cross_blowdown(state, event, omega_c, bound) -> SliceState:
-    m = len(event.components)
-    vanishing = vanishing_classes(state, event.level, bound)
+def shift(state: SliceState, level, total: CohClass) -> SliceState:
+    """Cross fixed surfaces of total class `total`: the Euler class shifts by it."""
+    return _state(
+        state.lattice, state.euler + total, level, state.omega(level), level, state.interval[1]
+    )
+
+
+def blow_down(state: SliceState, level, m: int, bound: int = 6):
+    """Cross m index-four points: contract the zero-area exceptional classes.
+
+    Returns the new slice and the contracted classes, which must be exactly m
+    pairwise disjoint ones.
+    """
+    vanishing = vanishing_classes(state, level, bound)
     if len(vanishing) != m:
         raise VanishingCycleMismatch(
             f"{len(vanishing)} zero-area exceptional classes for {m} blow-downs: "
@@ -225,37 +222,10 @@ def _cross_blowdown(state, event, omega_c, bound) -> SliceState:
     for a, b in itertools.combinations(vanishing, 2):
         if pair(a, b) != 0:
             raise NonDisjointBlowdown(f"{a!r}.{b!r} = {pair(a, b)}")
-    for v in vanishing:
-        if area(state, v, event.level) != 0:
-            raise AreaContinuityViolation(f"{v!r} has nonzero limiting area")
     new_lat, push = blowdown_lattice(state.lattice, vanishing)
-    euler = state.euler
-    for v in vanishing:
-        euler = euler + v
-    return _state(
-        new_lat, push(euler), event.level, push(omega_c), event.level, state.interval[1]
-    )
-
-
-def replay_blowdown(state: SliceState, level, classes, count: int) -> None:
-    """Validate recorded blow-down data against the slice it came from.
-
-    The supplied classes must be exactly the zero-area exceptional classes of
-    the slice at the level, pairwise orthogonal, and as many as the recorded
-    index-four points.
-    """
-    for c in classes:
-        if area(state, c, level) != 0:
-            raise AreaContinuityViolation(
-                f"{c!r} has area {area(state, c, level)} at level {level}"
-            )
-    for a, b in itertools.combinations(classes, 2):
-        if pair(a, b) != 0:
-            raise NonDisjointBlowdown(f"{a!r}.{b!r} = {pair(a, b)}")
-    if len(classes) != count or set(classes) != set(vanishing_classes(state, level)):
-        raise VanishingCycleMismatch(
-            f"recorded {len(classes)} classes for {count} blow-downs at {level}"
-        )
+    euler = push(sum(vanishing, state.euler))
+    omega = push(state.omega(level))
+    return _state(new_lat, euler, level, omega, level, state.interval[1]), vanishing
 
 
 def blowdown_lattice(lattice: SurfaceLattice, vanishing):
@@ -385,8 +355,6 @@ def _canonical_form(gram, c1_coords, search_bound: int = 6):
         for v in vectors:
             if all(c == 0 for c in v):
                 continue
-            if dot(v, v) != square or dot(v, c1_coords) * 0 != 0:
-                pass
             if dot(v, v) == square and dot(c1_coords, v) == degree and all(
                 dot(v, o) == 0 for o in orth
             ):
@@ -457,25 +425,6 @@ def bmax_from_euler(state: SliceState) -> int:
     if state.lattice.rank != 2:
         raise NotASphereMaximum("top slice below a sphere maximum has rank 2")
     return -pair(state.euler, state.euler)
-
-
-def sphere_max_volume(state: SliceState) -> int:
-    """Symplectic area of the sphere maximum: 2 + b_max."""
-    return 2 + bmax_from_euler(state)
-
-
-def hirzebruch_basis(lat: SurfaceLattice) -> tuple[CohClass, CohClass]:
-    """(fiber, section) presentation of a rank-2 lattice.
-
-    Sphere bundles over a sphere are kept in the blow-up basis: the fiber is
-    u - E1 and the section E1; on the product lattice the basis classes
-    themselves serve.
-    """
-    if lat.rank != 2:
-        raise NotASphereMaximum("fiber/section classes need a rank-2 lattice")
-    if lat.kind == PRODUCT:
-        return lat.basis_class(0), lat.basis_class(1)
-    return lat.basis_class(0) - lat.basis_class(1), lat.basis_class(1)
 
 
 def fiber_classes_of(lat: SurfaceLattice) -> tuple[CohClass, ...]:

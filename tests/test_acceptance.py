@@ -20,7 +20,7 @@ import pytest
 
 from hamfix import golden
 from hamfix.classify4 import classify4, dedupe_case3, enumerate_case3_tuples
-from hamfix.classify6 import capacities, classify_all, flip, serialization
+from hamfix.classify6 import capacities, classify_all, flip
 from hamfix.lattice import exceptional_classes, make_blowup_lattice
 from hamfix.localization import (
     C1,
@@ -52,8 +52,8 @@ def by_label(rows):
 
 
 def test_criterion_1_table_rows_exact(rows):
-    computed = {serialization(t): t.label for t in rows}
-    reference = {golden.golden_serialization(g): g["label"] for g in golden.GOLDEN6}
+    computed = {golden.fixed_point_columns(t): t.label for t in rows}
+    reference = {(g["crit"], g["components"]): g["label"] for g in golden.GOLDEN6}
     missing = sorted(set(reference.values()) - set(computed.values()))
     extra = sorted(set(computed.values()) - set(reference.values()))
     matched = all(computed.get(k) == lab for k, lab in reference.items())
@@ -75,7 +75,7 @@ def test_criterion_1_table_rows_exact(rows):
 
 def test_criterion_2_chern_numbers(by_label):
     table_order = [g["label"] for g in golden.GOLDEN6]
-    want = [g["c1cubed"] for g in golden.GOLDEN6]
+    want = [g["c1_cubed"] for g in golden.GOLDEN6]
     got = [chern_number(by_label[lab]) for lab in table_order]
     ok = got == want
     _report(2, ok, f"c1^3 column for the 18 reference rows: {got}")
@@ -99,7 +99,7 @@ def test_criterion_4_betti_vectors(by_label):
     for g in golden.GOLDEN6:
         b = betti(by_label[g["label"]])
         palindromic = b == tuple(reversed(b))
-        odd = b[1] + b[5] == 0 and b[3] == g["b3"]
+        odd = b[1] + b[5] == 0 and b[3] == g["b_odd"]
         if not (b[2] == g["b2"] and palindromic and odd):
             bad.append(g["label"])
     ok = not bad
@@ -111,7 +111,7 @@ def test_criterion_5_capacities(by_label):
     bad = {}
     for g in golden.GOLDEN6:
         got = capacities(by_label[g["label"]])
-        want = g["capacities"]
+        want = (g["gromov_width"], g["hofer_zehnder"])
         if (int(got[0]), int(got[1])) != want:
             bad[g["label"]] = (got, want)
     ok = not bad

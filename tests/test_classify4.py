@@ -55,7 +55,8 @@ def test_betti_matches_surface_names():
     for r in classify4():
         b = r.betti
         assert b == tuple(reversed(b))
-        assert b[2] == b2_of_name[golden.GOLDEN4_BY_LABEL[r.label]["name"]]
+        (g,) = [g for g in golden.GOLDEN4 if g["label"] == r.label]
+        assert b[2] == b2_of_name[g["m"]]
 
 
 def test_dh_positivity_and_continuity():

@@ -24,7 +24,15 @@ from hamfix.localization import (
     chern_number,
     integrate,
 )
-from hamfix.reduction import area, check_dh_decrease, dh, vanishing_classes
+from hamfix.reduction import (
+    CrossingEvent,
+    area,
+    check_dh_decrease,
+    cross,
+    dh,
+    initial_slice,
+    vanishing_classes,
+)
 
 
 @pytest.fixture(scope="module")
@@ -82,9 +90,9 @@ def test_classify_all_strict_reports_single_extra_row():
 
 
 def test_all_golden_rows_emitted(rows):
-    keys = {serialization(t): t.label for t in rows}
+    keys = {golden.fixed_point_columns(t): t.label for t in rows}
     for g in golden.GOLDEN6:
-        assert keys.get(golden.golden_serialization(g)) == g["label"]
+        assert keys.get((g["crit"], g["components"])) == g["label"]
 
 
 def test_emitted_count_and_labels(rows):
@@ -104,7 +112,7 @@ def test_deterministic(rows):
 
 
 def test_chern_numbers(by_label):
-    expected = {g["label"]: g["c1cubed"] for g in golden.GOLDEN6}
+    expected = {g["label"]: g["c1_cubed"] for g in golden.GOLDEN6}
     for label, value in expected.items():
         assert chern_number(by_label[label]) == value
     assert chern_number(by_label["II-4.1b"]) == 48
@@ -123,7 +131,7 @@ def test_betti_vectors(rows, by_label):
     for g in golden.GOLDEN6:
         b = betti(by_label[g["label"]])
         assert b[2] == g["b2"], g["label"]
-        assert b[3] == g["b3"], g["label"]
+        assert b[3] == g["b_odd"], g["label"]
     assert betti(by_label["II-4.1b"]) == (1, 0, 3, 0, 3, 0, 1)
 
 
@@ -314,3 +322,34 @@ def test_bound_witness_guard():
     doctored = TFD(None, 0, (wide,), fake.slices, ())
     with pytest.raises(BoundTooSmall):
         _check_bound_witness(doctored, 6)
+
+
+def test_cross_replays_every_row(rows):
+    # the public wall-crossing dispatcher rebuilds each row's own slice path
+    for t in rows:
+        state = initial_slice(t.at_level(-3)[0])
+        slices, blowdowns = [], []
+        for level in (-1, 0, 1):
+            comps = tuple(fc for fc in t.at_level(level) if fc.dim < 4)
+            if not comps:
+                continue
+            slices.append(state.with_interval(state.interval[0], level))
+            if level == 1:
+                blowdowns.append((level, vanishing_classes(slices[-1], level)))
+            state = cross(slices[-1], CrossingEvent(level, comps))
+        slices.append(state.with_interval(state.interval[0], max(t.crit_levels)))
+        assert tuple(slices) == t.slices, t.label
+        assert tuple(blowdowns) == t.blowdowns, t.label
+
+
+def test_internal_arithmetic_errors_surface(monkeypatch):
+    # only predicate failures count as rejections; a bug must not drop a candidate
+    from hamfix import reduction
+    from hamfix.errors import InternalArithmeticError
+
+    def broken(lattice, vanishing):
+        raise InternalArithmeticError("complement lattice not recognized")
+
+    monkeypatch.setattr(reduction, "blowdown_lattice", broken)
+    with pytest.raises(InternalArithmeticError):
+        enumerate_tfd(ExtremalProfile(0, 0), {-1, 1})

@@ -142,3 +142,11 @@ def test_verbose_bound_witness(capsys):
     _, err = capture(capsys)
     assert "bound sufficiency" in err
     assert "inside the search box 6" in err
+
+
+def test_reference_tables_round_trip():
+    # `classify` compares parsed rows and `tables diff` the stored text
+    from hamfix import golden
+
+    assert golden.render_tsv(golden.GOLDEN6, golden.FIELDS6) == golden.GOLDEN6_TSV
+    assert golden.render_tsv(golden.GOLDEN4, golden.FIELDS4) == golden.GOLDEN4_TSV

@@ -133,6 +133,12 @@ def test_exceptional_permutation_invariance():
         assert permuted == got
 
 
+def test_exceptional_counts_are_del_pezzo_lines():
+    # (-1)-curves on the k-fold blow-up of the plane, k = 1..8
+    counts = [len(exceptional_classes(make_blowup_lattice(k), 6)) for k in range(1, 9)]
+    assert counts == [1, 3, 6, 10, 16, 27, 56, 240]
+
+
 def test_exceptional_all_genus_zero():
     for k in (1, 2, 3, 5):
         lat = make_blowup_lattice(k)

@@ -25,7 +25,6 @@ from hamfix.reduction import (
     fiber_classes_of,
     initial_slice,
     positive_square_throughout,
-    sphere_max_volume,
     vanishing_classes,
 )
 
@@ -187,10 +186,10 @@ def test_bmax_examples():
     assert bmax_from_euler(top_state((2, -1), make_blowup_lattice(1))) == -3
     s = top_state((1, -1), make_blowup_lattice(1))
     assert bmax_from_euler(s) == 0
-    assert sphere_max_volume(s) == 2
+    assert 2 + bmax_from_euler(s) == 2
     # accepted sphere maxima carry volume 2 + b_max >= 1
     s31 = top_state((-1, 2), make_blowup_lattice(1))
-    assert sphere_max_volume(s31) == 5
+    assert 2 + bmax_from_euler(s31) == 5
     with pytest.raises(NotASphereMaximum):
         bmax_from_euler(initial_slice(point(-3, (1, 1, 1))))
     assert pair(CohClass(two, (2, -1, 0)), CohClass(two, (2, -1, 0))) == 3
@@ -226,20 +225,6 @@ def test_product_lattice_blowup_conversion():
     assert area(s1, e_new, -1) == 0
 
 
-def test_hirzebruch_basis():
-    from hamfix.reduction import hirzebruch_basis
-
-    one = make_blowup_lattice(1)
-    fiber, section = hirzebruch_basis(one)
-    assert pair(fiber, fiber) == 0
-    assert pair(section, section) == -1
-    assert pair(fiber, section) == 1
-    x, y = hirzebruch_basis(product_lattice())
-    assert pair(x, x) == pair(y, y) == 0 and pair(x, y) == 1
-    with pytest.raises(NotASphereMaximum):
-        hirzebruch_basis(P2)
-
-
 def test_full_sweep_from_sphere_minimum():
     # the orientation-reversed form of the extra classified row: sphere
     # minimum over the product lattice, one blow-up, a square-zero fixed
@@ -265,18 +250,3 @@ def test_full_sweep_from_sphere_minimum():
     assert s.lattice.rank == 1
     assert s.omega(3).is_zero()
     assert dh(s.with_interval(1, 3), 1) == 4
-
-
-def test_replay_blowdown_validation():
-    from hamfix.errors import AreaContinuityViolation
-    from hamfix.reduction import replay_blowdown
-
-    s0 = initial_slice(point(-3, (1, 1, 1))).with_interval(-3, -1)
-    s1 = cross(s0, idx2_event(3)).with_interval(-1, 1)
-    vanish = vanishing_classes(s1, 1)
-    replay_blowdown(s1, 1, vanish, 3)  # the genuine record passes
-    with pytest.raises(VanishingCycleMismatch):
-        replay_blowdown(s1, 1, vanish[:2], 2)
-    three = make_blowup_lattice(3)
-    with pytest.raises(AreaContinuityViolation):
-        replay_blowdown(s1, 1, (CohClass(three, (0, 1, 0, 0)),), 1)
