@@ -260,9 +260,9 @@ def _check_slices(slices, max_dim: int, bound: int):
         if not positive_square_throughout(s, allow_zero_ends=zero_ends):
             raise _Reject("reduced class loses positivity")
         if s.lattice.kind == BLOWUP and s.lattice.blowups:
-            lo, hi = s.interval
+            w_lo, w_hi = s.omega(s.interval[0]), s.omega(s.interval[1])
             for c in exceptional_classes(s.lattice, bound):
-                alo, ahi = area(s, c, lo), area(s, c, hi)
+                alo, ahi = pair(w_lo, c), pair(w_hi, c)
                 if alo < 0 or ahi < 0 or (alo == 0 and ahi == 0):
                     raise _Reject(f"exceptional class {c!r} loses area")
 
@@ -301,12 +301,15 @@ def _candidate_totals(k: int, max_dim: int, has_blowdown: bool, bound: int):
 
     Coefficients on the exceptional part are nondecreasing (one representative
     per index permutation) and pre-filtered by the affine area constraints at
-    level one, which are the binding ones.
+    level one, which are the binding ones; the volume one prunes the tails as
+    they are built.  The leading coefficient `a` is still bounded only by the
+    box [-bound, bound], which `--bound` and the bound-stability test guard.
     """
     lat = make_blowup_lattice(k)
     b_floor = -2 if has_blowdown else -1
     for a in range(-bound, bound + 1):
-        for tail in _sorted_tails(k, b_floor, bound):
+        # reduced volume at level one stays positive: sum (b+2)^2 <= (4-a)^2 - 1
+        for tail in _sorted_tails(k, b_floor, bound, (4 - a) ** 2 - 1):
             volume = 3 * a + sum(tail)
             if volume < 1:
                 continue
@@ -314,19 +317,26 @@ def _candidate_totals(k: int, max_dim: int, has_blowdown: bool, bound: int):
                 # classes u - Ei - Ej keep positive area at the top of the sweep
                 if a + tail[-1] + tail[-2] > -1:
                     continue
-            # reduced volume at level one stays positive
-            if (4 - a) ** 2 - sum((b + 2) ** 2 for b in tail) < 1:
-                continue
             yield CohClass(lat, (a,) + tail)
 
 
-def _sorted_tails(n, lo, hi, prev=None):
+def _sorted_tails(n, lo, hi, budget, prev=None):
+    """Nondecreasing tuples of length n in [lo, hi] with sum (b+2)^2 <= budget.
+
+    Lexicographic.  With lo >= -2, (b+2)^2 grows with b and the n entries
+    left are all >= b, so the loop stops at the first b with (b+2)^2 * n
+    over the budget.
+    """
     if n == 0:
-        yield ()
+        if budget >= 0:
+            yield ()
         return
     start = lo if prev is None else prev
     for b in range(start, hi + 1):
-        for rest in _sorted_tails(n - 1, lo, hi, b):
+        cost = (b + 2) ** 2
+        if cost * n > budget:
+            break
+        for rest in _sorted_tails(n - 1, lo, hi, budget - cost, b):
             yield (b,) + rest
 
 

@@ -139,18 +139,12 @@ def _check_same(a: CohClass, b: CohClass) -> None:
 
 
 def pair(a: CohClass, b: CohClass):
-    """Intersection pairing a.gram.b, exact."""
+    """Intersection pairing a.gram.b, exact, in the closed form of each gram."""
     _check_same(a, b)
-    gram = a.lattice.gram
-    total = 0
-    for i, ai in enumerate(a.coeffs):
-        if ai == 0:
-            continue
-        row = gram[i]
-        for j, bj in enumerate(b.coeffs):
-            if bj and row[j]:
-                total += ai * row[j] * bj
-    return _normalize(total)
+    x, y = a.coeffs, b.coeffs
+    if a.lattice.kind == PRODUCT:
+        return _normalize(x[0] * y[1] + x[1] * y[0])
+    return _normalize(x[0] * y[0] - sum(p * q for p, q in zip(x[1:], y[1:])))
 
 
 def exceptional_classes(lattice: SurfaceLattice, bound: int = 3) -> tuple[CohClass, ...]:
@@ -233,21 +227,39 @@ def component_splittings(
     integral, sum to `total`, are pairwise orthogonal, have anticanonical
     degree >= 1 and a valid adjunction genus, and every class of nonnegative
     square meets each exceptional class nonnegatively.
+
+    Parts are searched in [-bound, bound], cut by two predicates checked on
+    the raw coefficients: a part's degree lies in [1, volume], since every
+    part has degree >= 1 and the degrees sum to `volume`; and on a blow-up
+    lattice twice the genus of (a; b) is (a-1)(a-2) - sum b(b+1), so genus
+    >= 0 with b(b+1) >= 0 on the integers makes (a-1)(a-2) a budget that the
+    tail entries draw from one by one.  The leading coefficient `a` is still
+    bounded only by the box, and the product lattice keeps its full box.
     """
     if not total.is_integral:
         raise ValueError("total class must be integral")
     volume = pair(lattice.anticanonical, total)
     if volume <= 0:
         return []
+    box = range(-bound, bound + 1)
     exc = None
     if lattice.kind == BLOWUP:
         exc = exceptional_classes(lattice, max(bound, 3))
+        parts = (
+            (a,) + tail
+            for a in box
+            for tail in _adjunction_tails(lattice.blowups, box, (a - 1) * (a - 2))
+        )
+    else:
+        parts = itertools.product(box, repeat=lattice.rank)
+    anti = lattice.anticanonical
+    degree_form = [pair(anti, lattice.basis_class(i)) for i in range(lattice.rank)]
     candidates = []
-    for coeffs in itertools.product(range(-bound, bound + 1), repeat=lattice.rank):
-        c = CohClass(lattice, coeffs)
-        vol = pair(lattice.anticanonical, c)
+    for coeffs in parts:
+        vol = sum(d * x for d, x in zip(degree_form, coeffs))
         if not 1 <= vol <= volume:
             continue
+        c = CohClass(lattice, coeffs)
         g = adjunction_genus(lattice, c)
         if g is None:
             continue
@@ -258,6 +270,19 @@ def component_splittings(
     out: list[tuple[tuple[CohClass, int], ...]] = []
     _split_search(lattice, total, volume, candidates, 0, [], out)
     return out
+
+
+def _adjunction_tails(n, box, budget):
+    """Tuples of length n over `box` with sum b(b+1) <= budget, lexicographic."""
+    if n == 0:
+        yield ()
+        return
+    for b in box:
+        left = budget - b * (b + 1)
+        if left < 0:
+            continue
+        for rest in _adjunction_tails(n - 1, box, left):
+            yield (b,) + rest
 
 
 def _split_search(lattice, remaining, vol_left, candidates, start, chosen, out):

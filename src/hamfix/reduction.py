@@ -148,7 +148,8 @@ def vanishing_classes(state: SliceState, level, bound: int = 6) -> tuple[CohClas
     if state.lattice.kind != BLOWUP or state.lattice.blowups == 0:
         return ()
     exc = exceptional_classes(state.lattice, bound)
-    return tuple(c for c in exc if area(state, c, level) == 0)
+    w = state.omega(level)
+    return tuple(c for c in exc if pair(w, c) == 0)
 
 
 def cross(state: SliceState, event: CrossingEvent, bound: int = 6) -> SliceState:

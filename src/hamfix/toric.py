@@ -67,6 +67,8 @@ class CircleDirection:
     xi: tuple[int, int, int]
 
     def __post_init__(self):
+        if len(self.xi) != 3 or not all(isinstance(x, int) for x in self.xi):
+            raise ValueError(f"direction {self.xi} is not three integers")
         g = gcd(gcd(abs(self.xi[0]), abs(self.xi[1])), abs(self.xi[2]))
         if g != 1:
             raise ValueError(f"{self.xi} is not primitive")
@@ -84,13 +86,16 @@ class Polytope:
 
     @staticmethod
     def from_dict(d) -> Polytope:
-        return Polytope(
-            name=d["name"],
-            vertices=tuple(_ivec(v) for v in d["vertices"]),
-            edges=tuple(tuple(e) for e in d["edges"]),
-            facets=tuple((_ivec(f["normal"]), int(f["offset"])) for f in d["facets"]),
-            reflexive=bool(d.get("reflexive", True)),
-        )
+        try:
+            return Polytope(
+                name=d["name"],
+                vertices=tuple(_ivec(v) for v in d["vertices"]),
+                edges=tuple(tuple(e) for e in d["edges"]),
+                facets=tuple((_ivec(f["normal"]), int(f["offset"])) for f in d["facets"]),
+                reflexive=bool(d.get("reflexive", True)),
+            )
+        except (KeyError, TypeError, IndexError) as err:
+            raise ValueError(f"not a polytope record (name/vertices/edges/facets): {err}") from err
 
     @staticmethod
     def load(path) -> Polytope:

@@ -7,6 +7,7 @@ import pytest
 from hamfix import golden
 from hamfix.classify6 import (
     ExtremalProfile,
+    _candidate_totals,
     capacities,
     classify_all,
     enumerate_tfd,
@@ -243,6 +244,29 @@ def test_bound_stability():
     assert [serialization(t) for t in classify_all(bound=5, strict=False)] == [
         serialization(t) for t in classify_all(strict=False)
     ]
+
+
+def _unpruned_totals(k, has_blowdown, bound):
+    """Reference: every nondecreasing tail in the box, then the three filters."""
+    b_floor = -2 if has_blowdown else -1
+    for a in range(-bound, bound + 1):
+        for tail in itertools.combinations_with_replacement(range(b_floor, bound + 1), k):
+            if 3 * a + sum(tail) < 1:
+                continue
+            if k >= 2 and not has_blowdown and a + tail[-1] + tail[-2] > -1:
+                continue
+            if (4 - a) ** 2 - sum((b + 2) ** 2 for b in tail) < 1:
+                continue
+            yield (a,) + tail
+
+
+@pytest.mark.parametrize("has_blowdown", [False, True])
+@pytest.mark.parametrize("k", range(9))
+def test_candidate_totals_match_unpruned_box(k, has_blowdown):
+    # bound 6 is the default search; k = 0 covers a = 4, whose budget is -1
+    for bound in (6, 5) if k <= 4 else (6,):
+        got = [c.coeffs for c in _candidate_totals(k, 0, has_blowdown, bound)]
+        assert got == list(_unpruned_totals(k, has_blowdown, bound))
 
 
 def test_count_relations(rows):

@@ -1,6 +1,12 @@
 """Command-line behavior: formats, exit codes, table diffs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from hamfix.cli import run
 from hamfix.toric import corpus_dir
@@ -89,6 +95,24 @@ def test_toric_verify_non_semifree(capsys):
 def test_toric_verify_needs_direction(capsys):
     path = str(corpus_dir() / "p3.json")
     assert run(["toric", "verify", "--polytope", path]) == 2
+
+
+@pytest.mark.parametrize(
+    "polytope,xi",
+    [("p3.json", "1,0"), ("index.json", "1,0,0")],
+)
+def test_toric_verify_bad_input_exits_2(polytope, xi):
+    # a short direction, and a JSON file that is not a polytope record
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    argv = ["toric", "verify", "--polytope", str(corpus_dir() / polytope), "--xi", xi]
+    proc = subprocess.run(
+        [sys.executable, "-m", "hamfix.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("invalid input: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_tables_diff_shows_known_discrepancies(capsys):

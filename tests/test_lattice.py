@@ -1,6 +1,7 @@
 """Lattice arithmetic, exceptional classes, adjunction, splittings."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -75,6 +76,27 @@ def test_pair_symmetric_bilinear(a, b, c, s):
     assert pair(ca, cb) == pair(cb, ca)
     assert pair(ca + cb, cc) == pair(ca, cc) + pair(cb, cc)
     assert pair(s * ca, cb) == s * pair(ca, cb)
+
+
+_entries = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+)
+
+
+@given(st.integers(-1, 8), st.data())
+def test_pair_is_the_gram_form(k, data):
+    # k = -1 stands for the product lattice; gram stays the definition of pair
+    lat = product_lattice() if k < 0 else make_blowup_lattice(k)
+    vec = st.lists(_entries, min_size=lat.rank, max_size=lat.rank)
+    x, y = data.draw(vec), data.draw(vec)
+    gram = lat.gram
+    want = sum(
+        Fraction(x[i]) * gram[i][j] * y[j] for i in range(lat.rank) for j in range(lat.rank)
+    )
+    got = pair(CohClass(lat, tuple(x)), CohClass(lat, tuple(y)))
+    assert got == want
+    assert isinstance(got, int) == (want.denominator == 1)
 
 
 def test_gram_unimodular():
@@ -176,6 +198,17 @@ def test_splitting_mixed_pair():
     two = make_blowup_lattice(2)
     out = component_splittings(two, cls(two, 2, -2, -1))
     assert out == [((cls(two, 1, -1, -1), 0), (cls(two, 1, -1, 0), 0))]
+
+
+@pytest.mark.parametrize(
+    "total,want",
+    [((1, -1, -1, 0), [(((1, -1, -1, 0), 0),)]), ((2, -2, -2, -1), [])],
+)
+def test_splitting_rank4_inputs_of_the_search(total, want):
+    # the two rank-4 totals that reach the splitting step at the default bound
+    three = make_blowup_lattice(3)
+    out = component_splittings(three, cls(three, *total), 6)
+    assert [tuple((c.coeffs, g) for c, g in s) for s in out] == want
 
 
 def _oracle_splittings(lattice, total, bound=3):
