@@ -225,70 +225,51 @@ def fixed_faces(p: Polytope, d: CircleDirection) -> list[FixedFace]:
     the direction does not act with the balanced normalization.
     """
     xi = d.xi
-    raw: list[tuple[str, tuple[int, ...], int, int]] = []  # kind, verts, raw, weightsum
-    fixed_edge_indices = set()
-    facet_of = {}
+    # vertex -> [(neighbour, pairing of the primitive edge direction toward it)]
+    at: list[list[tuple[int, int]]] = [[] for _ in p.vertices]
+    for a, b in p.edges:
+        s = _dot(_primitive(_sub(p.vertices[b], p.vertices[a]))[0], xi)
+        at[a].append((b, s))
+        at[b].append((a, -s))
+    zeros = [[j for j, s in nbrs if s == 0] for nbrs in at]
+    # (kind, vertices, vertex whose level and transverse weights place the face)
+    found = [("vertex", (i,), i) for i in range(len(at)) if not zeros[i]]
+    # an edge of a fixed facet has a second fixed edge at each end, so it
+    # fails this test and only isolated fixed spheres are listed
+    found += [
+        ("edge", tuple(sorted((a, b))), a)
+        for a, b in p.edges
+        if zeros[a] == [b] and zeros[b] == [a]
+    ]
     for fi in range(len(p.facets)):
-        n, _ = p.facets[fi]
-        members = p.facet_vertices(fi)
-        dirs = set()
-        for a, b in p.edges:
-            if a in members and b in members:
-                dd, _ = _primitive(_sub(p.vertices[b], p.vertices[a]))
-                dirs.add(abs(_dot(dd, xi)))
-        if dirs == {0}:
-            verts = tuple(sorted(members))
-            # transverse weight at any vertex of the face
-            v0 = verts[0]
-            w = sum(
-                _dot(p.edge_direction(e, v0), xi)
-                for e in p.vertex_edges(v0)
-                if _dot(p.edge_direction(e, v0), xi) != 0
-            )
-            raw.append(("facet", verts, _dot(p.vertices[v0], xi), w))
-            facet_of[verts] = fi
-            fixed_edge_indices.update(
-                (a, b) for a, b in p.edges if a in members and b in members
-            )
-    for e in p.edges:
-        if tuple(e) in fixed_edge_indices:
-            continue
-        dd, _ = _primitive(_sub(p.vertices[e[1]], p.vertices[e[0]]))
-        if _dot(dd, xi) != 0:
-            continue
-        transverse_ok = True
-        w = 0
-        for end in e:
-            for other in p.vertex_edges(end):
-                if tuple(other) == tuple(e):
-                    continue
-                pairing = _dot(p.edge_direction(other, end), xi)
-                if pairing == 0:
-                    transverse_ok = False
-                if end == e[0]:
-                    w += pairing
-        if transverse_ok:
-            raw.append(("edge", tuple(sorted(e)), _dot(p.vertices[e[0]], xi), w))
-    for i, v in enumerate(p.vertices):
-        pairings = [_dot(p.edge_direction(e, i), xi) for e in p.vertex_edges(i)]
-        if all(pr != 0 for pr in pairings):
-            raw.append(("vertex", (i,), _dot(v, xi), sum(pairings)))
-    shifts = {-(w) - r for _, _, r, w in raw}
+        members = set(p.facet_vertices(fi))
+        tangent = [s for i in members for j, s in at[i] if j in members]
+        if tangent and not any(tangent):
+            found.append(("facet", tuple(sorted(members)), min(members)))
+    raw = [  # kind, verts, raw level, transverse weight sum
+        (kind, verts, _dot(p.vertices[v], xi), sum(s for _, s in at[v]))
+        for kind, verts, v in found
+    ]
+    shifts = {-w - r for _, _, r, w in raw}
     if len(shifts) != 1:
         raise NotBalanced(f"{p.name}: inconsistent balancing shifts {sorted(shifts)}")
     shift = shifts.pop()
-    faces = [FixedFace(kind, verts, r + shift) for kind, verts, r, w in raw]
+    faces = [FixedFace(kind, verts, r + shift) for kind, verts, r, _ in raw]
     faces.sort(key=lambda f: (f.level, f.kind, f.vertices))
     return faces
 
 
-def facet_lattice_area(p: Polytope, verts: tuple[int, ...]) -> Fraction:
-    """Lattice-normalized area of a fixed 2-face (a half-integer)."""
+def _facet_cycle_of(p: Polytope, verts: tuple[int, ...]) -> list[int]:
     fi = next(
         i for i in range(len(p.facets))
         if tuple(sorted(p.facet_vertices(i))) == tuple(sorted(verts))
     )
-    cycle = p.facet_cycle(fi)
+    return p.facet_cycle(fi)
+
+
+def facet_lattice_area(p: Polytope, verts: tuple[int, ...]) -> Fraction:
+    """Lattice-normalized area of a fixed 2-face (a half-integer)."""
+    cycle = _facet_cycle_of(p, verts)
     v0 = p.vertices[cycle[0]]
     acc = (0, 0, 0)
     for a, b in zip(cycle[1:], cycle[2:]):
@@ -299,31 +280,30 @@ def facet_lattice_area(p: Polytope, verts: tuple[int, ...]) -> Fraction:
 
 
 def _facet_shape(p: Polytope, verts: tuple[int, ...]):
-    """(lattice kind, blow-up count) of the 4-manifold over a fixed 2-face."""
-    members = set(verts)
-    boundary = [
-        (a, b) for a, b in p.edges if a in members and b in members
-    ]
-    n = len(boundary)
-    if n == 3:
-        return ("blowup", 0)
-    if n == 5:
-        return ("blowup", 2)
-    if n == 4:
-        dirs = []
-        for a, b in boundary:
-            dd, _ = _primitive(_sub(p.vertices[b], p.vertices[a]))
-            dirs.append(dd)
-        parallel_pairs = sum(
-            1
-            for x, y in itertools.combinations(dirs, 2)
-            if _cross(x, y) == (0, 0, 0)
-        )
-        if parallel_pairs == 2:
+    """(lattice kind, blow-up count) of the 4-manifold over a fixed 2-face.
+
+    A smooth toric surface with m boundary edges has b2 = m - 2.  With the
+    walk's primitive edge vectors a_i, the self-intersection of edge i reads
+    off a_{i-1} + a_{i+1} = -(D_i^2) a_i.  The form is even, and the surface
+    is S^2 x S^2 (a Hirzebruch surface F_2k), exactly when m = 4 and every
+    D_i^2 is even; otherwise it is P^2 blown up m - 3 times.
+    """
+    cycle = _facet_cycle_of(p, verts)
+    m = len(cycle)
+    if m < 3:
+        raise NoMatchingTFD(f"{p.name}: cannot identify the 4-manifold over {verts}")
+    if m == 4:
+        a = [
+            _primitive(_sub(p.vertices[cycle[(i + 1) % 4]], p.vertices[cycle[i]]))[0]
+            for i in range(4)
+        ]
+        squares = []
+        for i in range(4):
+            k = next(k for k in range(3) if a[i][k])  # read D_i^2 in this coordinate
+            squares.append(-(a[i - 1][k] + a[(i + 1) % 4][k]) // a[i][k])
+        if all(s % 2 == 0 for s in squares):
             return ("product", 0)
-        if parallel_pairs == 1:
-            return ("blowup", 1)
-    raise NoMatchingTFD(f"{p.name}: cannot identify the 4-manifold over {verts}")
+    return ("blowup", m - 3)
 
 
 def observed_profile(p: Polytope, d: CircleDirection):
@@ -378,11 +358,15 @@ def tfd_from_polytope(p: Polytope, d: CircleDirection, rows: list[TFD]) -> TFD:
     if not is_semifree(p, d):
         raise NoMatchingTFD(f"{p.name}: direction {d.xi} is not semifree")
     observed = observed_profile(p, d)
-    matches = []
-    for tfd in rows:
-        prof = _tfd_profile(tfd)
-        if prof == observed:
-            matches.append(tfd)
+    # equal profiles have one descriptor per component at the same levels, so
+    # a row whose sorted component levels differ cannot match
+    levels = sorted(lvl for lvl, descs in observed.items() for _ in descs)
+    matches = [
+        tfd
+        for tfd in rows
+        if sorted(fc.level for fc in tfd.components) == levels
+        and _tfd_profile(tfd) == observed
+    ]
     if len(matches) != 1:
         raise NoMatchingTFD(
             f"{p.name}: {len(matches)} classified rows match profile {observed}"

@@ -1,9 +1,11 @@
 """Polytope verification: Delzant/reflexive checks, fixed faces, row matching."""
 
+import itertools
+
 import pytest
 
-from hamfix.classify6 import classify_all
-from hamfix.errors import NotBalanced, NotDelzant, NotReflexive
+from hamfix.classify6 import classify_all, flip
+from hamfix.errors import HamfixError, NoMatchingTFD, NotBalanced, NotDelzant, NotReflexive
 from hamfix.localization import (
     ExtremalFourManifold,
     ExtremalSurface,
@@ -17,7 +19,10 @@ from hamfix.toric import (
     chern_number_from_volume,
     fixed_faces,
     is_semifree,
+    _facet_shape,
+    _tfd_profile,
     load_corpus,
+    observed_profile,
     tfd_from_polytope,
     verify_corpus,
 )
@@ -251,3 +256,108 @@ def test_unnormalized_orientation_matches_no_row(corpus, rows):
     assert is_semifree(p3, d)
     with pytest.raises(NoMatchingTFD):
         tfd_from_polytope(p3, d, rows)
+
+
+SWEEP = [xi for xi in itertools.product((-1, 0, 1), repeat=3) if any(xi)]
+
+
+def _facet_index(p, normal):
+    return next(i for i, (n, _) in enumerate(p.facets) if n == normal)
+
+
+def _hexagonal_prism():
+    """P^2#3 x interval: the reflexive hexagon times [0, 1]."""
+    hexagon = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
+    vertices = tuple((x, y, z) for z in (0, 1) for x, y in hexagon)
+    edges = tuple(
+        (i + 6 * z, (i + 1) % 6 + 6 * z) for z in (0, 1) for i in range(6)
+    ) + tuple((i, i + 6) for i in range(6))
+    sides = [(-1, 0), (0, -1), (1, -1), (1, 0), (0, 1), (-1, 1)]
+    facets = tuple(((nx, ny, 0), -1) for nx, ny in sides) + (
+        ((0, 0, 1), 0), ((0, 0, -1), -1),
+    )
+    return Polytope("hexprism", vertices, edges, facets, reflexive=False)
+
+
+def test_facet_shape_from_edge_count_and_parity(corpus):
+    p_oo2, p1xf1 = corpus["p_oo2"][0], corpus["p1xf1"][0]
+    prism = _hexagonal_prism()
+    prism.check_delzant()
+
+    def shape(p, fi):
+        return _facet_shape(p, tuple(p.facet_vertices(fi)))
+
+    # the trapezoid of p_oo2 is F_2 (self-intersections 2, 0, -2, 0): even form
+    assert shape(p_oo2, 0) == ("product", 0)
+    # the trapezoid of p1xf1 is F_1 (self-intersections 1, 0, -1, 0)
+    assert shape(p1xf1, _facet_index(p1xf1, (1, 0, 0))) == ("blowup", 1)
+    assert shape(prism, _facet_index(prism, (0, 0, 1))) == ("blowup", 3)
+
+
+def _outcome(call):
+    try:
+        return ("row", id(call()))
+    except HamfixError as err:
+        return (type(err).__name__, str(err))
+
+
+def _brute_force_match(p, d, rows):
+    if not is_semifree(p, d):
+        raise NoMatchingTFD(f"{p.name}: direction {d.xi} is not semifree")
+    observed = observed_profile(p, d)
+    matches = [t for t in rows if _tfd_profile(t) == observed]
+    if len(matches) != 1:
+        raise NoMatchingTFD(
+            f"{p.name}: {len(matches)} classified rows match profile {observed}"
+        )
+    return matches[0]
+
+
+def test_row_prune_matches_brute_force(corpus, rows):
+    for table in (rows, [flip(t) for t in rows]):
+        matched = 0
+        for p, _d, _row in corpus.values():
+            for xi in SWEEP:
+                d = CircleDirection(xi)
+                got = _outcome(lambda: tfd_from_polytope(p, d, table))
+                assert got == _outcome(lambda: _brute_force_match(p, d, table)), (p.name, xi)
+                matched += got[0] == "row"
+        # flipping every row matches the sweep's negated directions
+        assert matched == 44
+
+
+def test_fixed_faces_are_the_maximal_level_faces(corpus):
+    checked = 0
+    for p, _d, _row in corpus.values():
+        faces = [{i} for i in range(len(p.vertices))]
+        faces += [set(e) for e in p.edges]
+        faces += [
+            {i for i, v in enumerate(p.vertices) if sum(a * b for a, b in zip(n, v)) == o}
+            for n, o in p.facets
+        ]
+        for xi in SWEEP:
+            d = CircleDirection(xi)
+            if not is_semifree(p, d):
+                continue
+            try:
+                listed = fixed_faces(p, d)
+            except NotBalanced:
+                continue
+            checked += 1
+
+            def height(i):
+                return sum(a * b for a, b in zip(p.vertices[i], xi))
+
+            level_faces = [f for f in faces if len({height(i) for i in f}) == 1]
+            maximal = [f for f in level_faces if not any(f < g for g in level_faces)]
+            assert sorted(sorted(f.vertices) for f in listed) == sorted(sorted(f) for f in maximal)
+            shifts = set()
+            for f in listed:
+                members = set(f.vertices)
+                for a, b in p.edges:
+                    for end, other in ((a, b), (b, a)):
+                        if end in members and other not in members:
+                            assert height(other) != height(end), (p.name, xi, f)
+                shifts |= {f.level - height(i) for i in members}
+            assert len(shifts) == 1, (p.name, xi)
+    assert checked > 0
