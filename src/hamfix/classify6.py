@@ -194,7 +194,7 @@ class _Reject(Exception):
 _REJECTIONS = (_Reject, VanishingCycleMismatch, NonDisjointBlowdown)
 
 
-def _sweep_path(max_dim: int, k: int, total: CohClass | None, m: int, bound: int):
+def _sweep_path(max_dim: int, k: int, total: CohClass | None, m: int):
     """Build the slice path for (k points, total surface class, m points).
 
     Returns (slices, blowdowns); a blow-down whose zero-area classes do not
@@ -215,13 +215,13 @@ def _sweep_path(max_dim: int, k: int, total: CohClass | None, m: int, bound: int
         state = shift(state, 0, total)
     if m:
         close(1)
-        state, vanishing = blow_down(state, 1, m, bound)
+        state, vanishing = blow_down(state, 1, m)
         blowdowns.append((1, vanishing))
     close(TOP_LEVEL[max_dim])
     return slices, blowdowns
 
 
-def _check_top(max_dim: int, top_slice: SliceState, bound: int):
+def _check_top(max_dim: int, top_slice: SliceState):
     """Extremum-side predicates; returns data needed to build the top component."""
     top = TOP_LEVEL[max_dim]
     if max_dim == 0:
@@ -231,7 +231,7 @@ def _check_top(max_dim: int, top_slice: SliceState, bound: int):
     if max_dim == 2:
         if top_slice.lattice.rank != 2:
             raise _Reject("sphere maximum needs a rank-2 slice")
-        if vanishing_classes(top_slice, 2, bound):
+        if vanishing_classes(top_slice, 2):
             raise _Reject("exceptional class collapses at the sphere maximum")
         fibers = [f for f in fiber_classes_of(top_slice.lattice) if area(top_slice, f, 2) == 0]
         if len(fibers) != 1:
@@ -242,14 +242,14 @@ def _check_top(max_dim: int, top_slice: SliceState, bound: int):
         if 2 + b_max < 1:
             raise _Reject("sphere maximum would have nonpositive area")
         return b_max
-    if vanishing_classes(top_slice, 1, bound):
+    if vanishing_classes(top_slice, 1):
         raise _Reject("exceptional class collapses at the 4-dimensional maximum")
     if dh(top_slice, 1) <= 0:
         raise _Reject("reduced volume vanishes at the 4-dimensional maximum")
     return (top_slice.lattice, top_slice.euler)
 
 
-def _check_slices(slices, max_dim: int, bound: int):
+def _check_slices(slices, max_dim: int):
     """DH positivity and exceptional-area positivity along the whole path."""
     zero_ends = {Fraction(-3)}
     if max_dim == 0:
@@ -261,7 +261,7 @@ def _check_slices(slices, max_dim: int, bound: int):
             raise _Reject("reduced class loses positivity")
         if s.lattice.kind == BLOWUP and s.lattice.blowups:
             w_lo, w_hi = s.omega(s.interval[0]), s.omega(s.interval[1])
-            for c in exceptional_classes(s.lattice, bound):
+            for c in exceptional_classes(s.lattice):
                 alo, ahi = pair(w_lo, c), pair(w_hi, c)
                 if alo < 0 or ahi < 0 or (alo == 0 and ahi == 0):
                     raise _Reject(f"exceptional class {c!r} loses area")
@@ -302,8 +302,9 @@ def _candidate_totals(k: int, max_dim: int, has_blowdown: bool, bound: int):
     Coefficients on the exceptional part are nondecreasing (one representative
     per index permutation) and pre-filtered by the affine area constraints at
     level one, which are the binding ones; the volume one prunes the tails as
-    they are built.  The leading coefficient `a` is still bounded only by the
-    box [-bound, bound], which `--bound` and the bound-stability test guard.
+    they are built.  `bound` boxes only these coefficients, and the leading
+    coefficient `a` is still bounded only by [-bound, bound], which `--bound`
+    and the bound-stability test guard.
     """
     lat = make_blowup_lattice(k)
     b_floor = -2 if has_blowdown else -1
@@ -362,7 +363,13 @@ def _counts_for(max_dim: int, crit: frozenset[int]):
 
 
 def enumerate_tfd(profile: ExtremalProfile, crit, bound: int = 6) -> list[TFD]:
-    """All topological fixed-point data with the given extrema and interior levels."""
+    """All topological fixed-point data with the given extrema and interior levels.
+
+    `bound` boxes the searched coefficients (see `_candidate_totals` and
+    `component_splittings`); a box below 3 is invalid input.
+    """
+    if bound < 3:
+        raise ValueError("bound must be at least 3")
     crit = frozenset(crit)
     if not crit <= {-1, 0, 1}:
         raise ValueError(f"interior critical levels {sorted(crit)} outside -1..1")
@@ -377,9 +384,9 @@ def enumerate_tfd(profile: ExtremalProfile, crit, bound: int = 6) -> list[TFD]:
             totals = [None]
         for total in totals:
             try:
-                slices, blowdowns = _sweep_path(max_dim, k, total, m, bound)
-                top_data = _check_top(max_dim, slices[-1], bound)
-                _check_slices(slices, max_dim, bound)
+                slices, blowdowns = _sweep_path(max_dim, k, total, m)
+                top_data = _check_top(max_dim, slices[-1])
+                _check_slices(slices, max_dim)
             except _REJECTIONS:
                 continue
             if total is not None:
@@ -400,7 +407,7 @@ def enumerate_tfd(profile: ExtremalProfile, crit, bound: int = 6) -> list[TFD]:
                     continue
                 accepted.append(tfd)
             for tfd in accepted:
-                canon = _canonicalize(tfd, k, bound)
+                canon = _canonicalize(tfd, k)
                 key = serialization(canon)
                 _check_bound_witness(canon, bound)
                 found.setdefault(key, canon)
@@ -408,11 +415,10 @@ def enumerate_tfd(profile: ExtremalProfile, crit, bound: int = 6) -> list[TFD]:
 
 
 def largest_coefficient(tfd: TFD) -> int:
-    """Largest absolute coefficient of a fixed surface class or a blow-down class."""
+    """Largest absolute coefficient of a fixed surface class, the searched classes."""
     classes = [
         fc.spec.surface_class for fc in tfd.components if isinstance(fc.spec, InteriorSurface)
     ]
-    classes += [c for _, contracted in tfd.blowdowns for c in contracted]
     return max((abs(x) for c in classes for x in c.coeffs), default=0)
 
 
@@ -421,7 +427,7 @@ def _check_bound_witness(tfd: TFD, bound: int):
         raise BoundTooSmall(f"candidate coefficients reach the search bound {bound}")
 
 
-def _canonicalize(tfd: TFD, k: int, bound: int) -> TFD:
+def _canonicalize(tfd: TFD, k: int) -> TFD:
     """Minimize the serialization over permutations of the exceptional indices."""
     if k <= 1:
         return tfd
@@ -442,9 +448,9 @@ def _canonicalize(tfd: TFD, k: int, bound: int) -> TFD:
         split.sort(key=lambda t: t[0].coeffs)
         try:
             slices, blowdowns = _sweep_path(
-                tfd.max_dim, k, total if interior else None, m, bound
+                tfd.max_dim, k, total if interior else None, m
             )
-            top_data = _check_top(tfd.max_dim, slices[-1], bound)
+            top_data = _check_top(tfd.max_dim, slices[-1])
         except _REJECTIONS:
             continue
         cand = _assemble(tfd.max_dim, k, m, tuple(split), slices, blowdowns, top_data)

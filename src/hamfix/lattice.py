@@ -147,46 +147,45 @@ def pair(a: CohClass, b: CohClass):
     return _normalize(x[0] * y[0] - sum(p * q for p, q in zip(x[1:], y[1:])))
 
 
-def exceptional_classes(lattice: SurfaceLattice, bound: int = 3) -> tuple[CohClass, ...]:
-    """All integral classes C with C.C = -1 and anticanonical pairing 1.
+# (-1)-classes of the k-fold blow-up of the plane, k <= 8, as the leading
+# coefficient u and up to two (value, multiplicity) groups of E-coefficients.
+_EXCEPTIONAL_SHAPES = (
+    (0, (1, 1), (0, 0)),
+    (1, (-1, 2), (0, 0)),
+    (2, (-1, 5), (0, 0)),
+    (3, (-2, 1), (-1, 6)),
+    (4, (-2, 3), (-1, 5)),
+    (5, (-2, 6), (-1, 2)),
+    (6, (-3, 1), (-2, 7)),
+)
 
-    Coefficients are searched in [-bound, bound]; the result is complete for
-    every blow-up lattice once bound >= 6 (the largest degree of a square -1
-    sphere class on a k <= 8 blow-up), and already at bound = 3 for k <= 3.
+
+def exceptional_classes(lattice: SurfaceLattice) -> tuple[CohClass, ...]:
+    """All integral classes C with C.C = -1 and anticanonical pairing 1, sorted.
+
+    On the k-fold blow-up of the plane, k <= 8, these are exactly the index
+    permutations of seven shapes (u; E1, ..., Ek): (0; 1), (1; -1^2),
+    (2; -1^5), (3; -2, -1^6), (4; -2^3, -1^5), (5; -2^6, -1^2) and
+    (6; -3, -2^7), with zeros in the unused places (Manin, Cubic Forms,
+    section 26).  Each shape is placed by choosing the positions of its two
+    coefficient groups, so no permutation is built twice.
     """
     if lattice.kind == PRODUCT:
         raise NoExceptionalBasis("product lattice has no square -1 classes")
-    if bound < 3:
-        raise ValueError("bound must be at least 3")
     k = lattice.blowups
     found = []
-    for a in range(-bound, bound + 1):
-        square_budget = a * a + 1  # sum of b_i^2
-        linear_target = 1 - 3 * a  # sum of b_i
-        for tail in _bounded_vectors(k, bound, square_budget, linear_target):
-            found.append(CohClass(lattice, (a,) + tail))
-    found.sort(key=lambda c: c.coeffs)
-    return tuple(found)
-
-
-def _bounded_vectors(n, bound, square_sum, linear_sum):
-    """Integer vectors of length n in [-bound,bound] with given sum of squares and sum."""
-    if n == 0:
-        if square_sum == 0 and linear_sum == 0:
-            yield ()
-        return
-    for b in range(-bound, bound + 1):
-        rest_sq = square_sum - b * b
-        rest_lin = linear_sum - b
-        if rest_sq < 0:
-            continue
-        # remaining n-1 entries: each square <= rest_sq, |sum| <= (n-1)*bound
-        if abs(rest_lin) > (n - 1) * bound:
-            continue
-        if rest_lin * rest_lin > rest_sq * (n - 1):
-            continue  # Cauchy-Schwarz
-        for tail in _bounded_vectors(n - 1, bound, rest_sq, rest_lin):
-            yield (b,) + tail
+    for a, (v1, n1), (v2, n2) in _EXCEPTIONAL_SHAPES:
+        for first in itertools.combinations(range(k), n1):
+            rest = [i for i in range(k) if i not in first]
+            for second in itertools.combinations(rest, n2):
+                tail = [0] * k
+                for i in first:
+                    tail[i] = v1
+                for i in second:
+                    tail[i] = v2
+                found.append((a, *tail))
+    found.sort()
+    return tuple(CohClass(lattice, coeffs) for coeffs in found)
 
 
 def adjunction_genus(lattice: SurfaceLattice, c: CohClass):
@@ -214,7 +213,7 @@ def li_positive(lattice: SurfaceLattice, c: CohClass, exceptional=None) -> bool:
     if lattice.kind == PRODUCT:
         return True
     if exceptional is None:
-        exceptional = exceptional_classes(lattice, 6 if lattice.blowups > 3 else 3)
+        exceptional = exceptional_classes(lattice)
     return all(pair(c, e) >= 0 for e in exceptional)
 
 
@@ -233,8 +232,9 @@ def component_splittings(
     part has degree >= 1 and the degrees sum to `volume`; and on a blow-up
     lattice twice the genus of (a; b) is (a-1)(a-2) - sum b(b+1), so genus
     >= 0 with b(b+1) >= 0 on the integers makes (a-1)(a-2) a budget that the
-    tail entries draw from one by one.  The leading coefficient `a` is still
-    bounded only by the box, and the product lattice keeps its full box.
+    tail entries draw from one by one.  `bound` boxes only these parts: the
+    leading coefficient `a` is still bounded only by the box, and the product
+    lattice keeps its full box.
     """
     if not total.is_integral:
         raise ValueError("total class must be integral")
@@ -244,7 +244,7 @@ def component_splittings(
     box = range(-bound, bound + 1)
     exc = None
     if lattice.kind == BLOWUP:
-        exc = exceptional_classes(lattice, max(bound, 3))
+        exc = exceptional_classes(lattice)
         parts = (
             (a,) + tail
             for a in box

@@ -143,16 +143,16 @@ def area(state: SliceState, c: CohClass, t):
     return pair(state.omega(t), c)
 
 
-def vanishing_classes(state: SliceState, level, bound: int = 6) -> tuple[CohClass, ...]:
+def vanishing_classes(state: SliceState, level) -> tuple[CohClass, ...]:
     """Exceptional classes whose area vanishes at the given level."""
     if state.lattice.kind != BLOWUP or state.lattice.blowups == 0:
         return ()
-    exc = exceptional_classes(state.lattice, bound)
+    exc = exceptional_classes(state.lattice)
     w = state.omega(level)
     return tuple(c for c in exc if pair(w, c) == 0)
 
 
-def cross(state: SliceState, event: CrossingEvent, bound: int = 6) -> SliceState:
+def cross(state: SliceState, event: CrossingEvent) -> SliceState:
     """Push the slice through a critical level."""
     c = Fraction(event.level)
     lo, hi = state.interval
@@ -167,7 +167,7 @@ def cross(state: SliceState, event: CrossingEvent, bound: int = 6) -> SliceState
         if indices == {2}:
             return blow_up(state, event.level, n)
         if indices == {4}:
-            return blow_down(state, event.level, n, bound)[0]
+            return blow_down(state, event.level, n)[0]
         raise ValueError(f"unsupported isolated-point indices {indices}")
     if kinds == {InteriorSurface}:
         total = sum((fc.spec.surface_class for fc in event.components), state.lattice.zero())
@@ -208,13 +208,13 @@ def shift(state: SliceState, level, total: CohClass) -> SliceState:
     )
 
 
-def blow_down(state: SliceState, level, m: int, bound: int = 6):
+def blow_down(state: SliceState, level, m: int):
     """Cross m index-four points: contract the zero-area exceptional classes.
 
     Returns the new slice and the contracted classes, which must be exactly m
     pairwise disjoint ones.
     """
-    vanishing = vanishing_classes(state, level, bound)
+    vanishing = vanishing_classes(state, level)
     if len(vanishing) != m:
         raise VanishingCycleMismatch(
             f"{len(vanishing)} zero-area exceptional classes for {m} blow-downs: "
@@ -232,178 +232,60 @@ def blow_down(state: SliceState, level, m: int, bound: int = 6):
 def blowdown_lattice(lattice: SurfaceLattice, vanishing):
     """Contract pairwise-orthogonal exceptional classes.
 
-    Returns the canonical lattice of the blown-down space together with the
+    Returns the standard lattice of the blown-down space together with the
     pushforward map on classes orthogonal to every contracted class (the
     Euler and reduced classes at the crossing level are).
+
+    The contracted classes V span a diagonal unimodular sublattice, so their
+    orthogonal complement L' is unimodular of rank r = rank - |V|, with
+    anticanonical class c1' = c1 + sum V and c1'.c1' = 10 - r.  By the
+    reduced-form argument of B.-H. Li and T.-J. Li ("Symplectic genus,
+    minimal genus and diffeomorphisms", 2002), (L', c1') is the plane blown
+    up r - 1 times, or the product of spheres when r = 2 and L' is even.  The
+    (-1)-classes of L' are those of the lattice orthogonal to V; any r - 1
+    pairwise disjoint ones E' complete to the basis u = (c1' + sum E')/3.
+    With none, L' is the product, and its two square-zero degree-two classes
+    are e + v for the two (-1)-classes e meeting the first contracted class v
+    once and the others not at all.  Coordinates pair with the dual basis.
     """
-    n = lattice.rank
-    gram = lattice.gram
-    rows = []
-    for v in vanishing:
-        rows.append(tuple(sum(gram[i][j] * v.coeffs[j] for j in range(n)) for i in range(n)))
-    kernel = _integer_kernel(rows, n)
-    if len(kernel) != n - len(vanishing):
-        raise InternalArithmeticError("complement rank mismatch")
-    sub_gram = [
-        [sum(kernel[a][i] * gram[i][j] * kernel[b][j] for i in range(n) for j in range(n))
-         for b in range(len(kernel))]
-        for a in range(len(kernel))
-    ]
-    inv = _integer_inverse(sub_gram)
-    c1_plus = lattice.anticanonical
-    for v in vanishing:
-        c1_plus = c1_plus + v
-
-    def complement_coords(cls: CohClass):
-        # coords = (cls . kernel_b) * inv, exact since sub_gram is unimodular
-        dots = [pair(cls, CohClass(lattice, tuple(kb))) for kb in kernel]
-        return tuple(
-            sum(dots[a] * inv[a][b] for a in range(len(kernel)))
-            for b in range(len(kernel))
-        )
-
-    new_lat, transform = _canonical_form(
-        tuple(tuple(r) for r in sub_gram), complement_coords(c1_plus)
-    )
+    c1 = sum(vanishing, lattice.anticanonical)
+    r = lattice.rank - len(vanishing)
+    exc = exceptional_classes(lattice)
+    free = [e for e in exc if all(pair(e, v) == 0 for v in vanishing)]
+    if r == 1 or free:
+        chosen = _disjoint(free, r - 1, ())
+        if chosen is None:
+            raise InternalArithmeticError("complement has no disjoint exceptional basis")
+        new_lat = make_blowup_lattice(r - 1)
+        dual = [Fraction(1, 3) * sum(chosen, c1)] + [-1 * e for e in chosen]
+    else:
+        v, *rest = vanishing
+        fibers = [e + v for e in exc if pair(e, v) == 1 and all(pair(e, w) == 0 for w in rest)]
+        if r != 2 or len(fibers) != 2:
+            raise InternalArithmeticError("complement lattice not recognized")
+        new_lat, dual = product_lattice(), fibers[::-1]
+    if not all(d.is_integral for d in dual):
+        raise InternalArithmeticError("complement basis is not integral")
 
     def push(cls: CohClass) -> CohClass:
         for v in vanishing:
             if pair(cls, v) != 0:
                 raise InternalArithmeticError(f"{cls!r} does not descend")
-        raw = complement_coords(cls)
-        return CohClass(new_lat, transform(raw))
+        return CohClass(new_lat, tuple(pair(cls, d) for d in dual))
 
     return new_lat, push
 
 
-def _integer_kernel(rows, n):
-    """Basis of the integer kernel of the linear forms given by `rows`."""
-    basis = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    values = [list(r) for r in zip(*rows)] if rows else [[] for _ in range(n)]
-    # values[i] = image of basis vector i under the forms
-    active = list(range(n))
-    for form in range(len(rows)):
-        live = [i for i in active if values[i][form] != 0]
-        while len(live) > 1:
-            live.sort(key=lambda i: abs(values[i][form]))
-            i0 = live[0]
-            for i in live[1:]:
-                q = values[i][form] // values[i0][form]
-                if q:
-                    values[i] = [a - q * b for a, b in zip(values[i], values[i0])]
-                    basis[i] = [a - q * b for a, b in zip(basis[i], basis[i0])]
-            live = [i for i in live if values[i][form] != 0]
-        if live:
-            active.remove(live[0])
-    return [tuple(basis[i]) for i in sorted(active)]
-
-
-def _integer_inverse(m):
-    """Inverse of a small integer matrix with determinant +-1."""
-    n = len(m)
-    det, adj = _det_adjugate(m)
-    if det not in (1, -1):
-        raise InternalArithmeticError(f"non-unimodular complement (det {det})")
-    return [[adj[i][j] * det for j in range(n)] for i in range(n)]
-
-
-def _det_adjugate(m):
-    n = len(m)
-    if n == 1:
-        return m[0][0], [[1]]
-    det = 0
-    cof = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [m[a][b] for b in range(n) if b != j] for a in range(n) if a != i
-            ]
-            sign = -1 if (i + j) % 2 else 1
-            cof[i][j] = sign * _det(minor)
-    for j in range(n):
-        det += m[0][j] * cof[0][j]
-    adj = [[cof[j][i] for j in range(n)] for i in range(n)]
-    return det, adj
-
-
-def _det(m):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    total = 0
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        total += (-1) ** j * m[0][j] * _det(minor)
-    return total
-
-
-def _canonical_form(gram, c1_coords, search_bound: int = 6):
-    """Identify an abstract unimodular pair (gram, c1) with a standard lattice.
-
-    Returns the standard SurfaceLattice plus a coordinate transform taking
-    abstract coordinates to canonical ones.
-    """
-    n = len(gram)
-
-    def dot(a, b):
-        return sum(a[i] * gram[i][j] * b[j] for i in range(n) for j in range(n))
-
-    vectors = list(itertools.product(range(-search_bound, search_bound + 1), repeat=n))
-
-    def find(square, degree, orth=()):
-        for v in vectors:
-            if all(c == 0 for c in v):
-                continue
-            if dot(v, v) == square and dot(c1_coords, v) == degree and all(
-                dot(v, o) == 0 for o in orth
-            ):
-                yield v
-
-    if n == 1:
-        for target in (make_blowup_lattice(0),):
-            for g in find(1, 3):
-                return target, _transform_from_basis(gram, [g])
-        raise InternalArithmeticError("rank-1 complement is not the plane")
-    # product of spheres: two square-zero degree-2 classes meeting once
-    for v in find(0, 2):
-        for w in find(0, 2):
-            if dot(v, w) == 1:
-                return product_lattice(), _transform_from_basis(gram, [v, w])
-        break
-    # blow-up basis: degree-3 square-1 class plus orthogonal exceptional classes
-    for u in find(1, 3):
-        exc = []
-        for e in find(-1, 1, orth=[u] + exc):
-            exc.append(e)
-            if len(exc) == n - 1:
-                break
-        if len(exc) == n - 1:
-            return make_blowup_lattice(n - 1), _transform_from_basis(gram, [u] + exc)
-        break
-    raise InternalArithmeticError("complement lattice not recognized")
-
-
-def _transform_from_basis(gram, basis):
-    """Coordinate change onto the span of `basis` (assumed unimodular)."""
-    n = len(gram)
-    r = len(basis)
-    bg = [
-        [sum(basis[a][i] * gram[i][j] * basis[b][j] for i in range(n) for j in range(n))
-         for b in range(r)]
-        for a in range(r)
-    ]
-    inv = _integer_inverse(bg)
-
-    def transform(coords):
-        dots = [
-            sum(coords[i] * gram[i][j] * basis[b][j] for i in range(n) for j in range(n))
-            for b in range(r)
-        ]
-        return tuple(sum(dots[a] * inv[a][b] for a in range(r)) for b in range(r))
-
-    return transform
+def _disjoint(classes, n, chosen):
+    """The first n pairwise orthogonal members of `classes`, depth first, or None."""
+    if len(chosen) == n:
+        return chosen
+    for i, e in enumerate(classes):
+        if all(pair(e, c) == 0 for c in chosen):
+            found = _disjoint(classes[i + 1:], n, chosen + (e,))
+            if found is not None:
+                return found
+    return None
 
 
 def check_dh_decrease(before: SliceState, after: SliceState, k: int) -> bool:

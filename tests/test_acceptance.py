@@ -182,7 +182,7 @@ def test_criterion_8_property_suites(rows):
                     failures.append(f"{t.label}: class on the search boundary")
     for k in (1, 2, 3):
         lat = make_blowup_lattice(k)
-        got = {c.coeffs for c in exceptional_classes(lat, 3)}
+        got = {c.coeffs for c in exceptional_classes(lat)}
         basis = {tuple(1 if j == i else 0 for j in range(k + 1)) for i in range(1, k + 1)}
         lines = {
             tuple(

@@ -115,6 +115,20 @@ def test_toric_verify_bad_input_exits_2(polytope, xi):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("bound", ["1", "2"])
+def test_small_bound_exits_2(bound):
+    # a box below 3 is rejected where the search starts, before any candidate
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hamfix.cli", "classify", "--dim", "6", "--bound", bound],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("invalid input: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_tables_diff_shows_known_discrepancies(capsys):
     assert run(["tables", "diff"]) == 1
     out, _ = capture(capsys)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hamfix.errors import (
+    InternalArithmeticError,
     NonDisjointBlowdown,
     NotAdjacentSlices,
     NotAMinimum,
@@ -12,12 +13,19 @@ from hamfix.errors import (
     OutOfInterval,
     VanishingCycleMismatch,
 )
-from hamfix.lattice import CohClass, make_blowup_lattice, pair, product_lattice
+from hamfix.lattice import (
+    CohClass,
+    exceptional_classes,
+    make_blowup_lattice,
+    pair,
+    product_lattice,
+)
 from hamfix.localization import ExtremalFourManifold, ExtremalSurface, FixedComponent, point
 from hamfix.reduction import (
     CrossingEvent,
     SliceState,
     area,
+    blowdown_lattice,
     bmax_from_euler,
     check_dh_decrease,
     cross,
@@ -250,3 +258,44 @@ def test_full_sweep_from_sphere_minimum():
     assert s.lattice.rank == 1
     assert s.omega(3).is_zero()
     assert dh(s.with_interval(1, 3), 1) == 4
+
+
+def _disjoint_families(lat):
+    """Prefixes of greedy disjoint families of (-1)-classes from spread-out starts."""
+    exc = exceptional_classes(lat)
+    for start in exc[:: max(1, len(exc) // 12)]:
+        chosen = [start]
+        yield tuple(chosen)
+        for e in exc:
+            if all(pair(e, c) == 0 for c in chosen):
+                chosen.append(e)
+                yield tuple(chosen)
+
+
+def test_blowdown_lattice_oracle():
+    # contractions whose complement has rank 1, 2 (plane blown up once or the
+    # product of spheres) and >= 3, the last never reached by the search
+    seen = set()
+    for k in range(1, 9):
+        lat = make_blowup_lattice(k)
+        exc = exceptional_classes(lat)
+        for vanishing in _disjoint_families(lat):
+            new_lat, push = blowdown_lattice(lat, vanishing)
+            r = lat.rank - len(vanishing)
+            assert new_lat.rank == r
+            free = [e for e in exc if all(pair(e, v) == 0 for v in vanishing)]
+            assert (new_lat.kind == "product") == (r == 2 and not free)
+            seen.add((min(r, 3), new_lat.kind))
+            # the projections of the basis classes span the complement of V
+            span = [
+                b + sum((pair(b, v) * v for v in vanishing), lat.zero())
+                for b in map(lat.basis_class, range(lat.rank))
+            ]
+            for a in span:
+                for b in span:
+                    assert pair(push(a), push(b)) == pair(a, b)
+            assert push(sum(vanishing, lat.anticanonical)) == new_lat.anticanonical
+            for v in vanishing:
+                with pytest.raises(InternalArithmeticError):
+                    push(v)
+    assert seen == {(1, "blowup"), (2, "blowup"), (2, "product"), (3, "blowup")}
