@@ -34,7 +34,7 @@ from .reduction import (
     dh,
     initial_slice,
 )
-from .classify6 import ExtremalProfile, TFD, capacities, classify_all, enumerate_tfd, flip
+from .classify6 import TFD, capacities, classify_all, enumerate_tfd, flip
 from .classify4 import TFD4, classify4, enumerate_case3_tuples
 from .toric import CircleDirection, Polytope, chern_number_from_volume, fixed_faces, is_semifree
 

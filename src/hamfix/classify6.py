@@ -40,7 +40,6 @@ from .localization import (
     ExtremalSurface,
     FixedComponent,
     InteriorSurface,
-    IsolatedPoint,
     ONE,
     betti,
     integrate,
@@ -69,20 +68,6 @@ TOP_LEVEL = {0: 3, 2: 2, 4: 1}
 
 
 @dataclass(frozen=True)
-class ExtremalProfile:
-    """Dimensions of the extremal fixed components, minimum first."""
-
-    min_dim: int = 0
-    max_dim: int = 0
-
-    def __post_init__(self):
-        if self.min_dim != 0:
-            raise ValueError("profiles are normalized so the minimum is a point")
-        if self.max_dim not in (0, 2, 4):
-            raise ValueError(f"maximum dimension {self.max_dim} not in (0,2,4)")
-
-
-@dataclass(frozen=True)
 class TFD:
     """A topological fixed-point data record with its derived slice path."""
 
@@ -105,6 +90,11 @@ class TFD:
         return tuple(fc for fc in self.components if fc.level == level)
 
     @property
+    def interior_surfaces(self) -> tuple[FixedComponent, ...]:
+        """The fixed surfaces at interior levels, whose classes are searched."""
+        return tuple(fc for fc in self.components if (fc.dim, fc.index) == (2, 2))
+
+    @property
     def reduced_lattice(self) -> SurfaceLattice:
         """Lattice of the reduced space at level zero."""
         for s in self.slices:
@@ -124,6 +114,13 @@ class TFD:
                 return s
         raise InternalArithmeticError(f"no slice starts at {level}")
 
+    def omega_at(self, level) -> CohClass:
+        """Reduced class at the level, from the first slice reaching it."""
+        for s in self.slices:
+            if s.interval[0] <= level <= s.interval[1]:
+                return s.omega(level)
+        raise InternalArithmeticError(f"no slice reaches {level}")
+
     def __repr__(self) -> str:
         name = self.label or "unlabeled"
         return f"TFD({name}, crit={self.crit_levels})"
@@ -131,20 +128,10 @@ class TFD:
 
 def flip(t: TFD) -> TFD:
     """Orientation reversal: levels negate, indices complement, Euler classes negate."""
-    comps = []
-    for fc in t.components:
-        s = fc.spec
-        if isinstance(s, IsolatedPoint):
-            spec = IsolatedPoint(tuple(-w for w in s.weights))
-        elif isinstance(s, InteriorSurface):
-            bplus, bminus = s.normal_degrees
-            spec = InteriorSurface(s.surface_class, s.genus, (bminus, bplus))
-        elif isinstance(s, ExtremalSurface):
-            spec = s
-        else:
-            spec = ExtremalFourManifold(s.lattice, -s.euler_at_boundary)
-        comps.append(FixedComponent(-fc.level, spec))
-    comps.sort(key=lambda fc: fc.level)
+    comps = sorted(
+        (FixedComponent(-fc.level, fc.spec.flipped()) for fc in t.components),
+        key=lambda fc: fc.level,
+    )
     slices = tuple(
         sorted(
             (
@@ -163,10 +150,7 @@ def flip(t: TFD) -> TFD:
     downs = []
     for s in slices:
         hi = s.interval[1]
-        if any(
-            fc.level == hi and fc.index == 4 and isinstance(fc.spec, IsolatedPoint)
-            for fc in comps
-        ):
+        if any(fc.level == hi and (fc.dim, fc.index) == (0, 4) for fc in comps):
             downs.append((int(hi), vanishing_classes(s, hi)))
     top = max(fc.level for fc in comps)
     new_max_dim = next(fc.dim for fc in comps if fc.level == top)
@@ -362,18 +346,21 @@ def _counts_for(max_dim: int, crit: frozenset[int]):
     return out
 
 
-def enumerate_tfd(profile: ExtremalProfile, crit, bound: int = 6) -> list[TFD]:
-    """All topological fixed-point data with the given extrema and interior levels.
+def enumerate_tfd(max_dim: int, crit, bound: int = 6) -> list[TFD]:
+    """All topological fixed-point data above an isolated minimum.
 
-    `bound` boxes the searched coefficients (see `_candidate_totals` and
-    `component_splittings`); a box below 3 is invalid input.
+    The maximum has dimension `max_dim` (0, 2 or 4) and `crit` holds the
+    interior critical levels.  `bound` boxes the searched coefficients (see
+    `_candidate_totals` and `component_splittings`); a box below 4 is
+    invalid input, since the rows' largest searched coefficient is 3.
     """
-    if bound < 3:
-        raise ValueError("bound must be at least 3")
+    if bound < 4:
+        raise ValueError("bound must be at least 4")
+    if max_dim not in (0, 2, 4):
+        raise ValueError(f"maximum dimension {max_dim} not in (0,2,4)")
     crit = frozenset(crit)
     if not crit <= {-1, 0, 1}:
         raise ValueError(f"interior critical levels {sorted(crit)} outside -1..1")
-    max_dim = profile.max_dim
     if max_dim == 4 and 1 in crit:
         return []  # level one is occupied by the maximum itself
     found: dict[tuple, TFD] = {}
@@ -416,10 +403,10 @@ def enumerate_tfd(profile: ExtremalProfile, crit, bound: int = 6) -> list[TFD]:
 
 def largest_coefficient(tfd: TFD) -> int:
     """Largest absolute coefficient of a fixed surface class, the searched classes."""
-    classes = [
-        fc.spec.surface_class for fc in tfd.components if isinstance(fc.spec, InteriorSurface)
-    ]
-    return max((abs(x) for c in classes for x in c.coeffs), default=0)
+    return max(
+        (abs(x) for fc in tfd.interior_surfaces for x in fc.spec.surface_class.coeffs),
+        default=0,
+    )
 
 
 def _check_bound_witness(tfd: TFD, bound: int):
@@ -432,7 +419,7 @@ def _canonicalize(tfd: TFD, k: int) -> TFD:
     if k <= 1:
         return tfd
     best = None
-    interior = [fc for fc in tfd.components if isinstance(fc.spec, InteriorSurface)]
+    interior = tfd.interior_surfaces
     m = sum(1 for fc in tfd.components if fc.level == 1 and fc.dim == 0)
     for perm in itertools.permutations(range(k)):
         lat = make_blowup_lattice(k)
@@ -466,21 +453,8 @@ def serialization(tfd: TFD):
     """Canonical nested-tuple form of a TFD, used for ordering and matching."""
     per_level = []
     for level in tfd.crit_levels:
-        descs = []
-        for fc in tfd.at_level(level):
-            s = fc.spec
-            if isinstance(s, IsolatedPoint):
-                descs.append(("pt", s.weights))
-            elif isinstance(s, InteriorSurface):
-                descs.append(("surface", s.surface_class.coeffs, s.genus))
-            elif isinstance(s, ExtremalSurface):
-                descs.append(("sphere", s.normal_degrees[0] + s.normal_degrees[1]))
-            else:
-                descs.append(
-                    ("fourmanifold", s.lattice.kind, s.lattice.blowups,
-                     s.euler_at_boundary.coeffs)
-                )
-        per_level.append((level, tuple(sorted(descs))))
+        descs = sorted(fc.spec.descriptor() for fc in tfd.at_level(level))
+        per_level.append((level, tuple(descs)))
     lat = tfd.reduced_lattice
     return (tfd.max_dim, (lat.kind, lat.blowups), tuple(per_level))
 
@@ -488,13 +462,7 @@ def serialization(tfd: TFD):
 def sort_key(tfd: TFD):
     crit = tfd.interior_crit
     k = len([fc for fc in tfd.components if fc.level == -1 and fc.dim == 0])
-    interior = tuple(
-        sorted(
-            fc.spec.surface_class.coeffs
-            for fc in tfd.components
-            if isinstance(fc.spec, InteriorSurface)
-        )
-    )
+    interior = tuple(sorted(fc.spec.surface_class.coeffs for fc in tfd.interior_surfaces))
     return (tfd.max_dim, len(crit), crit, k, interior, serialization(tfd))
 
 
@@ -527,11 +495,10 @@ def classify_all(bound: int = 6, strict: bool = True) -> list[TFD]:
 def _classify_cached(bound: int) -> tuple[TFD, ...]:
     rows: dict[tuple, TFD] = {}
     for max_dim in (0, 2, 4):
-        profile = ExtremalProfile(0, max_dim)
         levels = (-1, 0, 1) if max_dim != 4 else (-1, 0)
         for r in range(len(levels) + 1):
             for crit in itertools.combinations(levels, r):
-                for tfd in enumerate_tfd(profile, crit, bound):
+                for tfd in enumerate_tfd(max_dim, crit, bound):
                     rows.setdefault(serialization(tfd), tfd)
     ordered = sorted(rows.values(), key=sort_key)
     return tuple(_attach_labels(ordered))

@@ -13,15 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .classify6 import TFD, capacities
-from .lattice import PRODUCT
-from .localization import (
-    ExtremalFourManifold,
-    ExtremalSurface,
-    InteriorSurface,
-    IsolatedPoint,
-    betti,
-    chern_number,
-)
+from .localization import betti, chern_number
 
 FIELDS6 = (
     "label", "crit", "components", "b2", "b_odd", "c1_cubed",
@@ -84,32 +76,14 @@ GOLDEN6 = parse_tsv(GOLDEN6_TSV)
 GOLDEN4 = parse_tsv(GOLDEN4_TSV)
 
 
-def _lattice_str(lat) -> str:
-    if lat.kind == PRODUCT:
-        return "S2xS2"
-    return "P2" if lat.blowups == 0 else f"P2#{lat.blowups}"
-
-
 def fixed_point_columns(tfd: TFD) -> tuple[str, str]:
     """The `crit` and `components` cells of a six-dimensional row."""
     per_level = []
     for level in tfd.crit_levels:
-        comps = tfd.at_level(level)
-        pts = sum(1 for fc in comps if isinstance(fc.spec, IsolatedPoint))
-        descs = []
-        if pts == 1:
-            descs.append("pt")
-        elif pts > 1:
-            descs.append(f"pt*{pts}")
-        for fc in comps:
-            s = fc.spec
-            if isinstance(s, InteriorSurface):
-                head = {0: "S2", 1: "T2"}.get(s.genus, f"g{s.genus}")
-                descs.append(f"{head}[{s.surface_class!r}]")
-            elif isinstance(s, ExtremalSurface):
-                descs.append(f"S2(vol {2 + s.normal_degrees[0] + s.normal_degrees[1]})")
-            elif isinstance(s, ExtremalFourManifold):
-                descs.append(_lattice_str(s.lattice))
+        descs = [fc.spec.column() for fc in tfd.at_level(level)]
+        pts = descs.count("pt")
+        if pts > 1:
+            descs = [d for d in descs if d != "pt"] + [f"pt*{pts}"]
         per_level.append(f"{level}:{'+'.join(sorted(descs))}")
     return ",".join(str(c) for c in tfd.crit_levels), " | ".join(per_level)
 

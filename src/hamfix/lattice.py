@@ -206,15 +206,9 @@ def adjunction_genus(lattice: SurfaceLattice, c: CohClass):
     return g if g >= 0 else None
 
 
-def li_positive(lattice: SurfaceLattice, c: CohClass, exceptional=None) -> bool:
+def li_positive(c: CohClass, exceptional) -> bool:
     """Positivity against every exceptional class, required when c.c >= 0."""
-    if pair(c, c) < 0:
-        return True
-    if lattice.kind == PRODUCT:
-        return True
-    if exceptional is None:
-        exceptional = exceptional_classes(lattice)
-    return all(pair(c, e) >= 0 for e in exceptional)
+    return pair(c, c) < 0 or all(pair(c, e) >= 0 for e in exceptional)
 
 
 def component_splittings(
@@ -225,47 +219,36 @@ def component_splittings(
     Each splitting is a multiset of (class, genus) pairs: the classes are
     integral, sum to `total`, are pairwise orthogonal, have anticanonical
     degree >= 1 and a valid adjunction genus, and every class of nonnegative
-    square meets each exceptional class nonnegatively.
+    square meets each exceptional class nonnegatively.  The lattice is a
+    blow-up of the plane (the level-0 reduced space of an isolated minimum);
+    the product lattice raises NoExceptionalBasis.
 
     Parts are searched in [-bound, bound], cut by two predicates checked on
     the raw coefficients: a part's degree lies in [1, volume], since every
-    part has degree >= 1 and the degrees sum to `volume`; and on a blow-up
-    lattice twice the genus of (a; b) is (a-1)(a-2) - sum b(b+1), so genus
-    >= 0 with b(b+1) >= 0 on the integers makes (a-1)(a-2) a budget that the
-    tail entries draw from one by one.  `bound` boxes only these parts: the
-    leading coefficient `a` is still bounded only by the box, and the product
-    lattice keeps its full box.
+    part has degree >= 1 and the degrees sum to `volume`; and twice the genus
+    of (a; b) is (a-1)(a-2) - sum b(b+1), so genus >= 0 with b(b+1) >= 0 on
+    the integers makes (a-1)(a-2) a budget that the tail entries draw from
+    one by one.  `bound` boxes only these parts: the leading coefficient `a`
+    is still bounded only by the box.
     """
     if not total.is_integral:
         raise ValueError("total class must be integral")
+    exc = exceptional_classes(lattice)
     volume = pair(lattice.anticanonical, total)
     if volume <= 0:
         return []
     box = range(-bound, bound + 1)
-    exc = None
-    if lattice.kind == BLOWUP:
-        exc = exceptional_classes(lattice)
-        parts = (
-            (a,) + tail
-            for a in box
-            for tail in _adjunction_tails(lattice.blowups, box, (a - 1) * (a - 2))
-        )
-    else:
-        parts = itertools.product(box, repeat=lattice.rank)
-    anti = lattice.anticanonical
-    degree_form = [pair(anti, lattice.basis_class(i)) for i in range(lattice.rank)]
     candidates = []
-    for coeffs in parts:
-        vol = sum(d * x for d, x in zip(degree_form, coeffs))
-        if not 1 <= vol <= volume:
-            continue
-        c = CohClass(lattice, coeffs)
-        g = adjunction_genus(lattice, c)
-        if g is None:
-            continue
-        if not li_positive(lattice, c, exc):
-            continue
-        candidates.append((c, g, vol))
+    for a in box:
+        for tail in _adjunction_tails(lattice.blowups, box, (a - 1) * (a - 2)):
+            vol = 3 * a + sum(tail)  # anticanonical degree
+            if not 1 <= vol <= volume:
+                continue
+            c = CohClass(lattice, (a,) + tail)
+            g = adjunction_genus(lattice, c)
+            if g is None or not li_positive(c, exc):
+                continue
+            candidates.append((c, g, vol))
     candidates.sort(key=lambda t: t[0].coeffs)
     out: list[tuple[tuple[CohClass, int], ...]] = []
     _split_search(lattice, total, volume, candidates, 0, [], out)

@@ -6,6 +6,15 @@ space.  Surface contributions are computed in a rank-one nilpotent extension
 (q^2 = 0 on a 2-sphere or torus); contributions of 4-dimensional extrema are
 expanded as Laurent series in 1/x with cohomology truncated above the top
 degree of the surface.
+
+The four kinds of fixed component (isolated point, interior surface,
+extremal sphere, extremal 4-manifold) each carry their own behaviour:
+validation at a level, index, dimension, Poincare terms, contribution,
+orientation reversal, and the descriptors that serialization, the report
+columns and the toric matcher read (`toric_descriptor(omega)` takes a
+callable giving the reduced class at the component's level, which points
+never call).  Other modules call these methods and never test a component's
+type.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from .errors import (
     InternalArithmeticError,
     InvalidFixedComponent,
 )
-from .lattice import CohClass, SurfaceLattice, pair
+from .lattice import PRODUCT, CohClass, SurfaceLattice, pair
 
 ONE = "one"
 C1 = "c1"
@@ -100,6 +109,38 @@ class IsolatedPoint:
 
     weights: tuple[int, int, int]
 
+    dim = 0
+
+    def validate(self, level: int) -> None:
+        if sorted(abs(w) for w in self.weights) != [1, 1, 1]:
+            raise InvalidFixedComponent(f"weights {self.weights} not semifree")
+        if level != -sum(self.weights):
+            raise InvalidFixedComponent(
+                f"level {level} != -sum{self.weights} (balanced condition)"
+            )
+
+    def index(self, level: int) -> int:
+        return 2 * sum(1 for w in self.weights if w < 0)
+
+    def poincare(self):
+        return ((0, 1),)
+
+    def contribution(self, level: int, p: int) -> LaurentPoly:
+        w = self.weights
+        return LaurentPoly.x_power(p - 3, Fraction(sum(w) ** p, w[0] * w[1] * w[2]))
+
+    def flipped(self) -> IsolatedPoint:
+        return IsolatedPoint(tuple(-w for w in self.weights))
+
+    def descriptor(self):
+        return ("pt", self.weights)
+
+    def column(self) -> str:
+        return "pt"
+
+    def toric_descriptor(self, omega):
+        return ("pt", tuple(sorted(self.weights)))
+
 
 @dataclass(frozen=True)
 class InteriorSurface:
@@ -109,12 +150,97 @@ class InteriorSurface:
     genus: int
     normal_degrees: tuple[int, int]  # (positive bundle, negative bundle)
 
+    dim = 2
+
+    def validate(self, level: int) -> None:
+        bplus, bminus = self.normal_degrees
+        if bplus + bminus != pair(self.surface_class, self.surface_class):
+            raise InvalidFixedComponent(
+                "normal degrees must sum to the class self-intersection"
+            )
+        if self.genus < 0:
+            raise InvalidFixedComponent("negative genus")
+
+    def index(self, level: int) -> int:
+        return 2
+
+    def poincare(self):
+        return ((0, 1), (1, 2 * self.genus), (2, 1))
+
+    def contribution(self, level: int, p: int) -> LaurentPoly:
+        # Normal weights (+1, -1): equivariant Euler class (x + b+ q)(-x + b- q)
+        # with q^2 = 0, so the inverse is -x^-2 - (b- - b+) q x^-3.  The
+        # restricted first Chern class is Vol(Z) q, hence the cube contributes
+        # nothing.
+        bplus, bminus = self.normal_degrees
+        volume = pair(self.surface_class, self.surface_class) + 2 - 2 * self.genus
+        if p == 0:  # fiber integration keeps the q-coefficient
+            return LaurentPoly.x_power(-3, -(bminus - bplus))
+        if p == 1:
+            return LaurentPoly.x_power(-2, -volume)
+        return LaurentPoly.zero()  # (Vol q)^3 = 0
+
+    def flipped(self) -> InteriorSurface:
+        bplus, bminus = self.normal_degrees
+        return InteriorSurface(self.surface_class, self.genus, (bminus, bplus))
+
+    def descriptor(self):
+        return ("surface", self.surface_class.coeffs, self.genus)
+
+    def column(self) -> str:
+        head = {0: "S2", 1: "T2"}.get(self.genus, f"g{self.genus}")
+        return f"{head}[{self.surface_class!r}]"
+
+    def toric_descriptor(self, omega):
+        if self.genus != 0:
+            return None  # toric fixed surfaces are rational
+        return ("sphere", pair(omega(), self.surface_class))
+
 
 @dataclass(frozen=True)
 class ExtremalSurface:
     """Extremal fixed 2-sphere; normal bundle splits with these degrees."""
 
     normal_degrees: tuple[int, int]
+
+    dim = 2
+
+    def validate(self, level: int) -> None:
+        if level not in (-2, 2):
+            raise InvalidFixedComponent("extremal sphere must sit at level +-2")
+
+    def index(self, level: int) -> int:
+        return 4 if level > 0 else 0
+
+    def poincare(self):
+        return ((0, 1), (2, 1))
+
+    def contribution(self, level: int, p: int) -> LaurentPoly:
+        # Maximum at +2: weights (-1,-1); minimum at -2: weights (+1,+1).
+        d_sum = self.normal_degrees[0] + self.normal_degrees[1]
+        w = -1 if level > 0 else 1
+        # Euler class (wx + d1 q)(wx + d2 q) = x^2 + w d_sum x q,
+        # inverse x^-2 - w d_sum q x^-3; restriction of c1 is 2wx + (d_sum + 2) q.
+        inv_const = LaurentPoly.x_power(-2)
+        inv_q = LaurentPoly.x_power(-3, -w * d_sum)
+        if p == 0:
+            return inv_q
+        # (2wx + (d_sum+2) q)^p, keeping at most one q
+        num_const = LaurentPoly.x_power(p, Fraction((2 * w) ** p))
+        num_q = LaurentPoly.x_power(p - 1, Fraction(p * (2 * w) ** (p - 1) * (d_sum + 2)))
+        return num_const * inv_q + num_q * inv_const
+
+    def flipped(self) -> ExtremalSurface:
+        return self
+
+    def descriptor(self):
+        return ("sphere", self.normal_degrees[0] + self.normal_degrees[1])
+
+    def column(self) -> str:
+        return f"S2(vol {2 + self.normal_degrees[0] + self.normal_degrees[1]})"
+
+    def toric_descriptor(self, omega):
+        return ("sphere", 2 + self.normal_degrees[0] + self.normal_degrees[1])
 
 
 @dataclass(frozen=True)
@@ -123,6 +249,61 @@ class ExtremalFourManifold:
 
     lattice: SurfaceLattice
     euler_at_boundary: CohClass
+
+    dim = 4
+
+    def validate(self, level: int) -> None:
+        if level not in (-1, 1):
+            raise InvalidFixedComponent("4-dim extremum must sit at level +-1")
+        if self.euler_at_boundary.lattice != self.lattice:
+            raise InvalidFixedComponent("boundary Euler class over wrong lattice")
+
+    def index(self, level: int) -> int:
+        return 2 if level > 0 else 0
+
+    def poincare(self):
+        return ((0, 1), (2, self.lattice.rank), (4, 1))
+
+    def contribution(self, level: int, p: int) -> LaurentPoly:
+        # Maximum at +1 (normal weight -1): Euler class -x - e, restricted c1 is
+        # c1(S) - x - e; the mirrored minimum at -1 carries x + e and
+        # c1(S) + x + e, where e is the Euler class of the circle bundle on the
+        # boundary slice.
+        e = self.euler_at_boundary
+        c1 = self.lattice.anticanonical
+        w = -1 if level > 0 else 1
+        a_class = c1 - e if level > 0 else c1 + e
+        # the Euler class is w(x + e): max 1/(-x-e) = -x^-1 + e x^-2 - e^2 x^-3,
+        # min 1/(x+e) = x^-1 - e x^-2 + e^2 x^-3; expand
+        # (a + wx)^p = sum binom(p, j) a^j (wx)^(p-j) and keep the terms of
+        # total cohomology degree 4, a^j e^(2-j), which fiber integration reads
+        scalars = (pair(e, e), pair(a_class, e), pair(a_class, a_class))
+        out = LaurentPoly.zero()
+        for j in range(0, min(p, 2) + 1):
+            pa = LaurentPoly.x_power(p - j, Fraction(comb(p, j) * w ** (p - j)))
+            pe = LaurentPoly.x_power(j - 3, w if j % 2 == 0 else -w)
+            out = out + (pa * pe).scale(scalars[j])
+        return out
+
+    def flipped(self) -> ExtremalFourManifold:
+        return ExtremalFourManifold(self.lattice, -self.euler_at_boundary)
+
+    def descriptor(self):
+        lat = self.lattice
+        return ("fourmanifold", lat.kind, lat.blowups, self.euler_at_boundary.coeffs)
+
+    def column(self) -> str:
+        if self.lattice.kind == PRODUCT:
+            return "S2xS2"
+        return "P2" if self.lattice.blowups == 0 else f"P2#{self.lattice.blowups}"
+
+    def toric_descriptor(self, omega):
+        lat = self.lattice
+        w = omega()
+        return ("fourmanifold", lat.kind, lat.blowups, Fraction(pair(w, w), 2))
+
+
+_SPECS = (IsolatedPoint, InteriorSurface, ExtremalSurface, ExtremalFourManifold)
 
 
 @dataclass(frozen=True)
@@ -133,53 +314,18 @@ class FixedComponent:
     spec: object
 
     def __post_init__(self):
-        s = self.spec
-        if isinstance(s, IsolatedPoint):
-            if sorted(abs(w) for w in s.weights) != [1, 1, 1]:
-                raise InvalidFixedComponent(f"weights {s.weights} not semifree")
-            if self.level != -sum(s.weights):
-                raise InvalidFixedComponent(
-                    f"level {self.level} != -sum{s.weights} (balanced condition)"
-                )
-        elif isinstance(s, InteriorSurface):
-            bplus, bminus = s.normal_degrees
-            if bplus + bminus != pair(s.surface_class, s.surface_class):
-                raise InvalidFixedComponent(
-                    "normal degrees must sum to the class self-intersection"
-                )
-            if s.genus < 0:
-                raise InvalidFixedComponent("negative genus")
-        elif isinstance(s, ExtremalSurface):
-            if self.level not in (-2, 2):
-                raise InvalidFixedComponent("extremal sphere must sit at level +-2")
-        elif isinstance(s, ExtremalFourManifold):
-            if self.level not in (-1, 1):
-                raise InvalidFixedComponent("4-dim extremum must sit at level +-1")
-            if s.euler_at_boundary.lattice != s.lattice:
-                raise InvalidFixedComponent("boundary Euler class over wrong lattice")
-        else:
-            raise InvalidFixedComponent(f"unknown component spec {s!r}")
+        if not isinstance(self.spec, _SPECS):
+            raise InvalidFixedComponent(f"unknown component spec {self.spec!r}")
+        self.spec.validate(self.level)
 
     @property
     def index(self) -> int:
         """Morse-Bott index (twice the number of negative weights)."""
-        s = self.spec
-        if isinstance(s, IsolatedPoint):
-            return 2 * sum(1 for w in s.weights if w < 0)
-        if isinstance(s, InteriorSurface):
-            return 2
-        if isinstance(s, ExtremalSurface):
-            return 4 if self.level > 0 else 0
-        return 2 if self.level > 0 else 0
+        return self.spec.index(self.level)
 
     @property
     def dim(self) -> int:
-        s = self.spec
-        if isinstance(s, IsolatedPoint):
-            return 0
-        if isinstance(s, ExtremalFourManifold):
-            return 4
-        return 2
+        return self.spec.dim
 
 
 def point(level: int, weights: tuple[int, int, int]) -> FixedComponent:
@@ -190,93 +336,7 @@ def contribution(fc: FixedComponent, alpha: str) -> LaurentPoly:
     """Localization summand of the component for one of the three integrands."""
     if alpha not in _POWER:
         raise ValueError(f"unknown integrand {alpha!r}")
-    p = _POWER[alpha]
-    s = fc.spec
-    if isinstance(s, IsolatedPoint):
-        sigma = sum(s.weights)
-        prod = s.weights[0] * s.weights[1] * s.weights[2]
-        return LaurentPoly.x_power(p - 3, Fraction(sigma**p, prod))
-    if isinstance(s, InteriorSurface):
-        return _interior_surface_contribution(s, p)
-    if isinstance(s, ExtremalSurface):
-        return _extremal_sphere_contribution(s, fc.level, p)
-    if isinstance(s, ExtremalFourManifold):
-        return _four_manifold_contribution(s, fc.level, p)
-    raise InvalidFixedComponent(f"unknown component spec {s!r}")
-
-
-def _interior_surface_contribution(s: InteriorSurface, p: int) -> LaurentPoly:
-    # Normal weights (+1, -1): equivariant Euler class (x + b+ q)(-x + b- q)
-    # with q^2 = 0, so the inverse is -x^-2 - (b- - b+) q x^-3.  The restricted
-    # first Chern class is Vol(Z) q, hence the cube contributes nothing.
-    bplus, bminus = s.normal_degrees
-    volume = pair(s.surface_class, s.surface_class) + 2 - 2 * s.genus
-    inv_const = LaurentPoly.x_power(-2, -1)
-    inv_q = LaurentPoly.x_power(-3, -(bminus - bplus))
-    if p == 0:
-        num_const, num_q = LaurentPoly.x_power(0), LaurentPoly.zero()
-    elif p == 1:
-        num_const, num_q = LaurentPoly.zero(), LaurentPoly.x_power(0, volume)
-    else:
-        return LaurentPoly.zero()  # (Vol q)^3 = 0
-    # fiber integration keeps the q-coefficient
-    return num_const * inv_q + num_q * inv_const
-
-
-def _extremal_sphere_contribution(s: ExtremalSurface, level: int, p: int) -> LaurentPoly:
-    # Maximum at +2: weights (-1,-1); minimum at -2: weights (+1,+1).
-    d_sum = s.normal_degrees[0] + s.normal_degrees[1]
-    w = -1 if level > 0 else 1
-    # Euler class (wx + d1 q)(wx + d2 q) = x^2 + w d_sum x q,
-    # inverse x^-2 - w d_sum q x^-3; restriction of c1 is 2wx + (d_sum + 2) q.
-    inv_const = LaurentPoly.x_power(-2)
-    inv_q = LaurentPoly.x_power(-3, -w * d_sum)
-    num_const = LaurentPoly.zero()
-    num_q = LaurentPoly.zero()
-    if p == 0:
-        num_const = LaurentPoly.x_power(0)
-    else:
-        # (2wx + (d_sum+2) q)^p, keeping at most one q
-        num_const = LaurentPoly.x_power(p, Fraction((2 * w) ** p))
-        num_q = LaurentPoly.x_power(p - 1, Fraction(p * (2 * w) ** (p - 1) * (d_sum + 2)))
-    return num_const * inv_q + num_q * inv_const
-
-
-def _four_manifold_contribution(s: ExtremalFourManifold, level: int, p: int) -> LaurentPoly:
-    # Maximum at +1 (normal weight -1): Euler class -x - e, restricted c1 is
-    # c1(S) - x - e; the mirrored minimum at -1 carries x + e and c1(S) + x + e,
-    # where e is the Euler class of the circle bundle on the boundary slice.
-    e = s.euler_at_boundary
-    c1 = s.lattice.anticanonical
-    w = -1 if level > 0 else 1
-    a_class = c1 - e if level > 0 else c1 + e
-    # the Euler class is w(x + e): max 1/(-x-e) = -x^-1 + e x^-2 - e^2 x^-3,
-    # min 1/(x+e) = x^-1 - e x^-2 + e^2 x^-3
-    ee = pair(e, e)
-    inv = (
-        (0, LaurentPoly.x_power(-1, w)),  # scalar part
-        (1, LaurentPoly.x_power(-2, -w)),  # coefficient of e
-        (2, LaurentPoly.x_power(-3, w)),  # coefficient of e.e
-    )
-    # expand (a + wx)^p = sum binom(p, j) a^j (wx)^(p-j), truncating a^j at j = 2
-    num = []  # (power of a_class, LaurentPoly)
-    for j in range(0, min(p, 2) + 1):
-        num.append((j, LaurentPoly.x_power(p - j, Fraction(comb(p, j) * w ** (p - j)))))
-    aa = pair(a_class, a_class)
-    ae = pair(a_class, e)
-    out = LaurentPoly.zero()
-    for ja, pa in num:
-        for je, pe in inv:
-            if ja + je != 2:
-                continue  # fiber integration keeps total cohomology degree 4
-            if ja == 2:
-                scalar = aa
-            elif ja == 1:
-                scalar = ae
-            else:
-                scalar = ee
-            out = out + (pa * pe).scale(scalar)
-    return out
+    return fc.spec.contribution(fc.level, _POWER[alpha])
 
 
 def integrate(components, alpha: str) -> LaurentPoly:
@@ -313,18 +373,7 @@ def betti(components) -> tuple[int, ...]:
     comps = getattr(components, "components", components)
     b = [0] * 7
     for fc in comps:
-        shift = fc.index
-        for deg, mult in _component_poincare(fc):
-            b[shift + deg] += mult
+        for deg, mult in fc.spec.poincare():
+            b[fc.index + deg] += mult
     return tuple(b)
 
-
-def _component_poincare(fc: FixedComponent):
-    s = fc.spec
-    if isinstance(s, IsolatedPoint):
-        return ((0, 1),)
-    if isinstance(s, InteriorSurface):
-        return ((0, 1), (1, 2 * s.genus), (2, 1))
-    if isinstance(s, ExtremalSurface):
-        return ((0, 1), (2, 1))
-    return ((0, 1), (2, s.lattice.rank), (4, 1))

@@ -33,13 +33,7 @@ from .lattice import (
     pair,
     product_lattice,
 )
-from .localization import (
-    ExtremalFourManifold,
-    ExtremalSurface,
-    FixedComponent,
-    InteriorSurface,
-    IsolatedPoint,
-)
+from .localization import FixedComponent
 
 
 @dataclass(frozen=True)
@@ -83,42 +77,16 @@ def _state(lattice, euler, anchor_level, anchor_class, lo, hi) -> SliceState:
 
 
 def initial_slice(min_component: FixedComponent) -> SliceState:
-    """Slice just above the minimal fixed component.
+    """Slice just above the isolated minimum at level -3.
 
     The reduced class path is pinned by monotonicity: omega(t) equals the
     anticanonical class minus t times the Euler class on every slice.
     """
-    s = min_component.spec
-    if isinstance(s, IsolatedPoint):
-        if min_component.level != -3 or min_component.index != 0:
-            raise NotAMinimum("isolated minimum must sit at level -3 with index 0")
-        lat = make_blowup_lattice(0)
-        euler = -1 * lat.basis_class(0)
-        return _state(lat, euler, -3, lat.zero(), -3, 3)
-    if isinstance(s, ExtremalSurface):
-        if min_component.level != -2:
-            raise NotAMinimum("sphere minimum must sit at level -2")
-        b = s.normal_degrees[0] + s.normal_degrees[1]
-        if b % 2 == 0:
-            lat = product_lattice()
-            fiber = lat.basis_class(0)
-            section = lat.basis_class(1)
-            alpha = b // 2
-        else:
-            lat = make_blowup_lattice(1)
-            u, e1 = lat.basis_class(0), lat.basis_class(1)
-            fiber, section = u - e1, e1
-            alpha = (b - 1) // 2
-        # fiber area vanishes at the minimum level: euler.fiber = -1
-        euler = alpha * fiber - section
-        return _state(lat, euler, 0, lat.anticanonical, -2, 2)
-    if isinstance(s, ExtremalFourManifold):
-        if min_component.level != -1:
-            raise NotAMinimum("4-dimensional minimum must sit at level -1")
-        lat = s.lattice
-        euler = s.euler_at_boundary
-        return _state(lat, euler, 0, lat.anticanonical, -1, 3)
-    raise NotAMinimum(f"not an extremal minimum: {s!r}")
+    if (min_component.dim, min_component.level, min_component.index) != (0, -3, 0):
+        raise NotAMinimum("isolated minimum must sit at level -3 with index 0")
+    lat = make_blowup_lattice(0)
+    euler = -1 * lat.basis_class(0)
+    return _state(lat, euler, -3, lat.zero(), -3, 3)
 
 
 def dh(state: SliceState, t):
@@ -158,46 +126,37 @@ def cross(state: SliceState, event: CrossingEvent) -> SliceState:
     lo, hi = state.interval
     if not lo < c <= hi:
         raise OutOfInterval(f"crossing level {c} outside ({lo}, {hi}]")
-    kinds = {type(fc.spec) for fc in event.components}
+    kinds = {(fc.dim, fc.index) for fc in event.components}
     if len(kinds) > 1:
         raise ValueError("mixed component types on one level")
     n = len(event.components)
-    if kinds == {IsolatedPoint}:
-        indices = {fc.index for fc in event.components}
-        if indices == {2}:
-            return blow_up(state, event.level, n)
-        if indices == {4}:
-            return blow_down(state, event.level, n)[0]
-        raise ValueError(f"unsupported isolated-point indices {indices}")
-    if kinds == {InteriorSurface}:
+    if kinds == {(0, 2)}:
+        return blow_up(state, event.level, n)
+    if kinds == {(0, 4)}:
+        return blow_down(state, event.level, n)[0]
+    if kinds == {(2, 2)}:
         total = sum((fc.spec.surface_class for fc in event.components), state.lattice.zero())
         return shift(state, event.level, total)
-    raise ValueError("crossing events carry isolated points or interior surfaces")
+    raise ValueError(
+        "crossing events carry index-two or index-four points or interior surfaces"
+    )
 
 
 def blow_up(state: SliceState, level, k: int) -> SliceState:
-    """Cross k index-two points: each adds an exceptional class of zero area."""
-    omega_c = state.omega(level)
-    lat = state.lattice
-    if lat.kind == PRODUCT:
-        # one blow-up turns the product into a two-fold blow-up of the plane
-        new_lat = make_blowup_lattice(2)
-        u, e1, e2 = (new_lat.basis_class(i) for i in range(3))
+    """Cross k index-two points: each adds an exceptional class of zero area.
 
-        def lift(cls: CohClass) -> CohClass:
-            return cls.coeffs[0] * (u - e1) + cls.coeffs[1] * (u - e2)
-
-        euler = lift(state.euler) + (u - e1 - e2)
-        state = _state(new_lat, euler, level, lift(omega_c), level, state.interval[1])
-        return state if k == 1 else blow_up(state, level, k - 1)
-    old = lat.blowups
+    The slice is a blow-up of the plane: the sweep blows up only at level -1,
+    below every blow-down that could reach the product of spheres.
+    """
+    old = state.lattice.blowups
     new_lat = make_blowup_lattice(old + k)
 
     def extend(cls: CohClass) -> CohClass:
         return CohClass(new_lat, cls.coeffs + (0,) * k)
 
     euler = sum((new_lat.basis_class(old + 1 + i) for i in range(k)), extend(state.euler))
-    omega = extend(omega_c)  # new exceptional classes have zero area at the crossing
+    # the new exceptional classes have zero area at the crossing
+    omega = extend(state.omega(level))
     return _state(new_lat, euler, level, omega, level, state.interval[1])
 
 

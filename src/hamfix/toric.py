@@ -14,6 +14,7 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd
 from pathlib import Path
 
@@ -25,8 +26,6 @@ from .errors import (
     NotReflexive,
 )
 from .classify6 import TFD
-from .localization import ExtremalSurface, InteriorSurface, IsolatedPoint
-from .lattice import pair
 
 
 def _ivec(v):
@@ -331,24 +330,10 @@ def _tfd_profile(tfd: TFD):
     """The same summary computed from a classified row."""
     levels: dict[int, list] = {}
     for fc in tfd.components:
-        s = fc.spec
-        if isinstance(s, IsolatedPoint):
-            desc = ("pt", tuple(sorted(s.weights)))
-        elif isinstance(s, InteriorSurface):
-            if s.genus != 0:
-                return None  # toric fixed surfaces are rational
-            slc = tfd.slice_below(fc.level)
-            desc = ("sphere", pair(slc.omega(fc.level), s.surface_class))
-        elif isinstance(s, ExtremalSurface):
-            desc = ("sphere", 2 + s.normal_degrees[0] + s.normal_degrees[1])
-        else:
-            slc = tfd.slice_below(fc.level) if fc.level > 0 else tfd.slice_above(fc.level)
-            volume = Fraction(
-                pair(slc.omega(fc.level), slc.omega(fc.level)), 2
-            )
-            desc = (
-                "fourmanifold", s.lattice.kind, s.lattice.blowups, volume,
-            )
+        # points never read the reduced class, so it is built on demand
+        desc = fc.spec.toric_descriptor(partial(tfd.omega_at, fc.level))
+        if desc is None:
+            return None
         levels.setdefault(fc.level, []).append(desc)
     return {lvl: tuple(sorted(ds)) for lvl, ds in sorted(levels.items())}
 

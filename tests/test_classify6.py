@@ -6,7 +6,6 @@ import pytest
 
 from hamfix import golden
 from hamfix.classify6 import (
-    ExtremalProfile,
     _candidate_totals,
     capacities,
     classify_all,
@@ -55,7 +54,7 @@ def interior_classes(tfd):
 
 
 def test_point_max_single_conic():
-    rows = enumerate_tfd(ExtremalProfile(0, 0), {0})
+    rows = enumerate_tfd(0, {0})
     assert len(rows) == 1
     assert interior_classes(rows[0]) == [(2,)]
     (fc,) = [f for f in rows[0].components if isinstance(f.spec, InteriorSurface)]
@@ -63,24 +62,24 @@ def test_point_max_single_conic():
 
 
 def test_sphere_max_nonexistence_cases():
-    assert enumerate_tfd(ExtremalProfile(0, 2), {-1}) == []
-    assert enumerate_tfd(ExtremalProfile(0, 2), {-1, 1}) == []
+    assert enumerate_tfd(2, {-1}) == []
+    assert enumerate_tfd(2, {-1, 1}) == []
 
 
 def test_sphere_max_three_solutions():
-    rows = enumerate_tfd(ExtremalProfile(0, 2), {-1, 0})
+    rows = enumerate_tfd(2, {-1, 0})
     assert [interior_classes(t) for t in rows] == [[(0, 1)], [(1, 0)], [(2, -1)]]
 
 
 def test_four_dim_max_five_solutions():
-    rows = enumerate_tfd(ExtremalProfile(0, 4), {-1, 0})
+    rows = enumerate_tfd(4, {-1, 0})
     assert [interior_classes(t) for t in rows] == [
         [(0, 1)], [(1, -1)], [(1, 0)], [(2, -1)], [(1, -1, -1)],
     ]
 
 
 def test_four_dim_max_rejects_level_one_interior():
-    assert enumerate_tfd(ExtremalProfile(0, 4), {1}) == []
+    assert enumerate_tfd(4, {1}) == []
 
 
 def test_classify_all_strict_reports_single_extra_row():
@@ -376,4 +375,4 @@ def test_internal_arithmetic_errors_surface(monkeypatch):
 
     monkeypatch.setattr(reduction, "blowdown_lattice", broken)
     with pytest.raises(InternalArithmeticError):
-        enumerate_tfd(ExtremalProfile(0, 0), {-1, 1})
+        enumerate_tfd(0, {-1, 1})

@@ -115,9 +115,10 @@ def test_toric_verify_bad_input_exits_2(polytope, xi):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("bound", ["1", "2"])
+@pytest.mark.parametrize("bound", ["1", "2", "3"])
 def test_small_bound_exits_2(bound):
-    # a box below 3 is rejected where the search starts, before any candidate
+    # a box below 4, which the rows' coefficient 3 would reach, is rejected
+    # where the search starts, before any candidate
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run(

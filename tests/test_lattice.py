@@ -188,6 +188,10 @@ def test_splitting_two_conics():
     total = cls(one, 2, -2)
     out = component_splittings(one, total)
     assert out == [((cls(one, 1, -1), 0), (cls(one, 1, -1), 0))]
+    # the level-0 lattice is a blow-up of the plane; a product is refused
+    prod = product_lattice()
+    with pytest.raises(NoExceptionalBasis):
+        component_splittings(prod, cls(prod, 1, 1))
 
 
 def test_splitting_plane_conic_connected():

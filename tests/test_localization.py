@@ -149,6 +149,8 @@ def test_invalid_components():
         FixedComponent(0, ExtremalSurface((0, 0)))  # spheres live at level +-2
     with pytest.raises(InvalidFixedComponent):
         FixedComponent(2, ExtremalFourManifold(P2, CohClass(P2, (1,))))
+    with pytest.raises(InvalidFixedComponent):
+        FixedComponent(0, object())  # not one of the four component kinds
 
 
 def test_isolated_point_weight_level_table():

@@ -59,31 +59,11 @@ def test_initial_slice_rejects_non_minimum():
         initial_slice(point(3, (-1, -1, -1)))
     with pytest.raises(NotAMinimum):
         initial_slice(point(-1, (-1, 1, 1)))
-
-
-def test_initial_slice_four_dim_minimum():
-    # mirror of the plane maximum: boundary Euler class u, path (3 - t) u
-    fm = FixedComponent(-1, ExtremalFourManifold(P2, CohClass(P2, (1,))))
-    s = initial_slice(fm)
-    assert s.omega(0) == CohClass(P2, (3,))
-    assert s.omega(1) == CohClass(P2, (2,))
-    assert s.omega(3).is_zero()
-
-
-def test_initial_slice_sphere_minimum_even():
-    s = initial_slice(FixedComponent(-2, ExtremalSurface((0, 0))))
-    assert s.lattice == product_lattice()
-    fiber = s.lattice.basis_class(0)
-    assert area(s, fiber, -2) == 0
-    assert -pair(s.euler, s.euler) == 0
-
-
-def test_initial_slice_sphere_minimum_odd():
-    s = initial_slice(FixedComponent(-2, ExtremalSurface((2, 1))))
-    assert s.lattice == make_blowup_lattice(1)
-    fiber = s.lattice.basis_class(0) - s.lattice.basis_class(1)
-    assert area(s, fiber, -2) == 0
-    assert -pair(s.euler, s.euler) == 3  # normal degree of the minimum
+    # the sweep starts only from an isolated minimum
+    with pytest.raises(NotAMinimum):
+        initial_slice(FixedComponent(-2, ExtremalSurface((0, 0))))
+    with pytest.raises(NotAMinimum):
+        initial_slice(FixedComponent(-1, ExtremalFourManifold(P2, CohClass(P2, (1,)))))
 
 
 def test_cross_three_index2_points():
@@ -220,44 +200,6 @@ def test_positive_square_vertex_detection():
     assert not positive_square_throughout(state)
     good = initial_slice(point(-3, (1, 1, 1)))
     assert positive_square_throughout(good, allow_zero_ends={Fraction(-3), Fraction(3)})
-
-
-def test_product_lattice_blowup_conversion():
-    # one blow-up of a product slice lands in the two-fold blow-up basis
-    s = initial_slice(FixedComponent(-2, ExtremalSurface((0, 0)))).with_interval(-2, -1)
-    s1 = cross(s, idx2_event(1))
-    assert s1.lattice == make_blowup_lattice(2)
-    assert pair(s1.euler, s1.euler) == pair(s.euler, s.euler) - 1
-    # the new exceptional class has zero area at the crossing level
-    e_new = CohClass(make_blowup_lattice(2), (1, -1, -1))
-    assert area(s1, e_new, -1) == 0
-
-
-def test_full_sweep_from_sphere_minimum():
-    # the orientation-reversed form of the extra classified row: sphere
-    # minimum over the product lattice, one blow-up, a square-zero fixed
-    # sphere, two blow-downs, isolated maximum
-    from hamfix.localization import InteriorSurface
-
-    s = initial_slice(FixedComponent(-2, ExtremalSurface((0, 0))))
-    assert s.omega(-2).coeffs == (2, 0)  # only the fiber class survives below
-
-    s = cross(s.with_interval(-2, -1), idx2_event(1))
-    two = make_blowup_lattice(2)
-    assert s.lattice == two
-    assert s.euler == CohClass(two, (0, -1, 0))
-
-    z = CohClass(two, (1, 0, -1))
-    assert area(s, z, 0) == 2
-    sphere = FixedComponent(0, InteriorSurface(z, 0, (0, 0)))
-    s = cross(s.with_interval(-1, 0), CrossingEvent(0, (sphere,)))
-    assert s.euler == CohClass(two, (1, -1, -1))
-
-    assert {v.coeffs for v in vanishing_classes(s, 1)} == {(0, 1, 0), (0, 0, 1)}
-    s = cross(s.with_interval(0, 1), idx4_event(2))
-    assert s.lattice.rank == 1
-    assert s.omega(3).is_zero()
-    assert dh(s.with_interval(1, 3), 1) == 4
 
 
 def _disjoint_families(lat):
