@@ -18,7 +18,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (
-    BoundTooSmall,
     CapacityFormulaInapplicable,
     ClassificationMismatch,
     InternalArithmeticError,
@@ -280,21 +279,36 @@ def _assemble(max_dim, k, m, splitting, slices, blowdowns, top_data):
     return TFD(None, max_dim, tuple(comps), tuple(slices), tuple(blowdowns))
 
 
-def _candidate_totals(k: int, max_dim: int, has_blowdown: bool, bound: int):
-    """Integral class candidates for the level-0 fixed surface.
+def _candidate_totals(k: int, has_blowdown: bool):
+    """Integral class candidates (a; b1, ..., bk) for the level-0 fixed surface.
 
-    Coefficients on the exceptional part are nondecreasing (one representative
-    per index permutation) and pre-filtered by the affine area constraints at
-    level one, which are the binding ones; the volume one prunes the tails as
-    they are built.  `bound` boxes only these coefficients, and the leading
-    coefficient `a` is still bounded only by [-bound, bound], which `--bound`
-    and the bound-stability test guard.
+    Tails are nondecreasing (one representative per index permutation) and
+    pre-filtered by the area constraints at level one, where
+    omega(1) = (4-a; -(b1+2), ..., -(bk+2)).  The predicates bound every range:
+
+    - a <= 3.  omega(0) = c1 has u-coefficient 3 and omega is linear up to
+      level one, so for a >= 4 the u-coefficient vanishes at some t in
+      (0, 1], where omega^2 = -sum y^2 <= 0; `positive_square_throughout`
+      allows zeros only at -3, 2 and 3 (the forward-cone condition of
+      T.-J. Li and A.-K. Liu, 2001).
+    - Lower limit on a.  Volume 3a + sum b >= 1 means sum (b+2) >= 2k+1-3a,
+      and the integral level-one volume means sum (b+2)^2 <= (4-a)^2 - 1.
+      When 2k+1-3a > 0, Cauchy-Schwarz asks (2k+1-3a)^2 <= k((4-a)^2 - 1),
+      a quadratic in a with leading coefficient 9-k.  It holds at
+      a = (2k+1)/3 <= 3 for k <= 4, so the passing a form an interval ending
+      at 3; for k >= 5 no a <= 3 passes.  Scanning down from 3 gives
+      a >= 1, 0, 0, 1, 2 for k = 0..4 and nothing for k >= 5.
+    - The level-one budget alone stops the tails (`_sorted_tails`).
     """
     lat = make_blowup_lattice(k)
     b_floor = -2 if has_blowdown else -1
-    for a in range(-bound, bound + 1):
-        # reduced volume at level one stays positive: sum (b+2)^2 <= (4-a)^2 - 1
-        for tail in _sorted_tails(k, b_floor, bound, (4 - a) ** 2 - 1):
+
+    def reachable(a):
+        need = 2 * k + 1 - 3 * a
+        return need <= 0 or need * need <= k * ((4 - a) ** 2 - 1)
+
+    for a in reversed(list(itertools.takewhile(reachable, itertools.count(3, -1)))):
+        for tail in _sorted_tails(k, b_floor, (4 - a) ** 2 - 1):
             volume = 3 * a + sum(tail)
             if volume < 1:
                 continue
@@ -305,8 +319,8 @@ def _candidate_totals(k: int, max_dim: int, has_blowdown: bool, bound: int):
             yield CohClass(lat, (a,) + tail)
 
 
-def _sorted_tails(n, lo, hi, budget, prev=None):
-    """Nondecreasing tuples of length n in [lo, hi] with sum (b+2)^2 <= budget.
+def _sorted_tails(n, lo, budget, prev=None):
+    """Nondecreasing tuples of length n, entries >= lo, with sum (b+2)^2 <= budget.
 
     Lexicographic.  With lo >= -2, (b+2)^2 grows with b and the n entries
     left are all >= b, so the loop stops at the first b with (b+2)^2 * n
@@ -316,12 +330,11 @@ def _sorted_tails(n, lo, hi, budget, prev=None):
         if budget >= 0:
             yield ()
         return
-    start = lo if prev is None else prev
-    for b in range(start, hi + 1):
+    for b in itertools.count(lo if prev is None else prev):
         cost = (b + 2) ** 2
         if cost * n > budget:
             break
-        for rest in _sorted_tails(n - 1, lo, hi, budget - cost, b):
+        for rest in _sorted_tails(n - 1, lo, budget - cost, b):
             yield (b,) + rest
 
 
@@ -346,16 +359,13 @@ def _counts_for(max_dim: int, crit: frozenset[int]):
     return out
 
 
-def enumerate_tfd(max_dim: int, crit, bound: int = 6) -> list[TFD]:
+def enumerate_tfd(max_dim: int, crit) -> list[TFD]:
     """All topological fixed-point data above an isolated minimum.
 
     The maximum has dimension `max_dim` (0, 2 or 4) and `crit` holds the
-    interior critical levels.  `bound` boxes the searched coefficients (see
-    `_candidate_totals` and `component_splittings`); a box below 4 is
-    invalid input, since the rows' largest searched coefficient is 3.
+    interior critical levels.  The searched classes range over what the
+    predicates allow (see `_candidate_totals` and `component_splittings`).
     """
-    if bound < 4:
-        raise ValueError("bound must be at least 4")
     if max_dim not in (0, 2, 4):
         raise ValueError(f"maximum dimension {max_dim} not in (0,2,4)")
     crit = frozenset(crit)
@@ -366,7 +376,7 @@ def enumerate_tfd(max_dim: int, crit, bound: int = 6) -> list[TFD]:
     found: dict[tuple, TFD] = {}
     for k, m in _counts_for(max_dim, crit):
         if 0 in crit:
-            totals = list(_candidate_totals(k, max_dim, m > 0, bound))
+            totals = list(_candidate_totals(k, m > 0))
         else:
             totals = [None]
         for total in totals:
@@ -377,7 +387,7 @@ def enumerate_tfd(max_dim: int, crit, bound: int = 6) -> list[TFD]:
             except _REJECTIONS:
                 continue
             if total is not None:
-                splittings = component_splittings(total.lattice, total, bound)
+                splittings = component_splittings(total.lattice, total)
             else:
                 splittings = [()]
             if not splittings:
@@ -395,23 +405,8 @@ def enumerate_tfd(max_dim: int, crit, bound: int = 6) -> list[TFD]:
                 accepted.append(tfd)
             for tfd in accepted:
                 canon = _canonicalize(tfd, k)
-                key = serialization(canon)
-                _check_bound_witness(canon, bound)
-                found.setdefault(key, canon)
+                found.setdefault(serialization(canon), canon)
     return sorted(found.values(), key=sort_key)
-
-
-def largest_coefficient(tfd: TFD) -> int:
-    """Largest absolute coefficient of a fixed surface class, the searched classes."""
-    return max(
-        (abs(x) for fc in tfd.interior_surfaces for x in fc.spec.surface_class.coeffs),
-        default=0,
-    )
-
-
-def _check_bound_witness(tfd: TFD, bound: int):
-    if largest_coefficient(tfd) >= bound:
-        raise BoundTooSmall(f"candidate coefficients reach the search bound {bound}")
 
 
 def _canonicalize(tfd: TFD, k: int) -> TFD:
@@ -466,7 +461,7 @@ def sort_key(tfd: TFD):
     return (tfd.max_dim, len(crit), crit, k, interior, serialization(tfd))
 
 
-def classify_all(bound: int = 6, strict: bool = True) -> list[TFD]:
+def classify_all(strict: bool = True) -> list[TFD]:
     """Classify over every profile and interior critical set, labeled and sorted.
 
     With strict=True a discrepancy against the embedded golden table raises
@@ -475,7 +470,7 @@ def classify_all(bound: int = 6, strict: bool = True) -> list[TFD]:
     """
     from . import golden
 
-    labeled = list(_classify_cached(bound))
+    labeled = list(_classify_cached())
     if strict:
         got = {t.label for t in labeled}
         want = {row["label"] for row in golden.GOLDEN6}
@@ -492,13 +487,13 @@ def classify_all(bound: int = 6, strict: bool = True) -> list[TFD]:
 
 
 @lru_cache(maxsize=None)
-def _classify_cached(bound: int) -> tuple[TFD, ...]:
+def _classify_cached() -> tuple[TFD, ...]:
     rows: dict[tuple, TFD] = {}
     for max_dim in (0, 2, 4):
         levels = (-1, 0, 1) if max_dim != 4 else (-1, 0)
         for r in range(len(levels) + 1):
             for crit in itertools.combinations(levels, r):
-                for tfd in enumerate_tfd(max_dim, crit, bound):
+                for tfd in enumerate_tfd(max_dim, crit):
                     rows.setdefault(serialization(tfd), tfd)
     ordered = sorted(rows.values(), key=sort_key)
     return tuple(_attach_labels(ordered))

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from . import golden
 from .classify4 import classify4, enumerate_case3_tuples
-from .classify6 import classify_all, largest_coefficient
+from .classify6 import classify_all
 from .errors import HamfixError
 from .golden import FIELDS4, FIELDS6, render_tsv, report_row_from_tfd, report_row_from_tfd4
 from .localization import chern_number
@@ -53,16 +53,8 @@ def _emit_dh(rows, directory):
 def cmd_classify(args) -> int:
     if args.dim == 6:
         rows = [
-            t for t in classify_all(bound=args.bound, strict=False)
-            if _in_case(t.label, args.case)
+            t for t in classify_all(strict=False) if _in_case(t.label, args.case)
         ]
-        if args.verbose:
-            witness = max((largest_coefficient(t) for t in rows), default=0)
-            print(
-                f"bound sufficiency: largest surviving coefficient "
-                f"{witness} inside the search box {args.bound}",
-                file=sys.stderr,
-            )
         if args.emit_dh:
             _emit_dh(rows, args.emit_dh)
         computed = [report_row_from_tfd(t) for t in rows]
@@ -168,9 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--dim", type=int, choices=(4, 6), required=True)
     p_classify.add_argument("--case", choices=("I", "II", "III", "all"), default="all")
     p_classify.add_argument("--format", choices=("json", "tsv"), default="tsv")
-    p_classify.add_argument("--bound", type=int, default=6)
-    p_classify.add_argument("-v", "--verbose", action="store_true",
-                            help="print the bound-sufficiency witness")
     p_classify.add_argument("--emit-dh", metavar="DIR", default=None,
                             help="write per-row (t, DH(t)) sample tables")
     p_classify.set_defaults(func=cmd_classify)

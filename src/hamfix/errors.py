@@ -53,10 +53,6 @@ class NotASphereMaximum(HamfixError):
     """The slice is not the top slice below a two-sphere maximum."""
 
 
-class BoundTooSmall(HamfixError):
-    """A surviving candidate touches the coefficient search box boundary."""
-
-
 class ClassificationMismatch(HamfixError):
     """Recomputed classification differs from the embedded golden table."""
 

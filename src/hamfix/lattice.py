@@ -9,6 +9,7 @@ product of spheres with form [[0,1],[1,0]].  All arithmetic is exact.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -212,7 +213,7 @@ def li_positive(c: CohClass, exceptional) -> bool:
 
 
 def component_splittings(
-    lattice: SurfaceLattice, total: CohClass, bound: int = 6
+    lattice: SurfaceLattice, total: CohClass
 ) -> list[tuple[tuple[CohClass, int], ...]]:
     """All decompositions of `total` into disjoint embedded surface classes.
 
@@ -223,13 +224,13 @@ def component_splittings(
     blow-up of the plane (the level-0 reduced space of an isolated minimum);
     the product lattice raises NoExceptionalBasis.
 
-    Parts are searched in [-bound, bound], cut by two predicates checked on
-    the raw coefficients: a part's degree lies in [1, volume], since every
-    part has degree >= 1 and the degrees sum to `volume`; and twice the genus
-    of (a; b) is (a-1)(a-2) - sum b(b+1), so genus >= 0 with b(b+1) >= 0 on
-    the integers makes (a-1)(a-2) a budget that the tail entries draw from
-    one by one.  `bound` boxes only these parts: the leading coefficient `a`
-    is still bounded only by the box.
+    A part (a; b1, ..., bk) has degree d = 3a + sum b in [1, volume], since
+    the degrees are >= 1 and sum to `volume`.  Twice its genus is
+    (a-1)(a-2) - sum b(b+1), so (a-1)(a-2) is a budget that the entries
+    draw from one by one, as b(b+1) >= 0 (`_adjunction_tails`).  With
+    k sum b^2 >= (sum b)^2 the budget gives (9-k)a^2 - 6da + d^2 + kd - 2k <= 0,
+    whose quarter discriminant k(d^2 - (9-k)d + 18 - 2k) is >= 0 for k <= 8
+    (`_part_leading`).
     """
     if not total.is_integral:
         raise ValueError("total class must be integral")
@@ -237,10 +238,9 @@ def component_splittings(
     volume = pair(lattice.anticanonical, total)
     if volume <= 0:
         return []
-    box = range(-bound, bound + 1)
     candidates = []
-    for a in box:
-        for tail in _adjunction_tails(lattice.blowups, box, (a - 1) * (a - 2)):
+    for a in _part_leading(lattice.blowups, volume):
+        for tail in _adjunction_tails(lattice.blowups, (a - 1) * (a - 2)):
             vol = 3 * a + sum(tail)  # anticanonical degree
             if not 1 <= vol <= volume:
                 continue
@@ -255,16 +255,31 @@ def component_splittings(
     return out
 
 
-def _adjunction_tails(n, box, budget):
-    """Tuples of length n over `box` with sum b(b+1) <= budget, lexicographic."""
+def _part_leading(k: int, volume: int) -> list[int]:
+    """The integers a between the roots (3d -+ sqrt(D))/(9-k) for some d in 1..volume.
+
+    D is the quarter discriminant of `component_splittings`; flooring its
+    square root keeps both integer ends exact.
+    """
+    q = 9 - k
+    found = set()
+    for d in range(1, volume + 1):
+        root = math.isqrt(k * (d * d - q * d + 18 - 2 * k))
+        found.update(range(-((root - 3 * d) // q), (3 * d + root) // q + 1))
+    return sorted(found)
+
+
+def _adjunction_tails(n, budget):
+    """Tuples of length n with sum b(b+1) <= budget, lexicographic.
+
+    b(b+1) <= budget exactly for -r-1 <= b <= r, r = (isqrt(4 budget + 1) - 1) // 2.
+    """
     if n == 0:
         yield ()
         return
-    for b in box:
-        left = budget - b * (b + 1)
-        if left < 0:
-            continue
-        for rest in _adjunction_tails(n - 1, box, left):
+    r = (math.isqrt(4 * budget + 1) - 1) // 2
+    for b in range(-r - 1, r + 1):
+        for rest in _adjunction_tails(n - 1, budget - b * (b + 1)):
             yield (b,) + rest
 
 

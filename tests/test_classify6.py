@@ -239,17 +239,11 @@ def test_no_candidate_on_box_boundary(rows):
                 assert max(abs(x) for x in c.coeffs) < 6
 
 
-def test_bound_stability():
-    assert [serialization(t) for t in classify_all(bound=5, strict=False)] == [
-        serialization(t) for t in classify_all(strict=False)
-    ]
-
-
-def _unpruned_totals(k, has_blowdown, bound):
+def _unpruned_totals(k, has_blowdown, box):
     """Reference: every nondecreasing tail in the box, then the three filters."""
     b_floor = -2 if has_blowdown else -1
-    for a in range(-bound, bound + 1):
-        for tail in itertools.combinations_with_replacement(range(b_floor, bound + 1), k):
+    for a in range(-box, box + 1):
+        for tail in itertools.combinations_with_replacement(range(b_floor, box + 1), k):
             if 3 * a + sum(tail) < 1:
                 continue
             if k >= 2 and not has_blowdown and a + tail[-1] + tail[-2] > -1:
@@ -259,13 +253,60 @@ def _unpruned_totals(k, has_blowdown, bound):
             yield (a,) + tail
 
 
+def _widened_box(k):
+    # well past the derived a <= 3; k >= 5 yields nothing, so a smaller box
+    # keeps its many tails fast
+    return 8 if k <= 4 else 6
+
+
 @pytest.mark.parametrize("has_blowdown", [False, True])
 @pytest.mark.parametrize("k", range(9))
 def test_candidate_totals_match_unpruned_box(k, has_blowdown):
-    # bound 6 is the default search; k = 0 covers a = 4, whose budget is -1
-    for bound in (6, 5) if k <= 4 else (6,):
-        got = [c.coeffs for c in _candidate_totals(k, 0, has_blowdown, bound)]
-        assert got == list(_unpruned_totals(k, has_blowdown, bound))
+    # the derived ranges drop only a >= 4 from the filtered box: the
+    # Cauchy-Schwarz lower limit on a and the unboxed tails lose nothing
+    got = [c.coeffs for c in _candidate_totals(k, has_blowdown)]
+    box = _unpruned_totals(k, has_blowdown, _widened_box(k))
+    assert got == [t for t in box if t[0] <= 3]
+    if k >= 5:
+        assert got == []
+
+
+def test_candidate_totals_cover_box_survivors():
+    # every filtered box total that survives the sweep is yielded, in each
+    # (max_dim, k, m) cell whose critical set holds level 0
+    from hamfix.classify6 import (
+        _REJECTIONS,
+        _check_slices,
+        _check_top,
+        _counts_for,
+        _sweep_path,
+    )
+    from hamfix.lattice import CohClass, make_blowup_lattice
+
+    cells = {
+        (max_dim, k, m)
+        for max_dim in (0, 2, 4)
+        for crit in ({0}, {-1, 0}, {0, 1}, {-1, 0, 1})
+        for k, m in _counts_for(max_dim, frozenset(crit))
+    }
+    assert len(cells) == 26
+    checked = survivors = 0
+    for max_dim, k, m in sorted(cells):
+        got = {c.coeffs for c in _candidate_totals(k, m > 0)}
+        boxed = list(_unpruned_totals(k, m > 0, _widened_box(k)))
+        assert got <= set(boxed)
+        lat = make_blowup_lattice(k)
+        for t in boxed:
+            checked += 1
+            try:
+                slices, _ = _sweep_path(max_dim, k, CohClass(lat, t), m)
+                _check_top(max_dim, slices[-1])
+                _check_slices(slices, max_dim)
+            except _REJECTIONS:
+                continue
+            survivors += 1
+            assert t in got, (max_dim, k, m, t)
+    assert (checked, survivors) == (290, 19)
 
 
 def test_count_relations(rows):
@@ -329,22 +370,6 @@ def test_sphere_max_full_interior_family(rows):
         t for t in rows if t.max_dim == 2 and t.interior_crit == (-1, 0, 1)
     ]
     assert [t.label for t in family] == ["II-4.1", "II-4.1b", "II-4.2"]
-
-
-def test_bound_witness_guard():
-    from hamfix.classify6 import _check_bound_witness
-    from hamfix.errors import BoundTooSmall
-    from hamfix.lattice import CohClass, make_blowup_lattice
-    from hamfix.localization import FixedComponent, InteriorSurface
-
-    lat = make_blowup_lattice(1)
-    wide = FixedComponent(0, InteriorSurface(CohClass(lat, (6, -2)), 7, (32, 0)))
-    fake = classify_all(strict=False)[0]
-    from hamfix.classify6 import TFD
-
-    doctored = TFD(None, 0, (wide,), fake.slices, ())
-    with pytest.raises(BoundTooSmall):
-        _check_bound_witness(doctored, 6)
 
 
 def test_cross_replays_every_row(rows):

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from hamfix.errors import InvalidBlowupCount, LatticeMismatch, NoExceptionalBasis
 from hamfix.lattice import (
     CohClass,
+    _part_leading,
     adjunction_genus,
     component_splittings,
     exceptional_classes,
@@ -211,13 +212,13 @@ def test_splitting_mixed_pair():
     [((1, -1, -1, 0), [(((1, -1, -1, 0), 0),)]), ((2, -2, -2, -1), [])],
 )
 def test_splitting_rank4_inputs_of_the_search(total, want):
-    # the two rank-4 totals that reach the splitting step at the default bound
+    # the two rank-4 totals that reach the splitting step in the search
     three = make_blowup_lattice(3)
-    out = component_splittings(three, cls(three, *total), 6)
+    out = component_splittings(three, cls(three, *total))
     assert [tuple((c.coeffs, g) for c, g in s) for s in out] == want
 
 
-def _oracle_splittings(lattice, total, bound=3):
+def _oracle_splittings(lattice, total, bound):
     """Exhaustive splitting oracle built from raw multiset enumeration."""
     volume = pair(lattice.anticanonical, total)
     box = [
@@ -262,15 +263,33 @@ def _oracle_splittings(lattice, total, bound=3):
 
 @pytest.mark.parametrize(
     "k,total",
-    [(1, (2, -2)), (0, (2,)), (2, (2, -2, -1)), (1, (3, -1)), (0, (3,))],
+    [
+        (1, (2, -2)), (0, (2,)), (2, (2, -2, -1)), (1, (3, -1)), (0, (3,)),
+        # the other totals that reach the splitting step in classify_all
+        (0, (1,)), (1, (0, 1)), (1, (1, -1)), (1, (1, 0)), (1, (2, -1)),
+        (2, (1, -2, 0)), (2, (1, -1, -1)), (2, (1, -1, 0)), (2, (2, -2, -2)),
+        (3, (1, -1, -1, 0)), (3, (2, -2, -2, -1)),
+    ],
 )
 def test_splitting_oracle_agreement(k, total):
     lat = make_blowup_lattice(k)
+    total = CohClass(lat, total)
+    volume = pair(lat.anticanonical, total)
+    # the derived leading range is the quadratic's integer solutions, and
+    # with the genus-budget tail range it lies inside the oracle's box
+    leading = _part_leading(k, volume)
+    assert leading == [
+        a for a in range(-50, 51)
+        if any((9 - k) * a * a - 6 * d * a + d * d + k * d - 2 * k <= 0
+               for d in range(1, volume + 1))
+    ]
+    tails = [b for a in leading for b in range(-50, 51) if b * (b + 1) <= (a - 1) * (a - 2)]
+    assert max(map(abs, leading + tails)) <= 5
     got = {
         tuple(sorted((c.coeffs, g) for c, g in s))
-        for s in component_splittings(lat, CohClass(lat, total), 3)
+        for s in component_splittings(lat, total)
     }
-    assert got == _oracle_splittings(lat, CohClass(lat, total))
+    assert got == _oracle_splittings(lat, total, 5)
 
 
 def test_splitting_replay():
