@@ -101,18 +101,6 @@ class TFD:
                 return s.lattice
         raise InternalArithmeticError("no slice contains level 0")
 
-    def slice_below(self, level) -> SliceState:
-        for s in self.slices:
-            if s.interval[1] == level:
-                return s
-        raise InternalArithmeticError(f"no slice ends at {level}")
-
-    def slice_above(self, level) -> SliceState:
-        for s in self.slices:
-            if s.interval[0] == level:
-                return s
-        raise InternalArithmeticError(f"no slice starts at {level}")
-
     def omega_at(self, level) -> CohClass:
         """Reduced class at the level, from the first slice reaching it."""
         for s in self.slices:

@@ -99,7 +99,6 @@ def cmd_toric(args) -> int:
                 return 2
             xi = CircleDirection(tuple(int(x) for x in args.xi.split(",")))
             poly = Polytope.load(args.polytope)
-            poly.check_delzant()
             poly.check_reflexive()
             if not is_semifree(poly, xi):
                 print(f"{poly.name}: not semifree along {xi.xi}", file=sys.stderr)

@@ -75,13 +75,19 @@ class CircleDirection:
 
 @dataclass(frozen=True)
 class Polytope:
-    """Simple lattice 3-polytope with explicit combinatorics."""
+    """Simple lattice 3-polytope with explicit combinatorics.
+
+    Built only if it passes `check_delzant`, so every method may rely on it.
+    """
 
     name: str
     vertices: tuple[tuple[int, int, int], ...]
     edges: tuple[tuple[int, int], ...]
     facets: tuple[tuple[tuple[int, int, int], int], ...]  # (inward normal, offset)
     reflexive: bool = True
+
+    def __post_init__(self):
+        self.check_delzant()
 
     @staticmethod
     def from_dict(d) -> Polytope:
@@ -160,6 +166,12 @@ class Polytope:
                 raise NotDelzant(f"{self.name}: facet normal {n} not primitive")
             if any(_dot(n, v) < o for v in self.vertices):
                 raise NotDelzant(f"{self.name}: facet {n} not supporting")
+            on = [v for v in self.vertices if _dot(n, v) == o]
+            if not any(  # three vertices off one line
+                _cross(_sub(b, on[0]), _sub(c, on[0])) != (0, 0, 0)
+                for b, c in itertools.combinations(on[1:], 2)
+            ):
+                raise NotDelzant(f"{self.name}: facet {n} is not a 2-face")
 
     def interior_point(self) -> tuple[int, int, int]:
         los = [min(v[i] for v in self.vertices) for i in range(3)]
@@ -201,7 +213,6 @@ class Polytope:
 
 def is_semifree(p: Polytope, d: CircleDirection) -> bool:
     """Every primitive edge direction pairs with the direction in {-1,0,1}."""
-    p.check_delzant()
     for e in p.edges:
         dirn, _ = _primitive(_sub(p.vertices[e[1]], p.vertices[e[0]]))
         if abs(_dot(dirn, d.xi)) > 1:
@@ -240,7 +251,12 @@ def fixed_faces(p: Polytope, d: CircleDirection) -> list[FixedFace]:
         for a, b in p.edges
         if zeros[a] == [b] and zeros[b] == [a]
     ]
-    for fi in range(len(p.facets)):
+    # the tangent edges of a 2-face span the plane normal to its primitive
+    # normal n, so they all pair to zero with the primitive xi iff xi = +-n
+    minus_xi = tuple(-x for x in xi)
+    for fi, (n, _) in enumerate(p.facets):
+        if n != xi and n != minus_xi:
+            continue
         members = set(p.facet_vertices(fi))
         tangent = [s for i in members for j, s in at[i] if j in members]
         if tangent and not any(tangent):
@@ -361,7 +377,6 @@ def tfd_from_polytope(p: Polytope, d: CircleDirection, rows: list[TFD]) -> TFD:
 
 def chern_number_from_volume(p: Polytope) -> int:
     """Anticanonical degree of the toric 3-fold: six times the volume."""
-    p.check_delzant()
     if not p.reflexive:
         raise NotReflexive(f"{p.name}: not flagged reflexive")
     p.check_reflexive()
@@ -403,7 +418,6 @@ def verify_corpus(directory=None, rows=None):
         rows = classify_all(strict=False)
     results = []
     for poly, direction, expected in load_corpus(directory):
-        poly.check_delzant()
         poly.check_reflexive()
         if not is_semifree(poly, direction):
             raise HamfixError(f"{poly.name}: not semifree along {direction.xi}")

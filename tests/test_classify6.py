@@ -33,6 +33,7 @@ from hamfix.reduction import (
     initial_slice,
     vanishing_classes,
 )
+from tfd_slices import slice_above, slice_below
 
 
 @pytest.fixture(scope="module")
@@ -191,8 +192,8 @@ def test_dh_decrease_at_index2_levels(rows):
         )
         if not k:
             continue
-        before = t.slice_below(-1)
-        after = t.slice_above(-1)
+        before = slice_below(t, -1)
+        after = slice_above(t, -1)
         assert check_dh_decrease(before, after, k), t.label
 
 
@@ -203,7 +204,7 @@ def test_blowdown_replay(rows):
                 1 for fc in t.components
                 if fc.level == level and isinstance(fc.spec, IsolatedPoint)
             )
-            below = t.slice_below(level)
+            below = slice_below(t, level)
             assert len(classes) == m, t.label
             assert tuple(vanishing_classes(below, level)) == classes
             for a, b in itertools.combinations(classes, 2):
@@ -335,7 +336,7 @@ def test_sphere_max_parity(rows):
         if not tops:
             continue
         b_max = sum(tops[0].spec.normal_degrees)
-        top_slice = t.slice_below(2)
+        top_slice = slice_below(t, 2)
         assert (b_max % 2 == 0) == (top_slice.lattice.kind == "product"), t.label
 
 
@@ -347,8 +348,8 @@ def test_dh_blowdown_jump(rows):
     for t in rows:
         for level, classes in t.blowdowns:
             m = len(classes)
-            before = t.slice_below(level)
-            after = t.slice_above(level)
+            before = slice_below(t, level)
+            after = slice_above(t, level)
 
             def around(state):
                 c0, c1, c2 = dh_quadratic(state)

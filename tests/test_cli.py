@@ -97,22 +97,53 @@ def test_toric_verify_needs_direction(capsys):
     assert run(["toric", "verify", "--polytope", path]) == 2
 
 
+def hamfix(*argv):
+    """Run the CLI in a fresh process, as a user would."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run(
+        [sys.executable, "-m", "hamfix.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def p3_with(tmp_path, field, index, value):
+    """Path of a copy of the packaged p3 record with record[field][index] = value."""
+    record = json.loads((corpus_dir() / "p3.json").read_text(encoding="utf-8"))
+    record[field][index] = value
+    path = tmp_path / "p3.json"
+    path.write_text(json.dumps(record), encoding="utf-8")
+    return path
+
+
 @pytest.mark.parametrize(
     "polytope,xi",
     [("p3.json", "1,0"), ("index.json", "1,0,0")],
 )
 def test_toric_verify_bad_input_exits_2(polytope, xi):
     # a short direction, and a JSON file that is not a polytope record
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    argv = ["toric", "verify", "--polytope", str(corpus_dir() / polytope), "--xi", xi]
-    proc = subprocess.run(
-        [sys.executable, "-m", "hamfix.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = hamfix("toric", "verify", "--polytope", str(corpus_dir() / polytope), "--xi", xi)
     assert proc.returncode == 2
     assert proc.stderr.startswith("invalid input: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_toric_verify_dangling_edge_exits_2(tmp_path):
+    # an edge naming a vertex that does not exist is malformed input
+    path = p3_with(tmp_path, "edges", 0, [0, 99])
+    proc = hamfix("toric", "verify", "--polytope", str(path), "--xi", "1,1,1")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("invalid input: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_toric_verify_not_delzant_exits_1(tmp_path):
+    path = p3_with(tmp_path, "vertices", 1, [3, 0, 0])
+    proc = hamfix("toric", "verify", "--polytope", str(path), "--xi", "1,1,1")
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "verification failed: p3: edge directions at (0, 0, 0) not unimodular\n"
+    )
 
 
 def test_tables_diff_shows_known_discrepancies(capsys):

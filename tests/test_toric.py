@@ -202,19 +202,35 @@ def test_not_delzant_detected():
     # vertex (2,0,0) has edge directions (-1,0,0), (-1,1,0), (-1,0,1): fine,
     # but the size-2 simplex is not reflexive (no interior lattice point lies
     # at distance one from all facets); shrink instead to break the vertex cone
-    squashed = Polytope(
-        name="squashed",
-        vertices=((0, 0, 0), (2, 0, 0), (0, 2, 0), (1, 1, 2)),
-        edges=((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
-        facets=(
-            ((0, 0, 1), 0), ((2, 0, -1), 0), ((0, 2, -1), 0), ((-2, -2, -1), -4),
-        ),
-        reflexive=False,
-    )
+    # a polytope is checked when it is built
     with pytest.raises(NotDelzant):
-        squashed.check_delzant()
+        Polytope(
+            name="squashed",
+            vertices=((0, 0, 0), (2, 0, 0), (0, 2, 0), (1, 1, 2)),
+            edges=((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
+            facets=(
+                ((0, 0, 1), 0), ((2, 0, -1), 0), ((0, 2, -1), 0), ((-2, -2, -1), -4),
+            ),
+            reflexive=False,
+        )
     with pytest.raises(NotReflexive):
         bad.check_reflexive()
+
+
+@pytest.mark.parametrize(
+    "plane",
+    [((1, 1, 1), 0), ((0, 1, 1), 0)],
+    ids=["touches-one-vertex", "touches-one-edge"],
+)
+def test_facet_must_be_a_two_face(corpus, plane):
+    # fixed facets are read from the normals +-xi, which is exact only when
+    # every listed facet is a real 2-face; a supporting plane through fewer
+    # than three vertices off one line is rejected when the polytope is built
+    record = corpus["p3"][0].to_dict()
+    normal, offset = plane
+    record["facets"].append({"normal": list(normal), "offset": offset})
+    with pytest.raises(NotDelzant, match="not a 2-face"):
+        Polytope.from_dict(record)
 
 
 def test_unbalanced_direction_detected():
