@@ -54,22 +54,16 @@ class TFD4:
         return (1, 0, b2, 0, 1)
 
 
-def enumerate_case3_tuples(box: int = 4) -> set[tuple[int, int, int]]:
+def enumerate_case3_tuples() -> set[tuple[int, int, int]]:
     """Integer data (a, b, k) for actions with two sphere extrema.
 
     a is the area of the minimal sphere, b the Euler coefficient above it and
-    k the interior point count; monotonicity forces a - b = 2 and the maximal
-    sphere keeps positive area a - 2b - k.
+    k the interior point count.  Monotonicity forces a - b = 2, so the
+    maximal sphere has area a - 2b - k = 4 - a - k, and both spheres keep
+    positive area: a >= 1 and a + k <= 3.  So a is 1, 2 or 3 and k runs
+    from 0 to 3 - a.
     """
-    out = set()
-    for a in range(1, box + 1):
-        b = a - 2
-        if abs(b) > box:
-            continue
-        for k in range(0, box + 1):
-            if a - 2 * b - k > 0:
-                out.add((a, b, k))
-    return out
+    return {(a, a - 2, k) for a in (1, 2, 3) for k in range(4 - a)}
 
 
 def flip_case3_tuple(t: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -88,17 +82,20 @@ def dedupe_case3(tuples) -> list[tuple[int, int, int]]:
 
 
 def classify4(strict: bool = True) -> list[TFD4]:
-    """All eight rows of the four-dimensional classification."""
-    rows: list[TFD4] = []
-    # isolated minimum and maximum: the reduced class must die at level 2
-    for k in range(0, 5):
-        if 2 - 2 * (k - 1) == 0:
-            rows.append(TFD4(None, -2, 2, k, -1))
-    # isolated minimum, sphere maximum: positive area at the top
-    for k in range(0, 5):
-        if 3 - k >= 1:
-            rows.append(TFD4(None, -2, 1, k, -1))
-    # two sphere extrema
+    """All eight rows of the four-dimensional classification.
+
+    Above an isolated minimum at -2 the reduced sphere has area 2 - t e with
+    e = -1, so its area 0 at -2 closes the minimum; the k interior points
+    at level 0 raise e by k, leaving area 2 - t(k - 1) above level 0.
+
+    - Isolated minimum and maximum (case I): the area dies at level 2,
+      2 - 2(k - 1) = 0, so k = 2.
+    - Isolated minimum, sphere maximum (case II): the maximal sphere at
+      level 1 keeps positive integral area 3 - k >= 1, so k <= 2.
+    - Two sphere extrema (case III): `enumerate_case3_tuples`.
+    """
+    rows = [TFD4(None, -2, 2, 2, -1)]
+    rows += [TFD4(None, -2, 1, k, -1) for k in (0, 1, 2)]
     for a, b, k in dedupe_case3(enumerate_case3_tuples()):
         rows.append(TFD4(None, -1, 1, k, b))
     rows.sort(key=lambda r: (r.min_level != -2, r.max_level != 2, r.k, -r.euler_min))

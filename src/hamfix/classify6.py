@@ -5,14 +5,17 @@ points blow the reduced space up at level -1, fixed surfaces shift the Euler
 class at level 0, index-four points blow down at level +1, and the maximum
 closes the interval at level 3 (point), 2 (sphere) or 1 (4-manifold).  The
 predicate suite keeps a candidate only if every slice stays symplectic, every
-exceptional class keeps positive area away from its collapse, blow-down
-counts match the zero-area classes, the localization identities vanish, and
-the interior class splits into disjoint embedded components.
+exceptional class keeps positive area away from its collapse, the localization
+identities vanish, and the interior class splits into disjoint embedded
+components.  Candidates are generated with exactly as many zero-area
+exceptional classes at level one as there are points blowing them down, so
+the sweep never meets a blow-down count that does not match.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -21,8 +24,6 @@ from .errors import (
     CapacityFormulaInapplicable,
     ClassificationMismatch,
     InternalArithmeticError,
-    NonDisjointBlowdown,
-    VanishingCycleMismatch,
 )
 from .lattice import (
     BLOWUP,
@@ -138,7 +139,7 @@ def flip(t: TFD) -> TFD:
     for s in slices:
         hi = s.interval[1]
         if any(fc.level == hi and (fc.dim, fc.index) == (0, 4) for fc in comps):
-            downs.append((int(hi), vanishing_classes(s, hi)))
+            downs.append((int(hi), vanishing_classes(s, hi, exceptional_classes(s.lattice))))
     top = max(fc.level for fc in comps)
     new_max_dim = next(fc.dim for fc in comps if fc.level == top)
     return TFD(t.label, new_max_dim, tuple(comps), slices, tuple(downs))
@@ -158,42 +159,49 @@ def capacities(t: TFD) -> tuple[Fraction, Fraction]:
 
 
 class _Reject(Exception):
-    """Internal: candidate fails a predicate."""
-
-
-# predicate rejections; any other error is a bug and propagates
-_REJECTIONS = (_Reject, VanishingCycleMismatch, NonDisjointBlowdown)
+    """Internal: candidate fails a predicate; any other error is a bug and propagates."""
 
 
 def _sweep_path(max_dim: int, k: int, total: CohClass | None, m: int):
     """Build the slice path for (k points, total surface class, m points).
 
-    Returns (slices, blowdowns); a blow-down whose zero-area classes do not
-    match the m points raises VanishingCycleMismatch or NonDisjointBlowdown.
+    Returns (slices, blowdowns, exceptional), where exceptional[i] holds the
+    (-1)-classes of the lattice of slices[i], built once per lattice.
+    Generation fixes the level-one blow-down count (`_counts_for`,
+    `_candidate_totals`), so a blow-down whose zero-area classes do not match
+    the m points is a bug: VanishingCycleMismatch or NonDisjointBlowdown.
     """
     state = initial_slice(point(-3, MIN_WEIGHTS))
-    slices = []
-    blowdowns = []
+    exc = ()
+    slices, blowdowns, exceptional = [], [], []
 
     def close(level):
         slices.append(state.with_interval(state.interval[0], level))
+        exceptional.append(exc)
 
     if k:
         close(-1)
         state = blow_up(state, -1, k)
+        exc = exceptional_classes(state.lattice)
     if total is not None:
         close(0)
         state = shift(state, 0, total)
     if m:
         close(1)
-        state, vanishing = blow_down(state, 1, m)
+        state, vanishing = blow_down(state, 1, m, exc)
         blowdowns.append((1, vanishing))
+        exc = exceptional_classes(state.lattice) if state.lattice.kind == BLOWUP else ()
     close(TOP_LEVEL[max_dim])
-    return slices, blowdowns
+    return slices, blowdowns, exceptional
 
 
-def _check_top(max_dim: int, top_slice: SliceState):
-    """Extremum-side predicates; returns data needed to build the top component."""
+def _check_top(max_dim: int, top_slice: SliceState, exceptional):
+    """Extremum-side predicates; returns data needed to build the top component.
+
+    `exceptional` holds the (-1)-classes of the top slice's lattice.  That
+    none collapses at a 4-dimensional maximum is the level-one count m = 0 of
+    generation.
+    """
     top = TOP_LEVEL[max_dim]
     if max_dim == 0:
         if top_slice.lattice.rank != 1 or not top_slice.omega(3).is_zero():
@@ -202,7 +210,7 @@ def _check_top(max_dim: int, top_slice: SliceState):
     if max_dim == 2:
         if top_slice.lattice.rank != 2:
             raise _Reject("sphere maximum needs a rank-2 slice")
-        if vanishing_classes(top_slice, 2):
+        if vanishing_classes(top_slice, 2, exceptional):
             raise _Reject("exceptional class collapses at the sphere maximum")
         fibers = [f for f in fiber_classes_of(top_slice.lattice) if area(top_slice, f, 2) == 0]
         if len(fibers) != 1:
@@ -213,26 +221,27 @@ def _check_top(max_dim: int, top_slice: SliceState):
         if 2 + b_max < 1:
             raise _Reject("sphere maximum would have nonpositive area")
         return b_max
-    if vanishing_classes(top_slice, 1):
-        raise _Reject("exceptional class collapses at the 4-dimensional maximum")
     if dh(top_slice, 1) <= 0:
         raise _Reject("reduced volume vanishes at the 4-dimensional maximum")
     return (top_slice.lattice, top_slice.euler)
 
 
-def _check_slices(slices, max_dim: int):
-    """DH positivity and exceptional-area positivity along the whole path."""
+def _check_slices(slices, max_dim: int, exceptional):
+    """DH positivity and exceptional-area positivity along the whole path.
+
+    exceptional[i] holds the (-1)-classes of the lattice of slices[i].
+    """
     zero_ends = {Fraction(-3)}
     if max_dim == 0:
         zero_ends.add(Fraction(3))
     if max_dim == 2:
         zero_ends.add(Fraction(2))
-    for s in slices:
+    for s, exc in zip(slices, exceptional):
         if not positive_square_throughout(s, allow_zero_ends=zero_ends):
             raise _Reject("reduced class loses positivity")
-        if s.lattice.kind == BLOWUP and s.lattice.blowups:
+        if exc:
             w_lo, w_hi = s.omega(s.interval[0]), s.omega(s.interval[1])
-            for c in exceptional_classes(s.lattice):
+            for c in exc:
                 alo, ahi = pair(w_lo, c), pair(w_hi, c)
                 if alo < 0 or ahi < 0 or (alo == 0 and ahi == 0):
                     raise _Reject(f"exceptional class {c!r} loses area")
@@ -267,44 +276,66 @@ def _assemble(max_dim, k, m, splitting, slices, blowdowns, top_data):
     return TFD(None, max_dim, tuple(comps), tuple(slices), tuple(blowdowns))
 
 
-def _candidate_totals(k: int, has_blowdown: bool):
+def _candidate_totals(k: int, m: int):
     """Integral class candidates (a; b1, ..., bk) for the level-0 fixed surface.
 
-    Tails are nondecreasing (one representative per index permutation) and
-    pre-filtered by the area constraints at level one, where
-    omega(1) = (4-a; -(b1+2), ..., -(bk+2)).  The predicates bound every range:
+    m index-four points sit at level one.  Above the minimum the reduced
+    class is (t+3)u and the Euler class -u; the k blow-ups at level -1 add
+    E1 + ... + Ek to the Euler class, so omega(0) = 3u - sum Ei = c1, and the
+    surface shifts the Euler class by (a; b) to (a-1; b1+1, ..., bk+1).  So
+
+        omega(1) = omega(0) - euler = (4-a; -(b1+2), ..., -(bk+2)).
+
+    A total is yielded only if exactly m (-1)-classes have zero area under
+    omega(1) and they are pairwise disjoint: these are the classes the m
+    points contract (`blow_down`), and with m = 0 below a 4-dimensional
+    maximum none may collapse there.  Tails are nondecreasing (one
+    representative per index permutation).  Ei has area bi+2 at level one,
+    so bi >= -2, or bi >= -1 when nothing is blown down, and then
+    u - Ei - Ej keeps positive area -a-bi-bj too.  The predicates bound every
+    range:
 
     - a <= 3.  omega(0) = c1 has u-coefficient 3 and omega is linear up to
       level one, so for a >= 4 the u-coefficient vanishes at some t in
       (0, 1], where omega^2 = -sum y^2 <= 0; `positive_square_throughout`
       allows zeros only at -3, 2 and 3 (the forward-cone condition of
       T.-J. Li and A.-K. Liu, 2001).
-    - Lower limit on a.  Volume 3a + sum b >= 1 means sum (b+2) >= 2k+1-3a,
-      and the integral level-one volume means sum (b+2)^2 <= (4-a)^2 - 1.
-      When 2k+1-3a > 0, Cauchy-Schwarz asks (2k+1-3a)^2 <= k((4-a)^2 - 1),
-      a quadratic in a with leading coefficient 9-k.  It holds at
-      a = (2k+1)/3 <= 3 for k <= 4, so the passing a form an interval ending
-      at 3; for k >= 5 no a <= 3 passes.  Scanning down from 3 gives
-      a >= 1, 0, 0, 1, 2 for k = 0..4 and nothing for k >= 5.
+    - Lower limit on a (`_leading_coefficients`).
     - The level-one budget alone stops the tails (`_sorted_tails`).
     """
     lat = make_blowup_lattice(k)
-    b_floor = -2 if has_blowdown else -1
+    exc = exceptional_classes(lat)
+    b_floor = -2 if m else -1
+    for a in _leading_coefficients(k):
+        for tail in _sorted_tails(k, b_floor, (4 - a) ** 2 - 1):
+            if 3 * a + sum(tail) < 1:
+                continue
+            if k >= 2 and not m and a + tail[-1] + tail[-2] > -1:
+                continue
+            omega1 = CohClass(lat, (4 - a,) + tuple(-(b + 2) for b in tail))
+            zero = [e for e in exc if pair(omega1, e) == 0]
+            if len(zero) != m or any(pair(e, f) for e, f in itertools.combinations(zero, 2)):
+                continue
+            yield CohClass(lat, (a,) + tail)
+
+
+def _leading_coefficients(k: int) -> list[int]:
+    """The u-coefficients a <= 3 of level-0 totals on P2#k, ascending.
+
+    Volume 3a + sum b >= 1 means sum (b+2) >= 2k+1-3a, and the integral
+    level-one volume means sum (b+2)^2 <= (4-a)^2 - 1.  When 2k+1-3a > 0,
+    Cauchy-Schwarz asks (2k+1-3a)^2 <= k((4-a)^2 - 1), a quadratic in a with
+    leading coefficient 9-k.  It holds at a = (2k+1)/3 <= 3 for k <= 4, so
+    the passing a form an interval ending at 3; for k >= 5 no a <= 3 passes.
+    Scanning down from 3 gives a >= 1, 0, 0, 1, 2 for k = 0..4 and nothing
+    for k >= 5.
+    """
 
     def reachable(a):
         need = 2 * k + 1 - 3 * a
         return need <= 0 or need * need <= k * ((4 - a) ** 2 - 1)
 
-    for a in reversed(list(itertools.takewhile(reachable, itertools.count(3, -1)))):
-        for tail in _sorted_tails(k, b_floor, (4 - a) ** 2 - 1):
-            volume = 3 * a + sum(tail)
-            if volume < 1:
-                continue
-            if k >= 2 and not has_blowdown:
-                # classes u - Ei - Ej keep positive area at the top of the sweep
-                if a + tail[-1] + tail[-2] > -1:
-                    continue
-            yield CohClass(lat, (a,) + tail)
+    return list(reversed(list(itertools.takewhile(reachable, itertools.count(3, -1)))))
 
 
 def _sorted_tails(n, lo, budget, prev=None):
@@ -327,20 +358,37 @@ def _sorted_tails(n, lo, budget, prev=None):
 
 
 def _counts_for(max_dim: int, crit: frozenset[int]):
-    """Possible (k, m) point counts at levels -1 and +1, or None if empty."""
+    """Possible (k, m) point counts at levels -1 and +1.
+
+    The counting identities tie m to k: m = k below a point maximum,
+    m = k - 1 below a sphere maximum (so k >= 1), m = 0 below a 4-manifold
+    maximum.  The level-one blow-down count bounds k:
+
+    - With a level-0 surface, k runs while some leading coefficient passes
+      (`_leading_coefficients`), that is k <= 4.
+    - Without one, omega(1) = 4u - 2 sum Ei on P2#k.  The seven shapes of
+      `exceptional_classes` pair with it to 2, 0, -2, -4, -6, -8 and -10, so
+      the zero-area classes are exactly the C(k, 2) classes u - Ei - Ej.
+      Their count must be m <= k, so k <= 3, where any two of them share an
+      index and so are disjoint.  C(k, 2) = m leaves k = 3 at a point
+      maximum, k <= 2 at a sphere maximum and k <= 1 at a 4-manifold
+      maximum.
+    """
     want_minus = -1 in crit
     want_plus = 1 in crit
-    ks = range(1, 9) if want_minus else (0,)
+    if not want_minus:
+        ks = (0,)
+    elif 0 in crit:
+        ks = itertools.takewhile(_leading_coefficients, itertools.count(1))
+    else:
+        ks = itertools.takewhile(lambda k: math.comb(k, 2) <= k, itertools.count(1))
     out = []
     for k in ks:
-        if max_dim == 0:
-            m = k
-        elif max_dim == 2:
-            if k == 0:
-                continue  # the counting identity |Z_1| + 1 = |Z_-1| needs k >= 1
-            m = k - 1
-        else:
-            m = 0
+        m = {0: k, 2: k - 1, 4: 0}[max_dim]
+        if m < 0:
+            continue  # the counting identity |Z_1| + 1 = |Z_-1| needs k >= 1
+        if 0 not in crit and math.comb(k, 2) != m:
+            continue
         if (m >= 1) != want_plus:
             continue
         out.append((k, m))
@@ -363,16 +411,13 @@ def enumerate_tfd(max_dim: int, crit) -> list[TFD]:
         return []  # level one is occupied by the maximum itself
     found: dict[tuple, TFD] = {}
     for k, m in _counts_for(max_dim, crit):
-        if 0 in crit:
-            totals = list(_candidate_totals(k, m > 0))
-        else:
-            totals = [None]
+        totals = _candidate_totals(k, m) if 0 in crit else [None]
         for total in totals:
             try:
-                slices, blowdowns = _sweep_path(max_dim, k, total, m)
-                top_data = _check_top(max_dim, slices[-1])
-                _check_slices(slices, max_dim)
-            except _REJECTIONS:
+                slices, blowdowns, exceptional = _sweep_path(max_dim, k, total, m)
+                top_data = _check_top(max_dim, slices[-1], exceptional[-1])
+                _check_slices(slices, max_dim, exceptional)
+            except _Reject:
                 continue
             if total is not None:
                 splittings = component_splittings(total.lattice, total)
@@ -398,14 +443,19 @@ def enumerate_tfd(max_dim: int, crit) -> list[TFD]:
 
 
 def _canonicalize(tfd: TFD, k: int) -> TFD:
-    """Minimize the serialization over permutations of the exceptional indices."""
+    """Minimize the serialization over permutations of the exceptional indices.
+
+    Permutations with the same sorted splitting give the same sweep and the
+    same candidate, so each distinct splitting is swept once.
+    """
     if k <= 1:
         return tfd
     best = None
+    swept = set()
     interior = tfd.interior_surfaces
     m = sum(1 for fc in tfd.components if fc.level == 1 and fc.dim == 0)
+    lat = make_blowup_lattice(k)
     for perm in itertools.permutations(range(k)):
-        lat = make_blowup_lattice(k)
         def permute(cls: CohClass) -> CohClass:
             tail = cls.coeffs[1:]
             return CohClass(lat, (cls.coeffs[0],) + tuple(tail[p] for p in perm))
@@ -415,15 +465,18 @@ def _canonicalize(tfd: TFD, k: int) -> TFD:
             c = permute(fc.spec.surface_class)
             split.append((c, fc.spec.genus))
             total = total + c
-        split.sort(key=lambda t: t[0].coeffs)
+        split = tuple(sorted(split, key=lambda t: t[0].coeffs))
+        if split in swept:
+            continue
+        swept.add(split)
         try:
-            slices, blowdowns = _sweep_path(
+            slices, blowdowns, exceptional = _sweep_path(
                 tfd.max_dim, k, total if interior else None, m
             )
-            top_data = _check_top(tfd.max_dim, slices[-1])
-        except _REJECTIONS:
+            top_data = _check_top(tfd.max_dim, slices[-1], exceptional[-1])
+        except _Reject:
             continue
-        cand = _assemble(tfd.max_dim, k, m, tuple(split), slices, blowdowns, top_data)
+        cand = _assemble(tfd.max_dim, k, m, split, slices, blowdowns, top_data)
         key = serialization(cand)
         if best is None or key < best[0]:
             best = (key, cand)

@@ -92,11 +92,17 @@ def cmd_capacities(_args) -> int:
 
 
 def cmd_toric(args) -> int:
+    if args.polytope and not args.xi:
+        print("--polytope needs --xi a,b,c", file=sys.stderr)
+        return 2
+    if args.xi and not args.polytope:
+        print("--xi needs --polytope FILE", file=sys.stderr)
+        return 2
+    if args.polytope and args.corpus:
+        print("--corpus and --polytope exclude each other", file=sys.stderr)
+        return 2
     try:
         if args.polytope:
-            if not args.xi:
-                print("--polytope needs --xi a,b,c", file=sys.stderr)
-                return 2
             xi = CircleDirection(tuple(int(x) for x in args.xi.split(",")))
             poly = Polytope.load(args.polytope)
             poly.check_reflexive()

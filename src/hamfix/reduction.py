@@ -24,7 +24,6 @@ from .errors import (
     VanishingCycleMismatch,
 )
 from .lattice import (
-    BLOWUP,
     PRODUCT,
     CohClass,
     SurfaceLattice,
@@ -111,13 +110,10 @@ def area(state: SliceState, c: CohClass, t):
     return pair(state.omega(t), c)
 
 
-def vanishing_classes(state: SliceState, level) -> tuple[CohClass, ...]:
-    """Exceptional classes whose area vanishes at the given level."""
-    if state.lattice.kind != BLOWUP or state.lattice.blowups == 0:
-        return ()
-    exc = exceptional_classes(state.lattice)
+def vanishing_classes(state: SliceState, level, exceptional) -> tuple[CohClass, ...]:
+    """The classes in `exceptional` whose area vanishes at the given level."""
     w = state.omega(level)
-    return tuple(c for c in exc if pair(w, c) == 0)
+    return tuple(c for c in exceptional if pair(w, c) == 0)
 
 
 def cross(state: SliceState, event: CrossingEvent) -> SliceState:
@@ -133,7 +129,7 @@ def cross(state: SliceState, event: CrossingEvent) -> SliceState:
     if kinds == {(0, 2)}:
         return blow_up(state, event.level, n)
     if kinds == {(0, 4)}:
-        return blow_down(state, event.level, n)[0]
+        return blow_down(state, event.level, n, exceptional_classes(state.lattice))[0]
     if kinds == {(2, 2)}:
         total = sum((fc.spec.surface_class for fc in event.components), state.lattice.zero())
         return shift(state, event.level, total)
@@ -167,13 +163,14 @@ def shift(state: SliceState, level, total: CohClass) -> SliceState:
     )
 
 
-def blow_down(state: SliceState, level, m: int):
+def blow_down(state: SliceState, level, m: int, exceptional):
     """Cross m index-four points: contract the zero-area exceptional classes.
 
-    Returns the new slice and the contracted classes, which must be exactly m
-    pairwise disjoint ones.
+    `exceptional` holds the (-1)-classes of the slice lattice.  Returns the
+    new slice and the contracted classes, which must be exactly m pairwise
+    disjoint ones.
     """
-    vanishing = vanishing_classes(state, level)
+    vanishing = vanishing_classes(state, level, exceptional)
     if len(vanishing) != m:
         raise VanishingCycleMismatch(
             f"{len(vanishing)} zero-area exceptional classes for {m} blow-downs: "
@@ -182,14 +179,16 @@ def blow_down(state: SliceState, level, m: int):
     for a, b in itertools.combinations(vanishing, 2):
         if pair(a, b) != 0:
             raise NonDisjointBlowdown(f"{a!r}.{b!r} = {pair(a, b)}")
-    new_lat, push = blowdown_lattice(state.lattice, vanishing)
+    new_lat, push = blowdown_lattice(state.lattice, vanishing, exceptional)
     euler = push(sum(vanishing, state.euler))
     omega = push(state.omega(level))
     return _state(new_lat, euler, level, omega, level, state.interval[1]), vanishing
 
 
-def blowdown_lattice(lattice: SurfaceLattice, vanishing):
+def blowdown_lattice(lattice: SurfaceLattice, vanishing, exceptional):
     """Contract pairwise-orthogonal exceptional classes.
+
+    `exceptional` holds the (-1)-classes of the lattice.
 
     Returns the standard lattice of the blown-down space together with the
     pushforward map on classes orthogonal to every contracted class (the
@@ -209,8 +208,7 @@ def blowdown_lattice(lattice: SurfaceLattice, vanishing):
     """
     c1 = sum(vanishing, lattice.anticanonical)
     r = lattice.rank - len(vanishing)
-    exc = exceptional_classes(lattice)
-    free = [e for e in exc if all(pair(e, v) == 0 for v in vanishing)]
+    free = [e for e in exceptional if all(pair(e, v) == 0 for v in vanishing)]
     if r == 1 or free:
         chosen = _disjoint(free, r - 1, ())
         if chosen is None:
@@ -219,7 +217,10 @@ def blowdown_lattice(lattice: SurfaceLattice, vanishing):
         dual = [Fraction(1, 3) * sum(chosen, c1)] + [-1 * e for e in chosen]
     else:
         v, *rest = vanishing
-        fibers = [e + v for e in exc if pair(e, v) == 1 and all(pair(e, w) == 0 for w in rest)]
+        fibers = [
+            e + v for e in exceptional
+            if pair(e, v) == 1 and all(pair(e, w) == 0 for w in rest)
+        ]
         if r != 2 or len(fibers) != 2:
             raise InternalArithmeticError("complement lattice not recognized")
         new_lat, dual = product_lattice(), fibers[::-1]

@@ -13,8 +13,13 @@ from hamfix.classify6 import (
     flip,
     serialization,
 )
-from hamfix.errors import CapacityFormulaInapplicable, ClassificationMismatch
-from hamfix.lattice import pair
+from hamfix.errors import (
+    CapacityFormulaInapplicable,
+    ClassificationMismatch,
+    NonDisjointBlowdown,
+    VanishingCycleMismatch,
+)
+from hamfix.lattice import CohClass, exceptional_classes, make_blowup_lattice, pair
 from hamfix.localization import (
     C1,
     InteriorSurface,
@@ -23,17 +28,21 @@ from hamfix.localization import (
     betti,
     chern_number,
     integrate,
+    point,
 )
 from hamfix.reduction import (
     CrossingEvent,
     area,
+    blow_up,
     check_dh_decrease,
     cross,
     dh,
     initial_slice,
+    shift,
     vanishing_classes,
 )
 from tfd_slices import slice_above, slice_below
+import unpruned
 
 
 @pytest.fixture(scope="module")
@@ -206,7 +215,8 @@ def test_blowdown_replay(rows):
             )
             below = slice_below(t, level)
             assert len(classes) == m, t.label
-            assert tuple(vanishing_classes(below, level)) == classes
+            exc = exceptional_classes(below.lattice)
+            assert tuple(vanishing_classes(below, level, exc)) == classes
             for a, b in itertools.combinations(classes, 2):
                 assert pair(a, b) == 0
             for c in classes:
@@ -260,54 +270,121 @@ def _widened_box(k):
     return 8 if k <= 4 else 6
 
 
+def _level_one_vanishing(k, total):
+    """The (-1)-classes of zero area at level one, read off the swept slice."""
+    state = blow_up(initial_slice(point(-3, (1, 1, 1))), -1, k)
+    if total is not None:
+        state = shift(state, 0, total)
+    return vanishing_classes(state, 1, exceptional_classes(state.lattice))
+
+
+def _passes_level_one_count(k, total, m):
+    vanishing = _level_one_vanishing(k, total)
+    disjoint = all(pair(a, b) == 0 for a, b in itertools.combinations(vanishing, 2))
+    return len(vanishing) == m and disjoint
+
+
 @pytest.mark.parametrize("has_blowdown", [False, True])
 @pytest.mark.parametrize("k", range(9))
 def test_candidate_totals_match_unpruned_box(k, has_blowdown):
-    # the derived ranges drop only a >= 4 from the filtered box: the
-    # Cauchy-Schwarz lower limit on a and the unboxed tails lose nothing
-    got = [c.coeffs for c in _candidate_totals(k, has_blowdown)]
-    box = _unpruned_totals(k, has_blowdown, _widened_box(k))
-    assert got == [t for t in box if t[0] <= 3]
+    # the derived ranges drop only a >= 4 from the filtered box, and the
+    # level-one count keeps exactly the totals with m vanishing classes
+    lat = make_blowup_lattice(k)
+    box = [t for t in _unpruned_totals(k, has_blowdown, _widened_box(k)) if t[0] <= 3]
+    for m in range(1, k + 2) if has_blowdown else (0,):
+        got = [c.coeffs for c in _candidate_totals(k, m)]
+        assert got == [t for t in box if _passes_level_one_count(k, CohClass(lat, t), m)]
     if k >= 5:
-        assert got == []
+        assert box == []
 
 
 def test_candidate_totals_cover_box_survivors():
-    # every filtered box total that survives the sweep is yielded, in each
-    # (max_dim, k, m) cell whose critical set holds level 0
-    from hamfix.classify6 import (
-        _REJECTIONS,
-        _check_slices,
-        _check_top,
-        _counts_for,
-        _sweep_path,
-    )
-    from hamfix.lattice import CohClass, make_blowup_lattice
+    # every filtered box total that survives the unpruned sweep is yielded,
+    # in each (max_dim, k, m) cell of the unpruned search whose critical set
+    # holds level 0, and the derived point counts keep its cell
+    from hamfix.classify6 import _counts_for
 
-    cells = {
-        (max_dim, k, m)
-        for max_dim in (0, 2, 4)
-        for crit in ({0}, {-1, 0}, {0, 1}, {-1, 0, 1})
-        for k, m in _counts_for(max_dim, frozenset(crit))
-    }
-    assert len(cells) == 26
+    def cells(counts_for):
+        return {
+            (max_dim, k, m)
+            for max_dim in (0, 2, 4)
+            for crit in ({0}, {-1, 0}, {0, 1}, {-1, 0, 1})
+            for k, m in counts_for(max_dim, frozenset(crit))
+        }
+
+    unpruned_cells, kept = cells(unpruned.counts_for), cells(_counts_for)
+    assert (len(unpruned_cells), len(kept)) == (26, 14)
+    assert kept <= unpruned_cells
     checked = survivors = 0
-    for max_dim, k, m in sorted(cells):
-        got = {c.coeffs for c in _candidate_totals(k, m > 0)}
+    for max_dim, k, m in sorted(unpruned_cells):
+        got = {c.coeffs for c in _candidate_totals(k, m)}
         boxed = list(_unpruned_totals(k, m > 0, _widened_box(k)))
         assert got <= set(boxed)
         lat = make_blowup_lattice(k)
         for t in boxed:
             checked += 1
             try:
-                slices, _ = _sweep_path(max_dim, k, CohClass(lat, t), m)
-                _check_top(max_dim, slices[-1])
-                _check_slices(slices, max_dim)
-            except _REJECTIONS:
+                unpruned.sweep(max_dim, k, CohClass(lat, t), m)
+            except unpruned.REJECTIONS:
                 continue
             survivors += 1
+            assert (max_dim, k, m) in kept, (max_dim, k, m, t)
             assert t in got, (max_dim, k, m, t)
     assert (checked, survivors) == (290, 19)
+
+
+def test_search_matches_unpruned_reference(rows):
+    # generating only candidates that pass the level-one count, deriving k and
+    # sweeping each distinct permutation once lose no row and change none
+    def view(t):
+        return (t.label, serialization(t), t.components, t.slices, t.blowdowns)
+
+    assert [view(t) for t in unpruned.classify_all()] == [view(t) for t in rows]
+
+
+def test_swept_candidates_pass_the_level_one_count(monkeypatch):
+    from hamfix import classify6
+
+    swept = []
+    sweep_path = classify6._sweep_path
+
+    def recording(max_dim, k, total, m):
+        swept.append((k, total, m))
+        return sweep_path(max_dim, k, total, m)
+
+    monkeypatch.setattr(classify6, "_sweep_path", recording)
+    for max_dim in (0, 2, 4):
+        for r in range(4):
+            for crit in itertools.combinations((-1, 0, 1), r):
+                enumerate_tfd(max_dim, crit)
+    assert len(swept) == 46  # 37 candidates plus 9 canonicalization sweeps
+    for k, total, m in swept:
+        assert _passes_level_one_count(k, total, m), (k, total, m)
+
+
+@pytest.mark.parametrize(
+    "k,coeffs,error",
+    [
+        # E1 keeps area 1 at level one, so nothing vanishes for the one point
+        (1, (1, -1), VanishingCycleMismatch),
+        # E1 and u - E1 - E2 both vanish at level one, and they meet
+        (2, (1, -2, 1), NonDisjointBlowdown),
+    ],
+)
+def test_level_one_mismatch_is_an_error(monkeypatch, k, coeffs, error):
+    # generation settles the level-one count, so a total that breaks it is a
+    # bug: enumerate_tfd raises instead of skipping it as a rejection
+    from hamfix import classify6
+
+    lat = make_blowup_lattice(k)
+    assert not _passes_level_one_count(k, CohClass(lat, coeffs), k)
+
+    def wrong(kk, m):
+        return iter([CohClass(lat, coeffs)] if kk == k else [])
+
+    monkeypatch.setattr(classify6, "_candidate_totals", wrong)
+    with pytest.raises(error):
+        enumerate_tfd(0, {-1, 0, 1})
 
 
 def test_count_relations(rows):
@@ -384,7 +461,8 @@ def test_cross_replays_every_row(rows):
                 continue
             slices.append(state.with_interval(state.interval[0], level))
             if level == 1:
-                blowdowns.append((level, vanishing_classes(slices[-1], level)))
+                exc = exceptional_classes(slices[-1].lattice)
+                blowdowns.append((level, vanishing_classes(slices[-1], level, exc)))
             state = cross(slices[-1], CrossingEvent(level, comps))
         slices.append(state.with_interval(state.interval[0], max(t.crit_levels)))
         assert tuple(slices) == t.slices, t.label
@@ -396,7 +474,7 @@ def test_internal_arithmetic_errors_surface(monkeypatch):
     from hamfix import reduction
     from hamfix.errors import InternalArithmeticError
 
-    def broken(lattice, vanishing):
+    def broken(lattice, vanishing, exceptional):
         raise InternalArithmeticError("complement lattice not recognized")
 
     monkeypatch.setattr(reduction, "blowdown_lattice", broken)

@@ -128,6 +128,23 @@ def test_toric_verify_bad_input_exits_2(polytope, xi):
     assert "Traceback" not in proc.stderr
 
 
+def test_toric_verify_direction_needs_polytope():
+    # --xi alone would be ignored and the corpus verified
+    proc = hamfix("toric", "verify", "--xi", "1,1,1")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "--xi needs --polytope FILE\n"
+
+
+def test_toric_verify_corpus_excludes_polytope():
+    # --corpus would be ignored in favour of the one polytope
+    path = str(corpus_dir() / "p3.json")
+    proc = hamfix(
+        "toric", "verify", "--polytope", path, "--xi", "1,1,1", "--corpus", str(corpus_dir())
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "--corpus and --polytope exclude each other\n"
+
+
 def test_toric_verify_dangling_edge_exits_2(tmp_path):
     # an edge naming a vertex that does not exist is malformed input
     path = p3_with(tmp_path, "edges", 0, [0, 99])

@@ -88,7 +88,7 @@ def test_cross_blowdown_three_lines():
     # three blow-ups then three simultaneous blow-downs land back on the plane
     s0 = initial_slice(point(-3, (1, 1, 1))).with_interval(-3, -1)
     s1 = cross(s0, idx2_event(3)).with_interval(-1, 1)
-    vanish = vanishing_classes(s1, 1)
+    vanish = vanishing_classes(s1, 1, exceptional_classes(s1.lattice))
     assert {v.coeffs for v in vanish} == {
         (1, -1, -1, 0), (1, -1, 0, -1), (1, 0, -1, -1)
     }
@@ -152,7 +152,7 @@ def test_blowdown_disjointness():
         two.anticanonical,
         (Fraction(0), Fraction(1)),
     )
-    assert {v.coeffs for v in vanishing_classes(state, 1)} == {
+    assert {v.coeffs for v in vanishing_classes(state, 1, exceptional_classes(two))} == {
         (0, 1, 0), (1, -1, -1)
     }
     with pytest.raises(NonDisjointBlowdown):
@@ -222,7 +222,7 @@ def test_blowdown_lattice_oracle():
         lat = make_blowup_lattice(k)
         exc = exceptional_classes(lat)
         for vanishing in _disjoint_families(lat):
-            new_lat, push = blowdown_lattice(lat, vanishing)
+            new_lat, push = blowdown_lattice(lat, vanishing, exc)
             r = lat.rank - len(vanishing)
             assert new_lat.rank == r
             free = [e for e in exc if all(pair(e, v) == 0 for v in vanishing)]
