@@ -5,11 +5,11 @@ points blow the reduced space up at level -1, fixed surfaces shift the Euler
 class at level 0, index-four points blow down at level +1, and the maximum
 closes the interval at level 3 (point), 2 (sphere) or 1 (4-manifold).  The
 predicate suite keeps a candidate only if every slice stays symplectic, every
-exceptional class keeps positive area away from its collapse, the localization
-identities vanish, and the interior class splits into disjoint embedded
-components.  Candidates are generated with exactly as many zero-area
-exceptional classes at level one as there are points blowing them down, so
-the sweep never meets a blow-down count that does not match.
+exceptional class keeps positive area away from its collapse, and the interior
+class splits into disjoint embedded components; localization and Betti
+symmetry follow and are asserted.  Candidates are generated with exactly as
+many zero-area exceptional classes at level one as there are points blowing
+them down, so the sweep never meets a blow-down count that does not match.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .localization import (
     FixedComponent,
     InteriorSurface,
     ONE,
-    betti,
     integrate,
     point,
 )
@@ -401,6 +400,29 @@ def enumerate_tfd(max_dim: int, crit) -> list[TFD]:
     The maximum has dimension `max_dim` (0, 2 or 4) and `crit` holds the
     interior critical levels.  The searched classes range over what the
     predicates allow (see `_candidate_totals` and `component_splittings`).
+
+    Betti symmetry and the localization identities (the integrals of 1 and
+    c1 vanish) follow from the sweep, as the Laplace-transform side of
+    Duistermaat-Heckman (Duistermaat and Heckman 1982, Atiyah and Bott 1984),
+    so a failure raises InternalArithmeticError.  Write e- = (-1; 1, ..., 1),
+    T = sum ci for the level-0 total, e0 = e- + T, and e+, c1+ for the top
+    slice's Euler and anticanonical classes.
+
+    - Betti: each part adds 1 to b2 and to b4, so b2 - b4 is k - m at a
+      point maximum, k - m - 1 at a sphere and k + 1 - rank at a 4-manifold;
+      `_counts_for` makes each zero.
+    - Localization: a part has b+ = e0.ci and b- = -e-.ci, so
+      sum(b- - b+) = -2 e-.T - T.T, and sum vol(ci) = c1.T by adjunction.
+      With the point terms, ONE = 1 - k + m + 2 e-.T + T.T + t1 and
+      C1 = 3 - k - m - c1.T + t2, where (t1, t2) is (-1, 3), (b_max,
+      2 - b_max) and (-e+.e+, c1+.e+) at a point, sphere and 4-manifold
+      maximum.  As e-.e- = 1 - k and c1.e- = k - 3, ONE = e0.e0 + m + t1 and
+      C1 = t2 - m - c1.e0.  The m contracted classes E have c1.E = e0.E = 1,
+      so e+.e+ = e0.e0 + m and c1+.e+ = c1.e0 + m.  Every slice keeps
+      omega(t) = c1 - t e, so DH closure makes both vanish: at a point,
+      omega(3) = 0 on P2 gives e+ = u; at a sphere, b_max = -e+.e+ and
+      omega(2) = (2 - e+.e+) f for the vanishing fiber f (c1.f = 2,
+      c1.c1 = 8) gives c1+.e+ = 2 + e+.e+; at a 4-manifold, m = 0, e+ = e0.
     """
     if max_dim not in (0, 2, 4):
         raise ValueError(f"maximum dimension {max_dim} not in (0,2,4)")
@@ -419,24 +441,11 @@ def enumerate_tfd(max_dim: int, crit) -> list[TFD]:
                 _check_slices(slices, max_dim, exceptional)
             except _Reject:
                 continue
-            if total is not None:
-                splittings = component_splittings(total.lattice, total)
-            else:
-                splittings = [()]
-            if not splittings:
-                continue
-            accepted = []
+            splittings = [()] if total is None else component_splittings(total.lattice, total)
             for splitting in splittings:
                 tfd = _assemble(max_dim, k, m, splitting, slices, blowdowns, top_data)
-                if not integrate(tfd, ONE).is_zero():
-                    continue
-                if not integrate(tfd, C1).is_zero():
-                    continue
-                b = betti(tfd)
-                if b != tuple(reversed(b)):
-                    continue
-                accepted.append(tfd)
-            for tfd in accepted:
+                if not (integrate(tfd, ONE).is_zero() and integrate(tfd, C1).is_zero()):
+                    raise InternalArithmeticError(f"localization fails on {serialization(tfd)}")
                 canon = _canonicalize(tfd, k)
                 found.setdefault(serialization(canon), canon)
     return sorted(found.values(), key=sort_key)
@@ -445,44 +454,31 @@ def enumerate_tfd(max_dim: int, crit) -> list[TFD]:
 def _canonicalize(tfd: TFD, k: int) -> TFD:
     """Minimize the serialization over permutations of the exceptional indices.
 
-    Permutations with the same sorted splitting give the same sweep and the
-    same candidate, so each distinct splitting is swept once.
+    A permutation of E1..Ek is an isometry of P2#k fixing c1 and e-, so its
+    sweep rejects nothing.  It keeps the point descriptors and a sphere
+    maximum's -e+.e+; a 4-manifold maximum's Euler class is e- + T.  Level 0
+    is serialized before the top, so the sorted permuted splitting alone
+    orders the permuted candidates, and only a winner other than `tfd` is
+    swept.
     """
-    if k <= 1:
+    parts = [(fc.spec.surface_class.coeffs, fc.spec.genus) for fc in tfd.interior_surfaces]
+
+    def permuted(perm):
+        return tuple(sorted(((c[0],) + tuple(c[1 + p] for p in perm), g) for c, g in parts))
+
+    best = min(map(permuted, itertools.permutations(range(k))))
+    if best == permuted(range(k)):
         return tfd
-    best = None
-    swept = set()
-    interior = tfd.interior_surfaces
-    m = sum(1 for fc in tfd.components if fc.level == 1 and fc.dim == 0)
     lat = make_blowup_lattice(k)
-    for perm in itertools.permutations(range(k)):
-        def permute(cls: CohClass) -> CohClass:
-            tail = cls.coeffs[1:]
-            return CohClass(lat, (cls.coeffs[0],) + tuple(tail[p] for p in perm))
-        total = lat.zero()
-        split = []
-        for fc in interior:
-            c = permute(fc.spec.surface_class)
-            split.append((c, fc.spec.genus))
-            total = total + c
-        split = tuple(sorted(split, key=lambda t: t[0].coeffs))
-        if split in swept:
-            continue
-        swept.add(split)
-        try:
-            slices, blowdowns, exceptional = _sweep_path(
-                tfd.max_dim, k, total if interior else None, m
-            )
-            top_data = _check_top(tfd.max_dim, slices[-1], exceptional[-1])
-        except _Reject:
-            continue
-        cand = _assemble(tfd.max_dim, k, m, split, slices, blowdowns, top_data)
-        key = serialization(cand)
-        if best is None or key < best[0]:
-            best = (key, cand)
-    if best is None:
-        raise InternalArithmeticError("canonicalization lost the candidate")
-    return best[1]
+    split = tuple((CohClass(lat, c), g) for c, g in best)
+    m = sum(1 for fc in tfd.components if fc.level == 1 and fc.dim == 0)
+    total = sum((c for c, _ in split), lat.zero())
+    try:
+        slices, blowdowns, exceptional = _sweep_path(tfd.max_dim, k, total, m)
+        top_data = _check_top(tfd.max_dim, slices[-1], exceptional[-1])
+    except _Reject as err:
+        raise InternalArithmeticError(f"an index permutation was rejected: {err}") from err
+    return _assemble(tfd.max_dim, k, m, split, slices, blowdowns, top_data)
 
 
 def serialization(tfd: TFD):

@@ -51,6 +51,9 @@ def _emit_dh(rows, directory):
 
 
 def cmd_classify(args) -> int:
+    if args.emit_dh and args.dim != 6:
+        print("--emit-dh needs --dim 6", file=sys.stderr)
+        return 2
     if args.dim == 6:
         rows = [
             t for t in classify_all(strict=False) if _in_case(t.label, args.case)
@@ -105,7 +108,6 @@ def cmd_toric(args) -> int:
         if args.polytope:
             xi = CircleDirection(tuple(int(x) for x in args.xi.split(",")))
             poly = Polytope.load(args.polytope)
-            poly.check_reflexive()
             if not is_semifree(poly, xi):
                 print(f"{poly.name}: not semifree along {xi.xi}", file=sys.stderr)
                 return 1

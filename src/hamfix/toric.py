@@ -77,7 +77,7 @@ class CircleDirection:
 class Polytope:
     """Simple lattice 3-polytope with explicit combinatorics.
 
-    Built only if it passes `check_delzant`, so every method may rely on it.
+    Checked when built (`check_delzant`, and `check_reflexive` if flagged).
     """
 
     name: str
@@ -88,6 +88,8 @@ class Polytope:
 
     def __post_init__(self):
         self.check_delzant()
+        if self.reflexive:
+            self.check_reflexive()
 
     @staticmethod
     def from_dict(d) -> Polytope:
@@ -379,7 +381,6 @@ def chern_number_from_volume(p: Polytope) -> int:
     """Anticanonical degree of the toric 3-fold: six times the volume."""
     if not p.reflexive:
         raise NotReflexive(f"{p.name}: not flagged reflexive")
-    p.check_reflexive()
     return p.normalized_volume()
 
 
@@ -418,7 +419,6 @@ def verify_corpus(directory=None, rows=None):
         rows = classify_all(strict=False)
     results = []
     for poly, direction, expected in load_corpus(directory):
-        poly.check_reflexive()
         if not is_semifree(poly, direction):
             raise HamfixError(f"{poly.name}: not semifree along {direction.xi}")
         match = tfd_from_polytope(poly, direction, rows)

@@ -357,7 +357,7 @@ def test_swept_candidates_pass_the_level_one_count(monkeypatch):
         for r in range(4):
             for crit in itertools.combinations((-1, 0, 1), r):
                 enumerate_tfd(max_dim, crit)
-    assert len(swept) == 46  # 37 candidates plus 9 canonicalization sweeps
+    assert len(swept) == 37  # the 37 candidates; every row is already canonical
     for k, total, m in swept:
         assert _passes_level_one_count(k, total, m), (k, total, m)
 
@@ -467,6 +467,50 @@ def test_cross_replays_every_row(rows):
         slices.append(state.with_interval(state.interval[0], max(t.crit_levels)))
         assert tuple(slices) == t.slices, t.label
         assert tuple(blowdowns) == t.blowdowns, t.label
+
+
+def test_localization_failure_is_an_error(monkeypatch):
+    # the localization identities are derived from the sweep, so a nonzero
+    # sum is a bug and must not be skipped as a rejected candidate
+    from hamfix import classify6
+    from hamfix.errors import InternalArithmeticError
+    from hamfix.localization import LaurentPoly
+
+    monkeypatch.setattr(classify6, "integrate", lambda tfd, alpha: LaurentPoly.x_power(-3))
+    with pytest.raises(InternalArithmeticError):
+        enumerate_tfd(0, {-1, 1})
+
+
+def test_canonicalize_undoes_every_index_permutation(rows):
+    # an index permutation is an isometry fixing c1: the permuted splitting
+    # sweeps without a rejection, and canonicalization returns the row
+    from hamfix.classify6 import _assemble, _canonicalize, _check_slices, _check_top, _sweep_path
+
+    inputs = moved = 0
+    for t in rows:
+        k = sum(1 for fc in t.at_level(-1) if fc.dim == 0)
+        m = sum(1 for fc in t.at_level(1) if fc.dim == 0)
+        if k < 2 or not t.interior_surfaces:
+            continue
+        lat = t.reduced_lattice
+        for perm in itertools.permutations(range(k)):
+            split = []
+            for fc in t.interior_surfaces:
+                c = fc.spec.surface_class.coeffs
+                permuted = CohClass(lat, (c[0],) + tuple(c[1 + p] for p in perm))
+                split.append((permuted, fc.spec.genus))
+            split.sort(key=lambda part: part[0].coeffs)
+            total = sum((c for c, _ in split), lat.zero())
+            slices, blowdowns, exceptional = _sweep_path(t.max_dim, k, total, m)
+            top_data = _check_top(t.max_dim, slices[-1], exceptional[-1])
+            _check_slices(slices, t.max_dim, exceptional)
+            cand = _assemble(t.max_dim, k, m, tuple(split), slices, blowdowns, top_data)
+            inputs += 1
+            moved += serialization(cand) != serialization(t)
+            canon = _canonicalize(cand, k)
+            assert serialization(canon) == serialization(t), (t.label, perm)
+            assert (canon.slices, canon.blowdowns) == (t.slices, t.blowdowns), (t.label, perm)
+    assert (inputs, moved) == (12, 6)
 
 
 def test_internal_arithmetic_errors_surface(monkeypatch):

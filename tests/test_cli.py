@@ -163,6 +163,25 @@ def test_toric_verify_not_delzant_exits_1(tmp_path):
     )
 
 
+def test_toric_verify_not_reflexive_exits_1(tmp_path):
+    # the size-2 simplex is Delzant but has no interior lattice point
+    record = {
+        "name": "bad",
+        "vertices": [[0, 0, 0], [2, 0, 0], [0, 2, 0], [0, 0, 2]],
+        "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]],
+        "facets": [
+            {"normal": list(n), "offset": o}
+            for n, o in (((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, -1), -2))
+        ],
+        "reflexive": True,
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(record), encoding="utf-8")
+    proc = hamfix("toric", "verify", "--polytope", str(path), "--xi", "1,1,1")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "verification failed: bad: 0 interior lattice points\n"
+
+
 def test_tables_diff_shows_known_discrepancies(capsys):
     assert run(["tables", "diff"]) == 1
     out, _ = capture(capsys)
@@ -196,6 +215,16 @@ def test_emit_dh(tmp_path, capsys):
     assert body.startswith("t\tDH\n")
     assert "-3\t0" in body
     assert "0\t9" in body  # the reduced class 3u has square nine
+
+
+def test_emit_dh_needs_dim_6(tmp_path):
+    # the DH tables are six-dimensional slices; with --dim 4 the flag would
+    # be ignored without a word
+    target = tmp_path / "dh"
+    proc = hamfix("classify", "--dim", "4", "--emit-dh", str(target))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "--emit-dh needs --dim 6\n"
+    assert not target.exists()
 
 
 def test_unknown_flag_exits_2(capsys):

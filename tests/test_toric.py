@@ -190,19 +190,21 @@ def test_euler_characteristic_consistency(corpus, rows):
 
 
 def test_not_delzant_detected():
-    bad = Polytope(
-        name="bad",
-        vertices=((0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)),
-        edges=((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
-        facets=(
-            ((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, -1), -2),
-        ),
-        reflexive=True,
-    )
     # vertex (2,0,0) has edge directions (-1,0,0), (-1,1,0), (-1,0,1): fine,
     # but the size-2 simplex is not reflexive (no interior lattice point lies
-    # at distance one from all facets); shrink instead to break the vertex cone
-    # a polytope is checked when it is built
+    # at distance one from all facets), and a polytope flagged reflexive is
+    # checked for it when it is built
+    with pytest.raises(NotReflexive):
+        Polytope(
+            name="bad",
+            vertices=((0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)),
+            edges=((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
+            facets=(
+                ((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, -1), -2),
+            ),
+            reflexive=True,
+        )
+    # shrink instead to break the vertex cone
     with pytest.raises(NotDelzant):
         Polytope(
             name="squashed",
@@ -213,8 +215,6 @@ def test_not_delzant_detected():
             ),
             reflexive=False,
         )
-    with pytest.raises(NotReflexive):
-        bad.check_reflexive()
 
 
 @pytest.mark.parametrize(

@@ -79,7 +79,6 @@ def build(name, verts, xi, row):
         facets=tuple(facets),
         reflexive=True,
     )
-    poly.check_reflexive()
     direction = CircleDirection(xi)
     assert is_semifree(poly, direction), name
     faces = fixed_faces(poly, direction)
