@@ -9,14 +9,14 @@ extrema at +-1, interior points at 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ClassificationMismatch, OutOfInterval
 from . import golden
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class TFD4:
     """One four-dimensional fixed-point data row."""
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -44,6 +43,7 @@ from .localization import (
     integrate,
     point,
 )
+from .record import record
 from .reduction import (
     SliceState,
     area,
@@ -66,7 +66,7 @@ MAX_WEIGHTS = (-1, -1, -1)
 TOP_LEVEL = {0: 3, 2: 2, 4: 1}
 
 
-@dataclass(frozen=True)
+@record
 class TFD:
     """A topological fixed-point data record with its derived slice path."""
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import difflib
 import json
 import sys
 from fractions import Fraction
@@ -139,6 +138,7 @@ def cmd_tables(args) -> int:
     if got == want:
         print("tables match")
         return 0
+    import difflib  # only a mismatch needs it; most runs skip its import
     diff = difflib.unified_diff(
         want.splitlines(keepends=True),
         got.splitlines(keepends=True),

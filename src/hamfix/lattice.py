@@ -10,16 +10,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidBlowupCount, LatticeMismatch, NoExceptionalBasis
+from .record import record
 
 BLOWUP = "blowup"
 PRODUCT = "product"
 
 
-@dataclass(frozen=True)
+@record
 class SurfaceLattice:
     """Second cohomology of a reduced space with its intersection pairing."""
 
@@ -75,7 +75,7 @@ def product_lattice() -> SurfaceLattice:
     return SurfaceLattice(PRODUCT)
 
 
-@dataclass(frozen=True)
+@record
 class CohClass:
     """Exact coefficient vector over a SurfaceLattice."""
 

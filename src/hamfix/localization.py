@@ -19,7 +19,6 @@ type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -29,6 +28,7 @@ from .errors import (
     InvalidFixedComponent,
 )
 from .lattice import PRODUCT, CohClass, SurfaceLattice, pair
+from .record import record
 
 ONE = "one"
 C1 = "c1"
@@ -38,7 +38,7 @@ INTEGRANDS = (ONE, C1, C1_CUBED)
 _POWER = {ONE: 0, C1: 1, C1_CUBED: 3}
 
 
-@dataclass(frozen=True)
+@record
 class LaurentPoly:
     """Finitely supported map from integer x-degrees to exact rationals."""
 
@@ -103,7 +103,7 @@ class LaurentPoly:
         return " ".join(bits)
 
 
-@dataclass(frozen=True)
+@record
 class IsolatedPoint:
     """Isolated fixed point with semifree tangent weights."""
 
@@ -142,7 +142,7 @@ class IsolatedPoint:
         return ("pt", tuple(sorted(self.weights)))
 
 
-@dataclass(frozen=True)
+@record
 class InteriorSurface:
     """Fixed surface at an interior level, embedded in the reduced space."""
 
@@ -197,7 +197,7 @@ class InteriorSurface:
         return ("sphere", pair(omega(), self.surface_class))
 
 
-@dataclass(frozen=True)
+@record
 class ExtremalSurface:
     """Extremal fixed 2-sphere; normal bundle splits with these degrees."""
 
@@ -243,7 +243,7 @@ class ExtremalSurface:
         return ("sphere", 2 + self.normal_degrees[0] + self.normal_degrees[1])
 
 
-@dataclass(frozen=True)
+@record
 class ExtremalFourManifold:
     """Extremal 4-dimensional fixed component, identified with a reduced space."""
 
@@ -306,7 +306,7 @@ class ExtremalFourManifold:
 _SPECS = (IsolatedPoint, InteriorSurface, ExtremalSurface, ExtremalFourManifold)
 
 
-@dataclass(frozen=True)
+@record
 class FixedComponent:
     """A fixed component together with its balanced moment-map level."""
 

@@ -11,7 +11,6 @@ the level.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -33,9 +32,10 @@ from .lattice import (
     product_lattice,
 )
 from .localization import FixedComponent
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class SliceState:
     """Reduced space data on an interval of regular values."""
 
@@ -55,7 +55,7 @@ class SliceState:
         )
 
 
-@dataclass(frozen=True)
+@record
 class CrossingEvent:
     """All fixed components sitting on one critical level."""
 

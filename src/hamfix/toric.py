@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import gcd
@@ -26,10 +25,17 @@ from .errors import (
     NotReflexive,
 )
 from .classify6 import TFD
+from .record import record
+
+
+def _strict(x, kind=int):
+    if type(x) is not kind:  # a JSON 0.5 or true is an error, not a coercion
+        raise ValueError(f"{json.dumps(x)} is not a JSON {kind.__name__}")
+    return x
 
 
 def _ivec(v):
-    return tuple(int(x) for x in v)
+    return tuple(map(_strict, v))
 
 
 def _sub(a, b):
@@ -59,7 +65,7 @@ def _det3(a, b, c):
     return _dot(a, _cross(b, c))
 
 
-@dataclass(frozen=True)
+@record
 class CircleDirection:
     """Primitive integer generator of a circle subgroup of the torus."""
 
@@ -73,7 +79,7 @@ class CircleDirection:
             raise ValueError(f"{self.xi} is not primitive")
 
 
-@dataclass(frozen=True)
+@record
 class Polytope:
     """Simple lattice 3-polytope with explicit combinatorics.
 
@@ -97,9 +103,9 @@ class Polytope:
             return Polytope(
                 name=d["name"],
                 vertices=tuple(_ivec(v) for v in d["vertices"]),
-                edges=tuple(tuple(e) for e in d["edges"]),
-                facets=tuple((_ivec(f["normal"]), int(f["offset"])) for f in d["facets"]),
-                reflexive=bool(d.get("reflexive", True)),
+                edges=tuple(_ivec(e) for e in d["edges"]),
+                facets=tuple((_ivec(f["normal"]), _strict(f["offset"])) for f in d["facets"]),
+                reflexive=_strict(d.get("reflexive", True), bool),
             )
         except (KeyError, TypeError, IndexError) as err:
             raise ValueError(f"not a polytope record (name/vertices/edges/facets): {err}") from err
@@ -222,7 +228,7 @@ def is_semifree(p: Polytope, d: CircleDirection) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@record
 class FixedFace:
     kind: str  # "vertex" | "edge" | "facet"
     vertices: tuple[int, ...]

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -107,10 +108,14 @@ def hamfix(*argv):
     )
 
 
-def p3_with(tmp_path, field, index, value):
-    """Path of a copy of the packaged p3 record with record[field][index] = value."""
+def p3_with(tmp_path, keys, value):
+    """Path of a copy of the packaged p3 record with record[k0][k1]...[kn] = value."""
     record = json.loads((corpus_dir() / "p3.json").read_text(encoding="utf-8"))
-    record[field][index] = value
+    *parents, last = keys
+    target = record
+    for key in parents:
+        target = target[key]
+    target[last] = value
     path = tmp_path / "p3.json"
     path.write_text(json.dumps(record), encoding="utf-8")
     return path
@@ -147,15 +152,51 @@ def test_toric_verify_corpus_excludes_polytope():
 
 def test_toric_verify_dangling_edge_exits_2(tmp_path):
     # an edge naming a vertex that does not exist is malformed input
-    path = p3_with(tmp_path, "edges", 0, [0, 99])
+    path = p3_with(tmp_path, ("edges", 0), [0, 99])
     proc = hamfix("toric", "verify", "--polytope", str(path), "--xi", "1,1,1")
     assert proc.returncode == 2
     assert proc.stderr.startswith("invalid input: ")
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "keys,value",
+    [
+        (("vertices", 1, 0), 0.5),
+        (("vertices", 2, 1), 4.0),
+        (("vertices", 0, 0), True),
+        (("edges", 0, 1), True),
+        (("facets", 0, "normal", 0), -1.0),
+        (("facets", 0, "offset"), -4.0),
+        (("reflexive",), "false"),
+        (("reflexive",), 1),
+    ],
+)
+def test_toric_verify_non_integer_record_exits_2(tmp_path, keys, value):
+    # JSON values are checked, not coerced: int() read 0.5 as 0 and true as
+    # 1, and bool() read "false" as true, so most of these records verified
+    path = p3_with(tmp_path, keys, value)
+    proc = hamfix("toric", "verify", "--polytope", str(path), "--xi", "1,1,1")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("invalid input: ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("xi", [[1, 1, 1.0], [True, 1, 1]])
+def test_toric_verify_non_integer_index_direction_exits_2(tmp_path, xi):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(corpus_dir(), corpus)
+    index = json.loads((corpus / "index.json").read_text(encoding="utf-8"))
+    index[0]["xi"] = xi
+    (corpus / "index.json").write_text(json.dumps(index), encoding="utf-8")
+    proc = hamfix("toric", "verify", "--corpus", str(corpus))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("invalid input: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_toric_verify_not_delzant_exits_1(tmp_path):
-    path = p3_with(tmp_path, "vertices", 1, [3, 0, 0])
+    path = p3_with(tmp_path, ("vertices", 1), [3, 0, 0])
     proc = hamfix("toric", "verify", "--polytope", str(path), "--xi", "1,1,1")
     assert proc.returncode == 1
     assert proc.stderr == (

@@ -1,6 +1,7 @@
-"""The package depends on the standard library only."""
+"""The package depends on the standard library only, and imports little of it."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -22,3 +23,17 @@ def test_absolute_imports_are_standard_library():
                 if n.split(".")[0] not in sys.stdlib_module_names
             ]
     assert not outside
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # -S: a site-packages .pth file can import modules of its own, which must
+    # neither hide a regression here nor cause one
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import hamfix.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[]\n"
