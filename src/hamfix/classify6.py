@@ -3,13 +3,14 @@
 Candidates are swept upward from an isolated minimum at level -3: index-two
 points blow the reduced space up at level -1, fixed surfaces shift the Euler
 class at level 0, index-four points blow down at level +1, and the maximum
-closes the interval at level 3 (point), 2 (sphere) or 1 (4-manifold).  The
-predicate suite keeps a candidate only if every slice stays symplectic, every
-exceptional class keeps positive area away from its collapse, and the interior
-class splits into disjoint embedded components; localization and Betti
-symmetry follow and are asserted.  Candidates are generated with exactly as
-many zero-area exceptional classes at level one as there are points blowing
-them down, so the sweep never meets a blow-down count that does not match.
+closes the interval at level 3 (point), 2 (sphere) or 1 (4-manifold).
+Candidates are generated with exactly as many zero-area exceptional classes at
+level one as there are points blowing them down, and with a path that closes
+at the maximum (`_closes`), so the sweep rejects nothing: it asserts that
+every slice stays symplectic and every exceptional class keeps positive area
+away from its collapse, and localization and Betti symmetry follow and are
+asserted too.  A candidate ends in a row for each splitting of its interior
+class into disjoint embedded components.
 """
 
 from __future__ import annotations
@@ -46,12 +47,9 @@ from .localization import (
 from .record import record
 from .reduction import (
     SliceState,
-    area,
     blow_down,
     blow_up,
     bmax_from_euler,
-    dh,
-    fiber_classes_of,
     initial_slice,
     positive_square_throughout,
     shift,
@@ -157,10 +155,6 @@ def capacities(t: TFD) -> tuple[Fraction, Fraction]:
 # candidate sweep
 
 
-class _Reject(Exception):
-    """Internal: candidate fails a predicate; any other error is a bug and propagates."""
-
-
 def _sweep_path(max_dim: int, k: int, total: CohClass | None, m: int):
     """Build the slice path for (k points, total surface class, m points).
 
@@ -194,56 +188,32 @@ def _sweep_path(max_dim: int, k: int, total: CohClass | None, m: int):
     return slices, blowdowns, exceptional
 
 
-def _check_top(max_dim: int, top_slice: SliceState, exceptional):
-    """Extremum-side predicates; returns data needed to build the top component.
-
-    `exceptional` holds the (-1)-classes of the top slice's lattice.  That
-    none collapses at a 4-dimensional maximum is the level-one count m = 0 of
-    generation.
-    """
-    top = TOP_LEVEL[max_dim]
+def _check_top(max_dim: int, top_slice: SliceState):
+    """Data of the top component; generation makes the path close (`_closes`)."""
     if max_dim == 0:
-        if top_slice.lattice.rank != 1 or not top_slice.omega(3).is_zero():
-            raise _Reject("path does not close up at an isolated maximum")
         return None
     if max_dim == 2:
-        if top_slice.lattice.rank != 2:
-            raise _Reject("sphere maximum needs a rank-2 slice")
-        if vanishing_classes(top_slice, 2, exceptional):
-            raise _Reject("exceptional class collapses at the sphere maximum")
-        fibers = [f for f in fiber_classes_of(top_slice.lattice) if area(top_slice, f, 2) == 0]
-        if len(fibers) != 1:
-            raise _Reject("no unique vanishing fiber class at the maximum")
-        if top_slice.omega(2).is_zero():
-            raise _Reject("reduced class dies entirely at the sphere maximum")
-        b_max = bmax_from_euler(top_slice)
-        if 2 + b_max < 1:
-            raise _Reject("sphere maximum would have nonpositive area")
-        return b_max
-    if dh(top_slice, 1) <= 0:
-        raise _Reject("reduced volume vanishes at the 4-dimensional maximum")
+        return bmax_from_euler(top_slice)
     return (top_slice.lattice, top_slice.euler)
 
 
 def _check_slices(slices, max_dim: int, exceptional):
-    """DH positivity and exceptional-area positivity along the whole path.
+    """Assert DH positivity and exceptional-area positivity along the whole path.
 
-    exceptional[i] holds the (-1)-classes of the lattice of slices[i].
+    exceptional[i] holds the (-1)-classes of the lattice of slices[i].  Every
+    generated candidate passes, so a failure raises InternalArithmeticError.
     """
     zero_ends = {Fraction(-3)}
-    if max_dim == 0:
-        zero_ends.add(Fraction(3))
-    if max_dim == 2:
-        zero_ends.add(Fraction(2))
+    if max_dim < 4:
+        zero_ends.add(Fraction(TOP_LEVEL[max_dim]))  # DH vanishes at the maximum
     for s, exc in zip(slices, exceptional):
         if not positive_square_throughout(s, allow_zero_ends=zero_ends):
-            raise _Reject("reduced class loses positivity")
-        if exc:
-            w_lo, w_hi = s.omega(s.interval[0]), s.omega(s.interval[1])
-            for c in exc:
-                alo, ahi = pair(w_lo, c), pair(w_hi, c)
-                if alo < 0 or ahi < 0 or (alo == 0 and ahi == 0):
-                    raise _Reject(f"exceptional class {c!r} loses area")
+            raise InternalArithmeticError(f"reduced class loses positivity on {s.interval}")
+        w_lo, w_hi = s.omega(s.interval[0]), s.omega(s.interval[1])
+        for c in exc:
+            alo, ahi = pair(w_lo, c), pair(w_hi, c)
+            if alo < 0 or ahi < 0 or (alo == 0 and ahi == 0):
+                raise InternalArithmeticError(f"{c!r} loses area on {s.interval}")
 
 
 def _interior_components(slices, level, splitting) -> tuple[FixedComponent, ...]:
@@ -275,17 +245,20 @@ def _assemble(max_dim, k, m, splitting, slices, blowdowns, top_data):
     return TFD(None, max_dim, tuple(comps), tuple(slices), tuple(blowdowns))
 
 
-def _candidate_totals(k: int, m: int):
+def _candidate_totals(max_dim: int, k: int, m: int):
     """Integral class candidates (a; b1, ..., bk) for the level-0 fixed surface.
 
-    m index-four points sit at level one.  Above the minimum the reduced
-    class is (t+3)u and the Euler class -u; the k blow-ups at level -1 add
-    E1 + ... + Ek to the Euler class, so omega(0) = 3u - sum Ei = c1, and the
-    surface shifts the Euler class by (a; b) to (a-1; b1+1, ..., bk+1).  So
+    m index-four points sit at level one, below a maximum of dimension
+    `max_dim`.  Above the minimum the reduced class is (t+3)u and the Euler
+    class -u; the k blow-ups at level -1 add E1 + ... + Ek to the Euler class,
+    so omega(0) = 3u - sum Ei = c1, and the surface shifts the Euler class by
+    (a; b) to e0 = (a-1; b1+1, ..., bk+1).  So
 
-        omega(1) = omega(0) - euler = (4-a; -(b1+2), ..., -(bk+2)).
+        omega(1) = omega(0) - e0 = (4-a; -(b1+2), ..., -(bk+2)).
 
-    A total is yielded only if exactly m (-1)-classes have zero area under
+    A total is yielded only if the path closes at the maximum, a closed form
+    in e0.e0 = (a-1)^2 - sum (bi+1)^2, c1.e0 = 3(a-1) + sum (bi+1) and m
+    (`_closes`), and exactly m (-1)-classes have zero area under
     omega(1) and they are pairwise disjoint: these are the classes the m
     points contract (`blow_down`), and with m = 0 below a 4-dimensional
     maximum none may collapse there.  Tails are nondecreasing (one
@@ -311,11 +284,53 @@ def _candidate_totals(k: int, m: int):
                 continue
             if k >= 2 and not m and a + tail[-1] + tail[-2] > -1:
                 continue
+            ee = (a - 1) ** 2 - sum((b + 1) ** 2 for b in tail)
+            if not _closes(max_dim, ee, 3 * (a - 1) + sum(tail) + k, m):
+                continue
             omega1 = CohClass(lat, (4 - a,) + tuple(-(b + 2) for b in tail))
             zero = [e for e in exc if pair(omega1, e) == 0]
             if len(zero) != m or any(pair(e, f) for e, f in itertools.combinations(zero, 2)):
                 continue
             yield CohClass(lat, (a,) + tail)
+
+
+def _closes(max_dim: int, ee: int, ce: int, m: int) -> bool:
+    """Whether the slice path closes at the maximum, by Duistermaat-Heckman.
+
+    ee = e0.e0 and ce = c1.e0 for the Euler class e0 just above level 0
+    (e0 = e- = (-1; 1, ..., 1) without a level-0 surface).  Past the m
+    contracted classes the top slice has e+.e+ = ee + m and c1+.e+ = ce + m,
+    and reduced class omega(t) = c1+ - t e+ (`enumerate_tfd`).  Its lattice has
+    rank k + 1 - m: P2 at a point maximum (m = k), rank 2 at a sphere
+    maximum (m = k - 1).
+
+    - Point: the reduced space dies at 3, omega(3) = 0, so c1+ = 3u = 3e+,
+      that is e+ = u: ee + m = 1 and ce + m = 3.  Conversely e+ = x u with
+      x^2 = 1 and 3x = 3 gives e+ = u.
+    - Sphere: the reduced space is a sphere bundle over the maximal sphere and
+      omega(2) = mu f for its vanishing fiber f and the sphere's area mu > 0.
+      As c1+.c1+ = 8, omega(2)^2 = 8 - 4(ce + m) + 4(ee + m) = 0 gives
+      ce - ee = 2, and c1+.omega(2) = 8 - 2(ce + m) = 2 mu > 0 gives
+      ce + m < 4; then mu = 2 + b_max with b_max = -e+.e+.  Conversely, a
+      nonzero isotropic omega(2) with c1+.omega(2) > 0 is mu f, mu > 0, for
+      a unique vanishing fiber f.  On the product of spheres the isotropic
+      classes are the multiples of the two fibers A and B (xA + yB squares
+      to 2xy) and c1+ = 2A + 2B, so omega(2) = mu A, and B keeps area mu.
+      On P2#1 they are the multiples of f = u - E and of u + E, and
+      omega(2) = x(u + E), x > 0, would give E the area (1 - x)/2 at level
+      one, as omega(1) = (c1+ + omega(2))/2: zero is ruled out by the
+      level-one count and a negative area by the positivity `_check_slices`
+      asserts.  No (-1)-class vanishes at 2: omega(2).E = 0 would leave
+      omega(2) = x u, of square x^2 = 0.
+    - 4-manifold: the top slice is the maximum itself, of volume
+      omega(1)^2 >= 1 by the level-one budget (`_sorted_tails`), or
+      16 - 4k for k <= 1 without a level-0 surface.  No condition.
+    """
+    if max_dim == 0:
+        return ee + m == 1 and ce + m == 3
+    if max_dim == 2:
+        return ce - ee == 2 and ce + m < 4
+    return True
 
 
 def _leading_coefficients(k: int) -> list[int]:
@@ -369,9 +384,11 @@ def _counts_for(max_dim: int, crit: frozenset[int]):
       `exceptional_classes` pair with it to 2, 0, -2, -4, -6, -8 and -10, so
       the zero-area classes are exactly the C(k, 2) classes u - Ei - Ej.
       Their count must be m <= k, so k <= 3, where any two of them share an
-      index and so are disjoint.  C(k, 2) = m leaves k = 3 at a point
+      index and so are disjoint.  C(k, 2) = m leaves k = 0 or 3 at a point
       maximum, k <= 2 at a sphere maximum and k <= 1 at a 4-manifold
-      maximum.
+      maximum.  Then e0 = e-, so e0.e0 = 1 - k and c1.e0 = k - 3, and the
+      path closes (`_closes`) at a point maximum only for k = 3 and at a
+      sphere maximum only for k = 3, which C(3, 2) = 3 != 2 rules out.
     """
     want_minus = -1 in crit
     want_plus = 1 in crit
@@ -386,7 +403,7 @@ def _counts_for(max_dim: int, crit: frozenset[int]):
         m = {0: k, 2: k - 1, 4: 0}[max_dim]
         if m < 0:
             continue  # the counting identity |Z_1| + 1 = |Z_-1| needs k >= 1
-        if 0 not in crit and math.comb(k, 2) != m:
+        if 0 not in crit and (math.comb(k, 2) != m or not _closes(max_dim, 1 - k, k - 3, m)):
             continue
         if (m >= 1) != want_plus:
             continue
@@ -418,11 +435,9 @@ def enumerate_tfd(max_dim: int, crit) -> list[TFD]:
       2 - b_max) and (-e+.e+, c1+.e+) at a point, sphere and 4-manifold
       maximum.  As e-.e- = 1 - k and c1.e- = k - 3, ONE = e0.e0 + m + t1 and
       C1 = t2 - m - c1.e0.  The m contracted classes E have c1.E = e0.E = 1,
-      so e+.e+ = e0.e0 + m and c1+.e+ = c1.e0 + m.  Every slice keeps
-      omega(t) = c1 - t e, so DH closure makes both vanish: at a point,
-      omega(3) = 0 on P2 gives e+ = u; at a sphere, b_max = -e+.e+ and
-      omega(2) = (2 - e+.e+) f for the vanishing fiber f (c1.f = 2,
-      c1.c1 = 8) gives c1+.e+ = 2 + e+.e+; at a 4-manifold, m = 0, e+ = e0.
+      so e+.e+ = e0.e0 + m and c1+.e+ = c1.e0 + m.  Closure at the maximum
+      (`_closes`) makes both vanish: e0.e0 + m = 1 and c1.e0 + m = 3 at a
+      point, c1.e0 - e0.e0 = 2 at a sphere; at a 4-manifold, m = 0, e+ = e0.
     """
     if max_dim not in (0, 2, 4):
         raise ValueError(f"maximum dimension {max_dim} not in (0,2,4)")
@@ -433,14 +448,11 @@ def enumerate_tfd(max_dim: int, crit) -> list[TFD]:
         return []  # level one is occupied by the maximum itself
     found: dict[tuple, TFD] = {}
     for k, m in _counts_for(max_dim, crit):
-        totals = _candidate_totals(k, m) if 0 in crit else [None]
+        totals = _candidate_totals(max_dim, k, m) if 0 in crit else [None]
         for total in totals:
-            try:
-                slices, blowdowns, exceptional = _sweep_path(max_dim, k, total, m)
-                top_data = _check_top(max_dim, slices[-1], exceptional[-1])
-                _check_slices(slices, max_dim, exceptional)
-            except _Reject:
-                continue
+            slices, blowdowns, exceptional = _sweep_path(max_dim, k, total, m)
+            top_data = _check_top(max_dim, slices[-1])
+            _check_slices(slices, max_dim, exceptional)
             splittings = [()] if total is None else component_splittings(total.lattice, total)
             for splitting in splittings:
                 tfd = _assemble(max_dim, k, m, splitting, slices, blowdowns, top_data)
@@ -454,12 +466,12 @@ def enumerate_tfd(max_dim: int, crit) -> list[TFD]:
 def _canonicalize(tfd: TFD, k: int) -> TFD:
     """Minimize the serialization over permutations of the exceptional indices.
 
-    A permutation of E1..Ek is an isometry of P2#k fixing c1 and e-, so its
-    sweep rejects nothing.  It keeps the point descriptors and a sphere
-    maximum's -e+.e+; a 4-manifold maximum's Euler class is e- + T.  Level 0
-    is serialized before the top, so the sorted permuted splitting alone
-    orders the permuted candidates, and only a winner other than `tfd` is
-    swept.
+    A permutation of E1..Ek is an isometry of P2#k fixing c1 and e-, so the
+    permuted path closes as the original does.  It keeps the point
+    descriptors and a sphere maximum's -e+.e+; a 4-manifold maximum's Euler
+    class is e- + T.  Level 0 is serialized before the top, so the sorted
+    permuted splitting alone orders the permuted candidates, and only a
+    winner other than `tfd` is swept.
     """
     parts = [(fc.spec.surface_class.coeffs, fc.spec.genus) for fc in tfd.interior_surfaces]
 
@@ -473,11 +485,8 @@ def _canonicalize(tfd: TFD, k: int) -> TFD:
     split = tuple((CohClass(lat, c), g) for c, g in best)
     m = sum(1 for fc in tfd.components if fc.level == 1 and fc.dim == 0)
     total = sum((c for c, _ in split), lat.zero())
-    try:
-        slices, blowdowns, exceptional = _sweep_path(tfd.max_dim, k, total, m)
-        top_data = _check_top(tfd.max_dim, slices[-1], exceptional[-1])
-    except _Reject as err:
-        raise InternalArithmeticError(f"an index permutation was rejected: {err}") from err
+    slices, blowdowns, _ = _sweep_path(tfd.max_dim, k, total, m)
+    top_data = _check_top(tfd.max_dim, slices[-1])
     return _assemble(tfd.max_dim, k, m, split, slices, blowdowns, top_data)
 
 

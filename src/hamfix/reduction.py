@@ -23,7 +23,6 @@ from .errors import (
     VanishingCycleMismatch,
 )
 from .lattice import (
-    PRODUCT,
     CohClass,
     SurfaceLattice,
     exceptional_classes,
@@ -103,11 +102,6 @@ def dh_quadratic(state: SliceState):
     w0 = state.omega(0)
     e = state.euler
     return (pair(w0, w0), -2 * pair(w0, e), pair(e, e))
-
-
-def area(state: SliceState, c: CohClass, t):
-    """Symplectic area of the class c at level t (affine in t)."""
-    return pair(state.omega(t), c)
 
 
 def vanishing_classes(state: SliceState, level, exceptional) -> tuple[CohClass, ...]:
@@ -268,19 +262,6 @@ def bmax_from_euler(state: SliceState) -> int:
     if state.lattice.rank != 2:
         raise NotASphereMaximum("top slice below a sphere maximum has rank 2")
     return -pair(state.euler, state.euler)
-
-
-def fiber_classes_of(lat: SurfaceLattice) -> tuple[CohClass, ...]:
-    """Square-zero degree-two classes of a rank-2 lattice (fiber candidates)."""
-    if lat.rank != 2:
-        raise NotASphereMaximum("fiber classes need a rank-2 lattice")
-    if lat.kind == PRODUCT:
-        candidates = [lat.basis_class(0), lat.basis_class(1)]
-    else:
-        candidates = [lat.basis_class(0) - lat.basis_class(1)]
-    return tuple(
-        c for c in candidates if pair(c, c) == 0 and pair(lat.anticanonical, c) == 2
-    )
 
 
 def positive_square_throughout(state: SliceState, allow_zero_ends=()) -> bool:

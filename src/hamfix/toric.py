@@ -35,7 +35,7 @@ def _strict(x, kind=int):
 
 
 def _ivec(v):
-    return tuple(map(_strict, v))
+    return tuple(map(_strict, _strict(v, list)))
 
 
 def _sub(a, b):
@@ -72,7 +72,7 @@ class CircleDirection:
     xi: tuple[int, int, int]
 
     def __post_init__(self):
-        if len(self.xi) != 3 or not all(isinstance(x, int) for x in self.xi):
+        if len(self.xi) != 3 or not all(type(x) is int for x in self.xi):
             raise ValueError(f"direction {self.xi} is not three integers")
         g = gcd(gcd(abs(self.xi[0]), abs(self.xi[1])), abs(self.xi[2]))
         if g != 1:
@@ -401,14 +401,22 @@ def corpus_dir() -> Path:
 
 
 def load_corpus(directory=None):
-    """[(polytope, direction, expected row label)] from an index file."""
+    """[(polytope, direction, expected row label)] from an index file.
+
+    The index is a list of objects with a string "file" and "row" and an
+    integer list "xi"; anything else raises ValueError.
+    """
     directory = Path(directory) if directory else corpus_dir()
     with open(directory / "index.json", encoding="utf-8") as fh:
         index = json.load(fh)
     out = []
-    for entry in index:
-        poly = Polytope.load(directory / entry["file"])
-        out.append((poly, CircleDirection(_ivec(entry["xi"])), entry["row"]))
+    for entry in _strict(index, list):
+        try:
+            file, row, xi = _strict(entry, dict)["file"], entry["row"], _ivec(entry["xi"])
+        except KeyError as err:
+            raise ValueError(f"corpus index entry {json.dumps(entry)} has no {err}") from err
+        poly = Polytope.load(directory / _strict(file, str))
+        out.append((poly, CircleDirection(xi), _strict(row, str)))
     return out
 
 

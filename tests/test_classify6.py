@@ -7,6 +7,7 @@ import pytest
 from hamfix import golden
 from hamfix.classify6 import (
     _candidate_totals,
+    _counts_for,
     capacities,
     classify_all,
     enumerate_tfd,
@@ -19,7 +20,13 @@ from hamfix.errors import (
     NonDisjointBlowdown,
     VanishingCycleMismatch,
 )
-from hamfix.lattice import CohClass, exceptional_classes, make_blowup_lattice, pair
+from hamfix.lattice import (
+    CohClass,
+    component_splittings,
+    exceptional_classes,
+    make_blowup_lattice,
+    pair,
+)
 from hamfix.localization import (
     C1,
     InteriorSurface,
@@ -32,7 +39,6 @@ from hamfix.localization import (
 )
 from hamfix.reduction import (
     CrossingEvent,
-    area,
     blow_up,
     check_dh_decrease,
     cross,
@@ -220,7 +226,7 @@ def test_blowdown_replay(rows):
             for a, b in itertools.combinations(classes, 2):
                 assert pair(a, b) == 0
             for c in classes:
-                assert area(below, c, level) == 0
+                assert pair(below.omega(level), c) == 0
 
 
 def test_omega_positive_on_all_slices(rows):
@@ -284,53 +290,107 @@ def _passes_level_one_count(k, total, m):
     return len(vanishing) == m and disjoint
 
 
+CRIT_SETS = [frozenset(c) for r in range(4) for c in itertools.combinations((-1, 0, 1), r)]
+
+
+def _cells(counts_for, level_0):
+    """The (max_dim, k, m) cells over critical sets that do or do not hold level 0."""
+    return {
+        (max_dim, k, m)
+        for max_dim in (0, 2, 4)
+        for crit in CRIT_SETS
+        if (0 in crit) == level_0
+        for k, m in counts_for(max_dim, crit)
+    }
+
+
+def _survives(max_dim, k, total, m):
+    """Whether the unpruned sweep, with the former predicates, admits the candidate."""
+    try:
+        unpruned.sweep(max_dim, k, total, m)
+    except unpruned.REJECTIONS:
+        return False
+    return True
+
+
 @pytest.mark.parametrize("has_blowdown", [False, True])
 @pytest.mark.parametrize("k", range(9))
 def test_candidate_totals_match_unpruned_box(k, has_blowdown):
-    # the derived ranges drop only a >= 4 from the filtered box, and the
-    # level-one count keeps exactly the totals with m vanishing classes
+    # in each cell of the unpruned search with k points at level -1 and a
+    # level-0 surface, generation yields, in order, exactly the filtered box
+    # totals that the unpruned sweep admits; the derived ranges leave no
+    # box total with a <= 3 for k >= 5
     lat = make_blowup_lattice(k)
-    box = [t for t in _unpruned_totals(k, has_blowdown, _widened_box(k)) if t[0] <= 3]
-    for m in range(1, k + 2) if has_blowdown else (0,):
-        got = [c.coeffs for c in _candidate_totals(k, m)]
-        assert got == [t for t in box if _passes_level_one_count(k, CohClass(lat, t), m)]
+    box = list(_unpruned_totals(k, has_blowdown, _widened_box(k)))
+    cells = sorted(
+        (max_dim, m) for max_dim, kk, m in _cells(unpruned.counts_for, True)
+        if kk == k and (m > 0) == has_blowdown
+    )
+    assert cells or (k, has_blowdown) == (0, True)  # nothing to blow down
+    for max_dim, m in cells:
+        got = [c.coeffs for c in _candidate_totals(max_dim, k, m)]
+        assert got == [t for t in box if _survives(max_dim, k, CohClass(lat, t), m)]
     if k >= 5:
-        assert box == []
+        assert [t for t in box if t[0] <= 3] == []
 
 
 def test_candidate_totals_cover_box_survivors():
-    # every filtered box total that survives the unpruned sweep is yielded,
-    # in each (max_dim, k, m) cell of the unpruned search whose critical set
-    # holds level 0, and the derived point counts keep its cell
-    from hamfix.classify6 import _counts_for
-
-    def cells(counts_for):
-        return {
-            (max_dim, k, m)
-            for max_dim in (0, 2, 4)
-            for crit in ({0}, {-1, 0}, {0, 1}, {-1, 0, 1})
-            for k, m in counts_for(max_dim, frozenset(crit))
-        }
-
-    unpruned_cells, kept = cells(unpruned.counts_for), cells(_counts_for)
+    # the search generates exactly what the unpruned sweep admits: over the
+    # 26 cells of the unpruned search with a level-0 surface, the derived
+    # point counts and generation give the same (cell, total) pairs as the
+    # filtered box swept with the former predicates, and without level 0 the
+    # derived point counts keep exactly the cells whose path closes
+    unpruned_cells, kept = _cells(unpruned.counts_for, True), _cells(_counts_for, True)
     assert (len(unpruned_cells), len(kept)) == (26, 14)
     assert kept <= unpruned_cells
-    checked = survivors = 0
-    for max_dim, k, m in sorted(unpruned_cells):
-        got = {c.coeffs for c in _candidate_totals(k, m)}
-        boxed = list(_unpruned_totals(k, m > 0, _widened_box(k)))
-        assert got <= set(boxed)
+    generated, survivors, checked = set(), set(), 0
+    for max_dim, k, m in unpruned_cells:
+        if (max_dim, k, m) in kept:
+            generated |= {(max_dim, k, m, c.coeffs) for c in _candidate_totals(max_dim, k, m)}
         lat = make_blowup_lattice(k)
-        for t in boxed:
+        for t in _unpruned_totals(k, m > 0, _widened_box(k)):
             checked += 1
-            try:
-                unpruned.sweep(max_dim, k, CohClass(lat, t), m)
-            except unpruned.REJECTIONS:
-                continue
-            survivors += 1
-            assert (max_dim, k, m) in kept, (max_dim, k, m, t)
-            assert t in got, (max_dim, k, m, t)
-    assert (checked, survivors) == (290, 19)
+            if _survives(max_dim, k, CohClass(lat, t), m):
+                survivors.add((max_dim, k, m, t))
+    assert generated == survivors
+    assert (checked, len(survivors)) == (290, 19)
+    bare = {
+        (d, k, m) for d, k, m in _cells(unpruned.counts_for, False) if _survives(d, k, None, m)
+    }
+    assert bare == _cells(_counts_for, False) == {(0, 3, 3), (4, 0, 0), (4, 1, 0)}
+
+
+def test_generation_funnel(rows):
+    # 22 candidates reach the sweep: 19 level-0 totals and the 3 cells without
+    # level 0.  Each ends in one row, except the 3 totals with no splitting
+    # into disjoint embedded components, the funnel's only cut
+    candidates, empty = 0, []
+    for max_dim in (0, 2, 4):
+        for crit in CRIT_SETS:
+            for k, m in _counts_for(max_dim, crit):
+                for total in _candidate_totals(max_dim, k, m) if 0 in crit else [None]:
+                    candidates += 1
+                    if total is None:
+                        continue
+                    splittings = component_splittings(total.lattice, total)
+                    assert len(splittings) <= 1, (max_dim, total)
+                    if not splittings:
+                        empty.append((max_dim, total.coeffs))
+    assert candidates == 22
+    assert sorted(empty) == [(0, (2, -2, -2)), (2, (1, -2, 0)), (2, (2, -2, -2, -1))]
+    assert len(rows) == candidates - len(empty) == 19
+
+
+def test_failed_slice_assertion_is_an_error(monkeypatch):
+    # the sweep rejects nothing, so a slice that loses positivity is a bug:
+    # enumerate_tfd raises instead of dropping the candidate
+    from hamfix import classify6
+    from hamfix.errors import InternalArithmeticError
+
+    assert len(enumerate_tfd(0, {-1, 1})) == 1
+    monkeypatch.setattr(classify6, "positive_square_throughout", lambda s, allow_zero_ends: False)
+    with pytest.raises(InternalArithmeticError):
+        enumerate_tfd(0, {-1, 1})
 
 
 def test_search_matches_unpruned_reference(rows):
@@ -357,7 +417,7 @@ def test_swept_candidates_pass_the_level_one_count(monkeypatch):
         for r in range(4):
             for crit in itertools.combinations((-1, 0, 1), r):
                 enumerate_tfd(max_dim, crit)
-    assert len(swept) == 37  # the 37 candidates; every row is already canonical
+    assert len(swept) == 22  # the 22 candidates; every row is already canonical
     for k, total, m in swept:
         assert _passes_level_one_count(k, total, m), (k, total, m)
 
@@ -379,7 +439,7 @@ def test_level_one_mismatch_is_an_error(monkeypatch, k, coeffs, error):
     lat = make_blowup_lattice(k)
     assert not _passes_level_one_count(k, CohClass(lat, coeffs), k)
 
-    def wrong(kk, m):
+    def wrong(max_dim, kk, m):
         return iter([CohClass(lat, coeffs)] if kk == k else [])
 
     monkeypatch.setattr(classify6, "_candidate_totals", wrong)
@@ -502,7 +562,7 @@ def test_canonicalize_undoes_every_index_permutation(rows):
             split.sort(key=lambda part: part[0].coeffs)
             total = sum((c for c, _ in split), lat.zero())
             slices, blowdowns, exceptional = _sweep_path(t.max_dim, k, total, m)
-            top_data = _check_top(t.max_dim, slices[-1], exceptional[-1])
+            top_data = _check_top(t.max_dim, slices[-1])
             _check_slices(slices, t.max_dim, exceptional)
             cand = _assemble(t.max_dim, k, m, tuple(split), slices, blowdowns, top_data)
             inputs += 1

@@ -195,6 +195,27 @@ def test_toric_verify_non_integer_index_direction_exits_2(tmp_path, xi):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda entry: entry.pop("row"),
+        lambda entry: entry.pop("file"),
+        lambda entry: entry.update(xi=5),
+    ],
+    ids=["no-row", "no-file", "scalar-xi"],
+)
+def test_toric_verify_malformed_index_entry_exits_2(tmp_path, edit):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(corpus_dir(), corpus)
+    index = json.loads((corpus / "index.json").read_text(encoding="utf-8"))
+    edit(index[0])
+    (corpus / "index.json").write_text(json.dumps(index), encoding="utf-8")
+    proc = hamfix("toric", "verify", "--corpus", str(corpus))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("invalid input: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_toric_verify_not_delzant_exits_1(tmp_path):
     path = p3_with(tmp_path, ("vertices", 1), [3, 0, 0])
     proc = hamfix("toric", "verify", "--polytope", str(path), "--xi", "1,1,1")

@@ -377,3 +377,10 @@ def test_fixed_faces_are_the_maximal_level_faces(corpus):
                 shifts |= {f.level - height(i) for i in members}
             assert len(shifts) == 1, (p.name, xi)
     assert checked > 0
+
+
+@pytest.mark.parametrize("xi", [(True, 0, 0), (1, 0, 0.0), (1, 0)])
+def test_circle_direction_needs_three_integers(xi):
+    # a boolean is an int subclass, but not a direction coordinate
+    with pytest.raises(ValueError, match="not three integers"):
+        CircleDirection(xi)

@@ -1,33 +1,99 @@
 """The unpruned six-dimensional search, kept as a reference for the pruned one.
 
-This is the search before the level-one blow-down count moved into
-generation: k runs over 1..8 at level -1, level-0 totals are filtered by
-area and volume only, a blow-down whose zero-area classes do not match is a
-rejection, and canonicalization sweeps all k! index permutations.  The
-slice path and its predicates (`_sweep_path`, `_check_top`,
-`_check_slices`) are shared with the package, plus the one predicate the
-count replaced: no (-1)-class collapses at a 4-dimensional maximum.
+This is the search before the level-one blow-down count and closure at the
+maximum moved into generation: k runs over 1..8 at level -1, level-0 totals
+are filtered by area and volume only, a blow-down whose zero-area classes do
+not match is a rejection, the predicates below reject a candidate whose path
+does not close at the maximum or loses positivity, and canonicalization
+sweeps all k! index permutations.  The slice path (`_sweep_path`) is shared
+with the package; the predicates are the package's former ones, which the
+pruned search derives or asserts instead.
 """
 
 import itertools
+from fractions import Fraction
 
 from hamfix.classify6 import (
-    _Reject,
+    TOP_LEVEL,
     _assemble,
     _attach_labels,
-    _check_slices,
-    _check_top,
     _sorted_tails,
     _sweep_path,
     serialization,
     sort_key,
 )
-from hamfix.errors import NonDisjointBlowdown, VanishingCycleMismatch
-from hamfix.lattice import CohClass, component_splittings, make_blowup_lattice
+from hamfix.errors import NonDisjointBlowdown, NotASphereMaximum, VanishingCycleMismatch
+from hamfix.lattice import PRODUCT, CohClass, component_splittings, make_blowup_lattice, pair
 from hamfix.localization import C1, ONE, betti, integrate
-from hamfix.reduction import vanishing_classes
+from hamfix.reduction import (
+    bmax_from_euler,
+    dh,
+    positive_square_throughout,
+    vanishing_classes,
+)
 
-REJECTIONS = (_Reject, VanishingCycleMismatch, NonDisjointBlowdown)
+
+class Reject(Exception):
+    """A candidate fails a predicate."""
+
+
+REJECTIONS = (Reject, VanishingCycleMismatch, NonDisjointBlowdown)
+
+
+def fiber_classes_of(lat):
+    """Square-zero degree-two classes of a rank-2 lattice (fiber candidates)."""
+    if lat.rank != 2:
+        raise NotASphereMaximum("fiber classes need a rank-2 lattice")
+    if lat.kind == PRODUCT:
+        candidates = [lat.basis_class(0), lat.basis_class(1)]
+    else:
+        candidates = [lat.basis_class(0) - lat.basis_class(1)]
+    return tuple(
+        c for c in candidates if pair(c, c) == 0 and pair(lat.anticanonical, c) == 2
+    )
+
+
+def check_top(max_dim, top_slice, exceptional):
+    """Extremum-side predicates; returns data needed to build the top component."""
+    if max_dim == 0:
+        if top_slice.lattice.rank != 1 or not top_slice.omega(3).is_zero():
+            raise Reject("path does not close up at an isolated maximum")
+        return None
+    if max_dim == 2:
+        if top_slice.lattice.rank != 2:
+            raise Reject("sphere maximum needs a rank-2 slice")
+        if vanishing_classes(top_slice, 2, exceptional):
+            raise Reject("exceptional class collapses at the sphere maximum")
+        w = top_slice.omega(2)
+        fibers = [f for f in fiber_classes_of(top_slice.lattice) if pair(w, f) == 0]
+        if len(fibers) != 1:
+            raise Reject("no unique vanishing fiber class at the maximum")
+        if w.is_zero():
+            raise Reject("reduced class dies entirely at the sphere maximum")
+        b_max = bmax_from_euler(top_slice)
+        if 2 + b_max < 1:
+            raise Reject("sphere maximum would have nonpositive area")
+        return b_max
+    if vanishing_classes(top_slice, 1, exceptional):
+        raise Reject("exceptional class collapses at the 4-dimensional maximum")
+    if dh(top_slice, 1) <= 0:
+        raise Reject("reduced volume vanishes at the 4-dimensional maximum")
+    return (top_slice.lattice, top_slice.euler)
+
+
+def check_slices(slices, max_dim, exceptional):
+    """DH positivity and exceptional-area positivity along the whole path."""
+    zero_ends = {Fraction(-3)}
+    if max_dim < 4:
+        zero_ends.add(Fraction(TOP_LEVEL[max_dim]))
+    for s, exc in zip(slices, exceptional):
+        if not positive_square_throughout(s, allow_zero_ends=zero_ends):
+            raise Reject("reduced class loses positivity")
+        w_lo, w_hi = s.omega(s.interval[0]), s.omega(s.interval[1])
+        for c in exc:
+            alo, ahi = pair(w_lo, c), pair(w_hi, c)
+            if alo < 0 or ahi < 0 or (alo == 0 and ahi == 0):
+                raise Reject(f"exceptional class {c!r} loses area")
 
 
 def counts_for(max_dim, crit):
@@ -72,10 +138,8 @@ def candidate_totals(k, has_blowdown):
 def sweep(max_dim, k, total, m):
     """Slices, blow-downs and top data, or one of REJECTIONS."""
     slices, blowdowns, exceptional = _sweep_path(max_dim, k, total, m)
-    if max_dim == 4 and vanishing_classes(slices[-1], 1, exceptional[-1]):
-        raise _Reject("exceptional class collapses at the 4-dimensional maximum")
-    top_data = _check_top(max_dim, slices[-1], exceptional[-1])
-    _check_slices(slices, max_dim, exceptional)
+    top_data = check_top(max_dim, slices[-1], exceptional[-1])
+    check_slices(slices, max_dim, exceptional)
     return slices, blowdowns, top_data
 
 
