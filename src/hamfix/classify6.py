@@ -112,7 +112,13 @@ class TFD:
 
 
 def flip(t: TFD) -> TFD:
-    """Orientation reversal: levels negate, indices complement, Euler classes negate."""
+    """Orientation reversal: levels negate, indices complement, Euler classes negate.
+
+    Anchor classes stay, so omega_flip(t) = omega(-t): dh reflects and `chern_number`
+    is unchanged.  The localization sums are the Laplace transform of dh / 2 (Atiyah and Bott
+    1984), so the flip's integrals of 1 and c1 are those of `t` at -x, which
+    `enumerate_tfd` asserts vanish.
+    """
     comps = sorted(
         (FixedComponent(-fc.level, fc.spec.flipped()) for fc in t.components),
         key=lambda fc: fc.level,

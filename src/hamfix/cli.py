@@ -18,9 +18,9 @@ from .reduction import dh
 from .toric import (
     CircleDirection,
     Polytope,
-    chern_number_from_volume,
     fixed_faces,
     is_semifree,
+    matched_degree,
     tfd_from_polytope,
     verify_corpus,
 )
@@ -112,7 +112,7 @@ def cmd_toric(args) -> int:
                 return 1
             rows = classify_all(strict=False)
             match = tfd_from_polytope(poly, xi, rows)
-            degree = chern_number_from_volume(poly)
+            degree = matched_degree(poly, match)
             for f in fixed_faces(poly, xi):
                 print(f"level {f.level}: {f.kind} {f.vertices}")
             print(f"{poly.name}: matches {match.label}, anticanonical degree {degree}")

@@ -21,10 +21,6 @@ class InvalidFixedComponent(HamfixError):
     """Fixed component data violates its structural invariants."""
 
 
-class InconsistentFixedPointData(HamfixError):
-    """A localization identity that must vanish does not."""
-
-
 class InternalArithmeticError(HamfixError):
     """Exact arithmetic produced something structurally impossible."""
 

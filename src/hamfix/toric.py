@@ -24,7 +24,8 @@ from .errors import (
     NotDelzant,
     NotReflexive,
 )
-from .classify6 import TFD
+from .classify6 import TFD, classify_all
+from .localization import chern_number
 from .record import record
 
 
@@ -182,24 +183,26 @@ class Polytope:
                 raise NotDelzant(f"{self.name}: facet {n} is not a 2-face")
 
     def interior_point(self) -> tuple[int, int, int]:
-        los = [min(v[i] for v in self.vertices) for i in range(3)]
-        his = [max(v[i] for v in self.vertices) for i in range(3)]
-        pts = [
-            p
-            for p in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(los, his)))
-            if all(_dot(n, p) > o for n, o in self.facets)
-        ]
-        if len(pts) != 1:
-            raise NotReflexive(f"{self.name}: {len(pts)} interior lattice points")
-        return pts[0]
+        """Solve n.p = o + 1 on the facets at vertex 0 by Cramer's rule.
+
+        The facet normals at a Delzant vertex are dual to its edge directions,
+        so their determinant is +-1 and p is integral.
+        """
+        v = self.vertices[0]
+        at = [(n, o) for n, o in self.facets if _dot(n, v) == o]
+        det = _det3(*(n for n, _ in at)) if len(at) == 3 else 0
+        if abs(det) != 1:
+            raise NotDelzant(f"{self.name}: facet normals at {v} are not a lattice basis")
+        (n0, o0), (n1, o1), (n2, o2) = at
+        terms = ((o0 + 1, _cross(n1, n2)), (o1 + 1, _cross(n2, n0)), (o2 + 1, _cross(n0, n1)))
+        return tuple(det * sum(c * w[i] for c, w in terms) for i in range(3))
 
     def check_reflexive(self) -> None:
         center = self.interior_point()
         for n, o in self.facets:
-            if _dot(n, center) - o != 1:
-                raise NotReflexive(
-                    f"{self.name}: facet {n} at lattice distance {_dot(n, center) - o}"
-                )
+            distance = _dot(n, center) - o
+            if distance != 1:
+                raise NotReflexive(f"{self.name}: facet {n} at lattice distance {distance}")
 
     def normalized_volume(self) -> int:
         """Six times the Euclidean volume, an integer."""
@@ -390,6 +393,14 @@ def chern_number_from_volume(p: Polytope) -> int:
     return p.normalized_volume()
 
 
+def matched_degree(p: Polytope, match: TFD) -> int:
+    """The volume degree of the polytope, checked against c1^3 of its row."""
+    degree, c1_cubed = chern_number_from_volume(p), chern_number(match)
+    if degree != c1_cubed:
+        raise NoMatchingTFD(f"{p.name}: volume degree {degree} != {match.label} c1^3 {c1_cubed}")
+    return degree
+
+
 # ---------------------------------------------------------------------------
 # corpus handling
 
@@ -426,9 +437,6 @@ def verify_corpus(directory=None, rows=None):
     Returns a list of (name, row label, normalized volume) on success; raises
     the first failure otherwise.
     """
-    from .classify6 import classify_all
-    from .localization import chern_number
-
     if rows is None:
         rows = classify_all(strict=False)
     results = []
@@ -440,11 +448,5 @@ def verify_corpus(directory=None, rows=None):
             raise NoMatchingTFD(
                 f"{poly.name}: matched {match.label}, expected {expected}"
             )
-        degree = chern_number_from_volume(poly)
-        if degree != chern_number(match):
-            raise NoMatchingTFD(
-                f"{poly.name}: volume degree {degree} != localization "
-                f"{chern_number(match)}"
-            )
-        results.append((poly.name, match.label, degree))
+        results.append((poly.name, match.label, matched_degree(poly, match)))
     return results

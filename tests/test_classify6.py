@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from hamfix import golden
+from hamfix import golden, localization
 from hamfix.classify6 import (
     _candidate_totals,
     _counts_for,
@@ -29,6 +29,7 @@ from hamfix.lattice import (
 )
 from hamfix.localization import (
     C1,
+    C1_CUBED,
     InteriorSurface,
     IsolatedPoint,
     ONE,
@@ -136,8 +137,62 @@ def test_chern_numbers(by_label):
 
 def test_localization_identities(rows):
     for t in rows:
-        assert integrate(t, ONE).is_zero(), t.label
-        assert integrate(t, C1).is_zero(), t.label
+        for u, name in ((t, t.label), (flip(t), f"{t.label}-flip")):
+            assert integrate(u, ONE).is_zero(), name
+            assert integrate(u, C1).is_zero(), name
+
+
+def _rows_and_flips():
+    for row in classify_all(strict=False):
+        yield pytest.param(row, id=row.label)
+        yield pytest.param(flip(row), id=f"{row.label}-flip")
+
+
+@pytest.mark.parametrize("tfd", list(_rows_and_flips()))
+def test_dh_chern_number_matches_localization(tfd):
+    assert chern_number(tfd) == integrate(tfd, C1_CUBED).coeff(0)
+
+
+def test_chern_number_runs_no_localization_sum(rows, monkeypatch):
+    # c1^3 is read off the slices, so rendering a row or matching a polytope
+    # makes no localization sum
+    cases = [u for t in rows for u in (t, flip(t))]
+
+    def refuse(*_args):
+        raise AssertionError("localization sum on the chern_number path")
+
+    monkeypatch.setattr(localization, "integrate", refuse)
+    monkeypatch.setattr(localization, "contribution", refuse)
+    for u in cases:
+        assert type(chern_number(u)) is int, u.label
+
+
+def test_chern_number_needs_integral_slice_ends(by_label):
+    from fractions import Fraction
+
+    from hamfix.classify6 import TFD
+    from hamfix.errors import InternalArithmeticError
+
+    t = by_label["III-1"]
+    s = t.slices[0].with_interval(-3, Fraction(1, 2))
+    with pytest.raises(InternalArithmeticError):
+        chern_number(TFD(t.label, t.max_dim, t.components, (s,), t.blowdowns))
+
+
+def test_enumeration_requires_vanishing_identities(monkeypatch):
+    # enumerate_tfd asserts that the integrals of 1 and c1 vanish, so a
+    # contribution that breaks the integral of 1 surfaces as a bug
+    from hamfix.errors import InternalArithmeticError
+    from hamfix.localization import LaurentPoly
+
+    real = localization.contribution
+
+    def broken(fc, alpha):
+        return real(fc, alpha) + (LaurentPoly.x_power(-3) if alpha == ONE else LaurentPoly.zero())
+
+    monkeypatch.setattr(localization, "contribution", broken)
+    with pytest.raises(InternalArithmeticError):
+        enumerate_tfd(0, {-1, 1})
 
 
 def test_betti_vectors(rows, by_label):

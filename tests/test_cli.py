@@ -86,6 +86,22 @@ def test_toric_verify_single(capsys):
     assert "degree 64" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--polytope", str(corpus_dir() / "p3.json"), "--xi", "1,1,1"], []],
+    ids=["polytope", "corpus"],
+)
+def test_toric_verify_checks_volume_degree(monkeypatch, capsys, argv):
+    # a volume that disagrees with the row's c1^3 fails on either path; p3
+    # comes first in the corpus index
+    from hamfix import toric
+
+    monkeypatch.setattr(toric.Polytope, "normalized_volume", lambda self: 63)
+    assert run(["toric", "verify", *argv]) == 1
+    err = "verification failed: p3: volume degree 63 != III-1 c1^3 64\n"
+    assert capture(capsys) == ("", err)
+
+
 def test_toric_verify_non_semifree(capsys):
     path = str(corpus_dir() / "p3.json")
     assert run(["toric", "verify", "--polytope", path, "--xi", "2,1,1"]) == 1
@@ -241,7 +257,7 @@ def test_toric_verify_not_reflexive_exits_1(tmp_path):
     path.write_text(json.dumps(record), encoding="utf-8")
     proc = hamfix("toric", "verify", "--polytope", str(path), "--xi", "1,1,1")
     assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr == "verification failed: bad: 0 interior lattice points\n"
+    assert proc.stderr == "verification failed: bad: facet (-1, -1, -1) at lattice distance -1\n"
 
 
 def test_tables_diff_shows_known_discrepancies(capsys):

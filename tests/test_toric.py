@@ -189,6 +189,31 @@ def test_euler_characteristic_consistency(corpus, rows):
         assert signed_vertices + corrections == alternating, name
 
 
+def test_interior_point_is_the_only_interior_lattice_point(corpus):
+    # reference: scan the bounding box for points strictly inside every facet
+    for name, (p, _d, _row) in corpus.items():
+        box = [range(min(v[i] for v in p.vertices), max(v[i] for v in p.vertices) + 1)
+               for i in range(3)]
+        inside = [
+            q for q in itertools.product(*box)
+            if all(sum(a * b for a, b in zip(n, q)) > o for n, o in p.facets)
+        ]
+        assert inside == [p.interior_point()], name
+
+
+def test_reflexive_check_needs_a_basis_of_facet_normals():
+    # a repeated facet puts four facets through vertex 0
+    unit = (((1, 0, 0), -1), ((0, 1, 0), -1), ((0, 0, 1), -1), ((-1, -1, -1), -1))
+    record = dict(
+        name="twice",
+        vertices=((-1, -1, -1), (3, -1, -1), (-1, 3, -1), (-1, -1, 3)),
+        edges=((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
+    )
+    assert Polytope(facets=unit, **record).interior_point() == (0, 0, 0)
+    with pytest.raises(NotDelzant):
+        Polytope(facets=unit + unit[:1], **record)
+
+
 def test_not_delzant_detected():
     # vertex (2,0,0) has edge directions (-1,0,0), (-1,1,0), (-1,0,1): fine,
     # but the size-2 simplex is not reflexive (no interior lattice point lies
