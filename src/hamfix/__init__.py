@@ -25,15 +25,7 @@ from .localization import (
     contribution,
     integrate,
 )
-from .reduction import (
-    CrossingEvent,
-    SliceState,
-    bmax_from_euler,
-    check_dh_decrease,
-    cross,
-    dh,
-    initial_slice,
-)
+from .reduction import SliceState, bmax_from_euler, dh, initial_slice
 from .classify6 import TFD, capacities, classify_all, enumerate_tfd, flip
 from .classify4 import TFD4, classify4, enumerate_case3_tuples
 from .toric import CircleDirection, Polytope, chern_number_from_volume, fixed_faces, is_semifree

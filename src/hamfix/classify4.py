@@ -9,9 +9,7 @@ extrema at +-1, interior points at 0.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .errors import ClassificationMismatch, OutOfInterval
+from .errors import ClassificationMismatch
 from . import golden
 from .record import record
 
@@ -27,24 +25,11 @@ class TFD4:
     euler_min: int  # u-coefficient of the Euler class just above the minimum
 
     @property
-    def euler_max(self) -> int:
-        """u-coefficient of the Euler class just below the maximum."""
-        return self.euler_min + self.k
-
-    @property
     def crit_levels(self) -> tuple[int, ...]:
         levels = [self.min_level, self.max_level]
         if self.k:
             levels.append(0)
         return tuple(sorted(levels))
-
-    def dh(self, t) -> Fraction:
-        """Area of the reduced sphere at level t (piecewise linear)."""
-        t = Fraction(t)
-        if not self.min_level <= t <= self.max_level:
-            raise OutOfInterval(f"{t} outside [{self.min_level}, {self.max_level}]")
-        e = self.euler_min if t <= 0 else self.euler_max
-        return 2 - t * e
 
     @property
     def betti(self) -> tuple[int, int, int, int, int]:
@@ -118,16 +103,3 @@ def classify4(strict: bool = True) -> list[TFD4]:
             )
     return labeled
 
-
-def flip_row(row: TFD4) -> TFD4:
-    """Orientation reversal followed by renormalization to the emitted form."""
-    min_level, max_level = -row.max_level, -row.min_level
-    euler_min = -(row.euler_min + row.k)
-    if max_level == 2 and min_level > -2:
-        # renormalize so the isolated extremum is the minimum again
-        return TFD4(row.label, -max_level, -min_level, row.k, -(euler_min + row.k))
-    if min_level == -1 and max_level == 1:
-        a = 2 + euler_min
-        rep = dedupe_case3([(a, euler_min, row.k)])[0]
-        return TFD4(row.label, -1, 1, rep[2], rep[1])
-    return TFD4(row.label, min_level, max_level, row.k, euler_min)

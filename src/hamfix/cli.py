@@ -19,7 +19,6 @@ from .toric import (
     CircleDirection,
     Polytope,
     fixed_faces,
-    is_semifree,
     matched_degree,
     tfd_from_polytope,
     verify_corpus,
@@ -107,9 +106,6 @@ def cmd_toric(args) -> int:
         if args.polytope:
             xi = CircleDirection(tuple(int(x) for x in args.xi.split(",")))
             poly = Polytope.load(args.polytope)
-            if not is_semifree(poly, xi):
-                print(f"{poly.name}: not semifree along {xi.xi}", file=sys.stderr)
-                return 1
             rows = classify_all(strict=False)
             match = tfd_from_polytope(poly, xi, rows)
             degree = matched_degree(poly, match)

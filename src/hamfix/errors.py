@@ -41,10 +41,6 @@ class OutOfInterval(HamfixError):
     """Evaluation level lies outside the slice interval."""
 
 
-class NotAdjacentSlices(HamfixError):
-    """Slices do not share a boundary level."""
-
-
 class NotASphereMaximum(HamfixError):
     """The slice is not the top slice below a two-sphere maximum."""
 

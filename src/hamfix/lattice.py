@@ -31,16 +31,6 @@ class SurfaceLattice:
         return 2 if self.kind == PRODUCT else self.blowups + 1
 
     @property
-    def gram(self) -> tuple[tuple[int, ...], ...]:
-        if self.kind == PRODUCT:
-            return ((0, 1), (1, 0))
-        n = self.rank
-        return tuple(
-            tuple((1 if i == 0 else -1) if i == j else 0 for j in range(n))
-            for i in range(n)
-        )
-
-    @property
     def anticanonical(self) -> CohClass:
         if self.kind == PRODUCT:
             return CohClass(self, (2, 2))
@@ -101,9 +91,6 @@ class CohClass:
         _check_same(self, other)
         return CohClass(self.lattice, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __neg__(self) -> CohClass:
-        return CohClass(self.lattice, tuple(-a for a in self.coeffs))
-
     def __rmul__(self, scalar) -> CohClass:
         return CohClass(self.lattice, tuple(scalar * a for a in self.coeffs))
 
@@ -140,7 +127,7 @@ def _check_same(a: CohClass, b: CohClass) -> None:
 
 
 def pair(a: CohClass, b: CohClass):
-    """Intersection pairing a.gram.b, exact, in the closed form of each gram."""
+    """Intersection pairing, exact: u^2 = 1, Ei^2 = -1, or x.y = 1 on the product."""
     _check_same(a, b)
     x, y = a.coeffs, b.coeffs
     if a.lattice.kind == PRODUCT:

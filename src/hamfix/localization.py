@@ -62,17 +62,11 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(d for d, _ in self.terms)
-
     def __add__(self, other: LaurentPoly) -> LaurentPoly:
         d = dict(self.terms)
         for deg, c in other.terms:
             d[deg] = d.get(deg, Fraction(0)) + c
         return LaurentPoly.from_dict(d)
-
-    def __sub__(self, other: LaurentPoly) -> LaurentPoly:
-        return self + LaurentPoly(tuple((d, -c) for d, c in other.terms))
 
     def __mul__(self, other: LaurentPoly) -> LaurentPoly:
         d: dict[int, Fraction] = {}
@@ -282,7 +276,7 @@ class ExtremalFourManifold:
         return out
 
     def flipped(self) -> ExtremalFourManifold:
-        return ExtremalFourManifold(self.lattice, -self.euler_at_boundary)
+        return ExtremalFourManifold(self.lattice, -1 * self.euler_at_boundary)
 
     def descriptor(self):
         lat = self.lattice

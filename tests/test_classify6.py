@@ -39,16 +39,14 @@ from hamfix.localization import (
     point,
 )
 from hamfix.reduction import (
-    CrossingEvent,
+    blow_down,
     blow_up,
-    check_dh_decrease,
-    cross,
     dh,
     initial_slice,
     shift,
     vanishing_classes,
 )
-from tfd_slices import slice_above, slice_below
+from tfd_slices import dh_jump, slice_above, slice_below
 import unpruned
 
 
@@ -264,7 +262,7 @@ def test_dh_decrease_at_index2_levels(rows):
             continue
         before = slice_below(t, -1)
         after = slice_above(t, -1)
-        assert check_dh_decrease(before, after, k), t.label
+        assert dh_jump(before, after, -1) == (0, 0, -k), t.label
 
 
 def test_blowdown_replay(rows):
@@ -535,25 +533,11 @@ def test_sphere_max_parity(rows):
 def test_dh_blowdown_jump(rows):
     # crossing m index-four points raises DH by m(t-1)^2 relative to the
     # continuation of the lower branch (the mirror of the index-two drop)
-    from hamfix.reduction import dh_quadratic
-
     for t in rows:
         for level, classes in t.blowdowns:
-            m = len(classes)
             before = slice_below(t, level)
             after = slice_above(t, level)
-
-            def around(state):
-                c0, c1, c2 = dh_quadratic(state)
-                return (
-                    c0 + c1 * level + c2 * level * level,
-                    c1 + 2 * c2 * level,
-                    c2,
-                )
-
-            b0, b1, b2 = around(before)
-            a0, a1, a2 = around(after)
-            assert (a0 - b0, a1 - b1, a2 - b2) == (0, 0, m), t.label
+            assert dh_jump(before, after, level) == (0, 0, len(classes)), t.label
 
 
 def test_sphere_max_full_interior_family(rows):
@@ -566,19 +550,27 @@ def test_sphere_max_full_interior_family(rows):
 
 
 def test_cross_replays_every_row(rows):
-    # the public wall-crossing dispatcher rebuilds each row's own slice path
+    # the three crossing rules rebuild each row's own slice path from the
+    # points at -1 and +1 and the surfaces at 0, all that lies below the top
     for t in rows:
+        inner = [fc for level in (-1, 0, 1) for fc in t.at_level(level) if fc.dim < 4]
+        k = sum(1 for fc in inner if (fc.level, fc.dim) == (-1, 0))
+        surfaces = [fc.spec.surface_class for fc in inner if (fc.level, fc.dim) == (0, 2)]
+        m = sum(1 for fc in inner if (fc.level, fc.dim) == (1, 0))
+        assert k + len(surfaces) + m == len(inner), t.label
         state = initial_slice(t.at_level(-3)[0])
         slices, blowdowns = [], []
-        for level in (-1, 0, 1):
-            comps = tuple(fc for fc in t.at_level(level) if fc.dim < 4)
-            if not comps:
-                continue
-            slices.append(state.with_interval(state.interval[0], level))
-            if level == 1:
-                exc = exceptional_classes(slices[-1].lattice)
-                blowdowns.append((level, vanishing_classes(slices[-1], level, exc)))
-            state = cross(slices[-1], CrossingEvent(level, comps))
+        if k:
+            slices.append(state.with_interval(state.interval[0], -1))
+            state = blow_up(slices[-1], -1, k)
+        if surfaces:
+            slices.append(state.with_interval(state.interval[0], 0))
+            state = shift(slices[-1], 0, sum(surfaces, state.lattice.zero()))
+        if m:
+            slices.append(state.with_interval(state.interval[0], 1))
+            exc = exceptional_classes(state.lattice)
+            state, vanishing = blow_down(slices[-1], 1, m, exc)
+            blowdowns.append((1, vanishing))
         slices.append(state.with_interval(state.interval[0], max(t.crit_levels)))
         assert tuple(slices) == t.slices, t.label
         assert tuple(blowdowns) == t.blowdowns, t.label

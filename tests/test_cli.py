@@ -103,10 +103,30 @@ def test_toric_verify_checks_volume_degree(monkeypatch, capsys, argv):
 
 
 def test_toric_verify_non_semifree(capsys):
+    # the same failure line as the corpus path gives
     path = str(corpus_dir() / "p3.json")
     assert run(["toric", "verify", "--polytope", path, "--xi", "2,1,1"]) == 1
-    _, err = capture(capsys)
-    assert "not semifree" in err
+    assert capture(capsys) == ("", "verification failed: p3: direction (2, 1, 1) is not semifree\n")
+
+
+@pytest.mark.parametrize(
+    "name,profile",
+    [
+        ("p1xf1", "-1: fourmanifold blowup 1 4; 1: fourmanifold blowup 1 4"),
+        (
+            "bl_y2",
+            "-1: fourmanifold blowup 2 7/2; 0: sphere 1; "
+            "1: pt (-1, -1, 1), pt (-1, -1, 1); 3: pt (-1, -1, -1)",
+        ),
+    ],
+    ids=["p1xf1", "bl_y2"],
+)
+def test_toric_verify_no_match_prints_profile(capsys, name, profile):
+    # the observed profile reads as levels and kinds with exact rationals
+    path = str(corpus_dir() / f"{name}.json")
+    assert run(["toric", "verify", "--polytope", path, "--xi", "1,0,0"]) == 1
+    err = f"verification failed: {name}: 0 classified rows match profile {profile}\n"
+    assert capture(capsys) == ("", err)
 
 
 def test_toric_verify_needs_direction(capsys):

@@ -7,7 +7,6 @@ import pytest
 from hamfix.errors import (
     InternalArithmeticError,
     NonDisjointBlowdown,
-    NotAdjacentSlices,
     NotAMinimum,
     NotASphereMaximum,
     OutOfInterval,
@@ -22,27 +21,25 @@ from hamfix.lattice import (
 )
 from hamfix.localization import ExtremalFourManifold, ExtremalSurface, FixedComponent, point
 from hamfix.reduction import (
-    CrossingEvent,
     SliceState,
+    blow_down,
+    blow_up,
     blowdown_lattice,
     bmax_from_euler,
-    check_dh_decrease,
-    cross,
     dh,
     initial_slice,
     positive_square_throughout,
+    shift,
     vanishing_classes,
 )
+from tfd_slices import dh_jump
 
 P2 = make_blowup_lattice(0)
 
 
-def idx2_event(k):
-    return CrossingEvent(-1, tuple(point(-1, (-1, 1, 1)) for _ in range(k)))
-
-
-def idx4_event(m):
-    return CrossingEvent(1, tuple(point(1, (-1, -1, 1)) for _ in range(m)))
+def blow_down_at_one(state, m):
+    """Cross m index-four points at level one, as the sweep does."""
+    return blow_down(state, 1, m, exceptional_classes(state.lattice))[0]
 
 
 def test_initial_slice_isolated_minimum():
@@ -66,7 +63,7 @@ def test_initial_slice_rejects_non_minimum():
 
 def test_cross_three_index2_points():
     s0 = initial_slice(point(-3, (1, 1, 1))).with_interval(-3, -1)
-    s1 = cross(s0, idx2_event(3))
+    s1 = blow_up(s0, -1, 3)
     assert s1.lattice == make_blowup_lattice(3)
     assert s1.euler.coeffs == (-1, 1, 1, 1)
     assert s1.omega(-1).coeffs == (2, 0, 0, 0)
@@ -77,7 +74,7 @@ def test_cross_interior_surface():
     from hamfix.localization import InteriorSurface
 
     conic = FixedComponent(0, InteriorSurface(CohClass(P2, (2,)), 0, (2, 2)))
-    s1 = cross(s0, CrossingEvent(0, (conic,)))
+    s1 = shift(s0, 0, conic.spec.surface_class)
     assert s1.euler == CohClass(P2, (1,))
     assert s1.omega(3).is_zero()
 
@@ -85,13 +82,13 @@ def test_cross_interior_surface():
 def test_cross_blowdown_three_lines():
     # three blow-ups then three simultaneous blow-downs land back on the plane
     s0 = initial_slice(point(-3, (1, 1, 1))).with_interval(-3, -1)
-    s1 = cross(s0, idx2_event(3)).with_interval(-1, 1)
+    s1 = blow_up(s0, -1, 3).with_interval(-1, 1)
     vanish = vanishing_classes(s1, 1, exceptional_classes(s1.lattice))
     assert {v.coeffs for v in vanish} == {
         (1, -1, -1, 0), (1, -1, 0, -1), (1, 0, -1, -1)
     }
     assert all(pair(s1.omega(1), v) == 0 for v in vanish)
-    s2 = cross(s1, idx4_event(3))
+    s2 = blow_down_at_one(s1, 3)
     assert s2.lattice == P2
     assert s2.euler == CohClass(P2, (1,))
     assert s2.omega(3).is_zero()
@@ -101,7 +98,7 @@ def test_cross_blowdown_three_lines():
 def test_dh_values():
     s0 = initial_slice(point(-3, (1, 1, 1)))
     assert dh(s0, -3) == 0
-    s1 = cross(s0.with_interval(-3, -1), idx2_event(3))
+    s1 = blow_up(s0.with_interval(-3, -1), -1, 3)
     assert dh(s1.with_interval(-1, 1), 1) == 16 - 4 * 3
     with pytest.raises(OutOfInterval):
         dh(s0.with_interval(-3, -1), 0)
@@ -113,31 +110,28 @@ def test_dh_case_iii3():
 
     s0 = initial_slice(point(-3, (1, 1, 1))).with_interval(-3, 0)
     conic = FixedComponent(0, InteriorSurface(CohClass(P2, (2,)), 0, (2, 2)))
-    s1 = cross(s0, CrossingEvent(0, (conic,)))
+    s1 = shift(s0, 0, conic.spec.surface_class)
     assert dh(s1.with_interval(0, 1), 1) == 4
 
 
 def test_check_dh_decrease():
     s0 = initial_slice(point(-3, (1, 1, 1))).with_interval(-3, -1)
-    s1 = cross(s0, idx2_event(3))
-    assert check_dh_decrease(s0, s1.with_interval(-1, 1), 3)
-    assert not check_dh_decrease(s0, s1.with_interval(-1, 1), 2)
+    s1 = blow_up(s0, -1, 3)
+    assert dh_jump(s0, s1.with_interval(-1, 1), -1) == (0, 0, -3)
 
-    one = cross(s0, idx2_event(1))
-    assert check_dh_decrease(s0, one.with_interval(-1, 1), 1)
+    one = blow_up(s0, -1, 1)
+    assert dh_jump(s0, one.with_interval(-1, 1), -1) == (0, 0, -1)
     # no crossing at all: the same path extends with zero drop
     flat = s0.with_interval(-1, 1)
-    assert check_dh_decrease(s0, flat, 0)
-    with pytest.raises(NotAdjacentSlices):
-        check_dh_decrease(s0, s1.with_interval(0, 1), 3)
+    assert dh_jump(s0, flat, -1) == (0, 0, 0)
 
 
 def test_blowdown_count_mismatch():
     # two blow-downs cannot swallow the three simultaneous vanishing classes
     s0 = initial_slice(point(-3, (1, 1, 1))).with_interval(-3, -1)
-    s1 = cross(s0, idx2_event(3)).with_interval(-1, 1)
+    s1 = blow_up(s0, -1, 3).with_interval(-1, 1)
     with pytest.raises(VanishingCycleMismatch):
-        cross(s1, idx4_event(2))
+        blow_down_at_one(s1, 2)
 
 
 def test_blowdown_disjointness():
@@ -154,7 +148,7 @@ def test_blowdown_disjointness():
         (0, 1, 0), (1, -1, -1)
     }
     with pytest.raises(NonDisjointBlowdown):
-        cross(state, idx4_event(2))
+        blow_down_at_one(state, 2)
 
 
 def test_bmax_examples():

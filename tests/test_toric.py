@@ -111,6 +111,19 @@ def test_verify_corpus_end_to_end():
     assert ("p1xf1", "II-4.1b", 48) in results
 
 
+def test_verify_corpus_non_semifree_direction(tmp_path, rows):
+    # the corpus path leaves the semifree check to tfd_from_polytope
+    import json
+    import shutil
+    from hamfix.toric import corpus_dir
+
+    shutil.copy(corpus_dir() / "p3.json", tmp_path)
+    index = [{"file": "p3.json", "xi": [2, 1, 1], "row": "III-1"}]
+    (tmp_path / "index.json").write_text(json.dumps(index), encoding="utf-8")
+    with pytest.raises(NoMatchingTFD, match=r"^p3: direction \(2, 1, 1\) is not semifree$"):
+        verify_corpus(tmp_path, rows)
+
+
 def test_semifreeness_invariant_under_lattice_automorphisms(corpus):
     # shear the simplex and the direction together
     shears = [
@@ -336,10 +349,11 @@ def test_facet_shape_from_edge_count_and_parity(corpus):
 
 
 def _outcome(call):
+    # the profile is rendered for a reader, so the match count stands for it
     try:
         return ("row", id(call()))
     except HamfixError as err:
-        return (type(err).__name__, str(err))
+        return (type(err).__name__, str(err).split(" match profile ")[0])
 
 
 def _brute_force_match(p, d, rows):
