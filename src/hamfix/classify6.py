@@ -53,7 +53,6 @@ from .reduction import (
     initial_slice,
     positive_square_throughout,
     shift,
-    vanishing_classes,
 )
 
 MIN_WEIGHTS = (1, 1, 1)
@@ -69,10 +68,13 @@ class TFD:
     """A topological fixed-point data record with its derived slice path."""
 
     label: str | None
-    max_dim: int
     components: tuple[FixedComponent, ...]
     slices: tuple[SliceState, ...]
-    blowdowns: tuple[tuple[int, tuple[CohClass, ...]], ...]
+
+    @property
+    def max_dim(self) -> int:
+        """Dimension of the component at the highest level."""
+        return max(self.components, key=lambda fc: fc.level).dim
 
     @property
     def crit_levels(self) -> tuple[int, ...]:
@@ -114,10 +116,11 @@ class TFD:
 def flip(t: TFD) -> TFD:
     """Orientation reversal: levels negate, indices complement, Euler classes negate.
 
-    Anchor classes stay, so omega_flip(t) = omega(-t): dh reflects and `chern_number`
-    is unchanged.  The localization sums are the Laplace transform of dh / 2 (Atiyah and Bott
-    1984), so the flip's integrals of 1 and c1 are those of `t` at -x, which
-    `enumerate_tfd` asserts vanish.
+    Each slice is anchored at its old upper end, so omega_flip(t) = omega(-t):
+    dh reflects and `chern_number` is unchanged.  The localization sums are
+    the Laplace transform of dh / 2 (Atiyah and Bott 1984), so the flip's
+    integrals of 1 and c1 are those of `t` at -x, which `enumerate_tfd`
+    asserts vanish.
     """
     comps = sorted(
         (FixedComponent(-fc.level, fc.spec.flipped()) for fc in t.components),
@@ -129,8 +132,7 @@ def flip(t: TFD) -> TFD:
                 SliceState(
                     s.lattice,
                     -1 * s.euler,
-                    -s.anchor_level,
-                    s.anchor_class,
+                    s.omega(s.interval[1]),
                     (-s.interval[1], -s.interval[0]),
                 )
                 for s in t.slices
@@ -138,14 +140,7 @@ def flip(t: TFD) -> TFD:
             key=lambda s: s.interval,
         )
     )
-    downs = []
-    for s in slices:
-        hi = s.interval[1]
-        if any(fc.level == hi and (fc.dim, fc.index) == (0, 4) for fc in comps):
-            downs.append((int(hi), vanishing_classes(s, hi, exceptional_classes(s.lattice))))
-    top = max(fc.level for fc in comps)
-    new_max_dim = next(fc.dim for fc in comps if fc.level == top)
-    return TFD(t.label, new_max_dim, tuple(comps), slices, tuple(downs))
+    return TFD(t.label, tuple(comps), slices)
 
 
 def capacities(t: TFD) -> tuple[Fraction, Fraction]:
@@ -164,15 +159,15 @@ def capacities(t: TFD) -> tuple[Fraction, Fraction]:
 def _sweep_path(max_dim: int, k: int, total: CohClass | None, m: int):
     """Build the slice path for (k points, total surface class, m points).
 
-    Returns (slices, blowdowns, exceptional), where exceptional[i] holds the
-    (-1)-classes of the lattice of slices[i], built once per lattice.
+    Returns (slices, exceptional), where exceptional[i] holds the (-1)-classes
+    of the lattice of slices[i], built once per lattice.
     Generation fixes the level-one blow-down count (`_counts_for`,
     `_candidate_totals`), so a blow-down whose zero-area classes do not match
     the m points is a bug: VanishingCycleMismatch or NonDisjointBlowdown.
     """
     state = initial_slice(point(-3, MIN_WEIGHTS))
     exc = ()
-    slices, blowdowns, exceptional = [], [], []
+    slices, exceptional = [], []
 
     def close(level):
         slices.append(state.with_interval(state.interval[0], level))
@@ -187,11 +182,10 @@ def _sweep_path(max_dim: int, k: int, total: CohClass | None, m: int):
         state = shift(state, 0, total)
     if m:
         close(1)
-        state, vanishing = blow_down(state, 1, m, exc)
-        blowdowns.append((1, vanishing))
+        state = blow_down(state, 1, m, exc)
         exc = exceptional_classes(state.lattice) if state.lattice.kind == BLOWUP else ()
     close(TOP_LEVEL[max_dim])
-    return slices, blowdowns, exceptional
+    return slices, exceptional
 
 
 def _check_top(max_dim: int, top_slice: SliceState):
@@ -200,7 +194,7 @@ def _check_top(max_dim: int, top_slice: SliceState):
         return None
     if max_dim == 2:
         return bmax_from_euler(top_slice)
-    return (top_slice.lattice, top_slice.euler)
+    return top_slice.euler
 
 
 def _check_slices(slices, max_dim: int, exceptional):
@@ -235,7 +229,7 @@ def _interior_components(slices, level, splitting) -> tuple[FixedComponent, ...]
     return tuple(comps)
 
 
-def _assemble(max_dim, k, m, splitting, slices, blowdowns, top_data):
+def _assemble(max_dim, k, m, splitting, slices, top_data):
     comps = [point(-3, MIN_WEIGHTS)]
     comps += [point(-1, INDEX2_WEIGHTS) for _ in range(k)]
     if splitting:
@@ -244,11 +238,10 @@ def _assemble(max_dim, k, m, splitting, slices, blowdowns, top_data):
     if max_dim == 0:
         comps.append(point(3, MAX_WEIGHTS))
     elif max_dim == 2:
-        comps.append(FixedComponent(2, ExtremalSurface((top_data, 0))))
+        comps.append(FixedComponent(2, ExtremalSurface(top_data)))
     else:
-        lat, euler = top_data
-        comps.append(FixedComponent(1, ExtremalFourManifold(lat, euler)))
-    return TFD(None, max_dim, tuple(comps), tuple(slices), tuple(blowdowns))
+        comps.append(FixedComponent(1, ExtremalFourManifold(top_data)))
+    return TFD(None, tuple(comps), tuple(slices))
 
 
 def _candidate_totals(max_dim: int, k: int, m: int):
@@ -456,12 +449,12 @@ def enumerate_tfd(max_dim: int, crit) -> list[TFD]:
     for k, m in _counts_for(max_dim, crit):
         totals = _candidate_totals(max_dim, k, m) if 0 in crit else [None]
         for total in totals:
-            slices, blowdowns, exceptional = _sweep_path(max_dim, k, total, m)
+            slices, exceptional = _sweep_path(max_dim, k, total, m)
             top_data = _check_top(max_dim, slices[-1])
             _check_slices(slices, max_dim, exceptional)
             splittings = [()] if total is None else component_splittings(total.lattice, total)
             for splitting in splittings:
-                tfd = _assemble(max_dim, k, m, splitting, slices, blowdowns, top_data)
+                tfd = _assemble(max_dim, k, m, splitting, slices, top_data)
                 if not (integrate(tfd, ONE).is_zero() and integrate(tfd, C1).is_zero()):
                     raise InternalArithmeticError(f"localization fails on {serialization(tfd)}")
                 canon = _canonicalize(tfd, k)
@@ -491,9 +484,9 @@ def _canonicalize(tfd: TFD, k: int) -> TFD:
     split = tuple((CohClass(lat, c), g) for c, g in best)
     m = sum(1 for fc in tfd.components if fc.level == 1 and fc.dim == 0)
     total = sum((c for c, _ in split), lat.zero())
-    slices, blowdowns, _ = _sweep_path(tfd.max_dim, k, total, m)
-    top_data = _check_top(tfd.max_dim, slices[-1])
-    return _assemble(tfd.max_dim, k, m, split, slices, blowdowns, top_data)
+    max_dim = tfd.max_dim
+    slices, _ = _sweep_path(max_dim, k, total, m)
+    return _assemble(max_dim, k, m, split, slices, _check_top(max_dim, slices[-1]))
 
 
 def serialization(tfd: TFD):
@@ -540,15 +533,15 @@ def classify_all(strict: bool = True) -> list[TFD]:
 
 @lru_cache(maxsize=None)
 def _classify_cached() -> tuple[TFD, ...]:
-    rows: dict[tuple, TFD] = {}
+    # a row's serialization holds max_dim and its critical levels, so rows of
+    # different cells never coincide and each cell de-duplicates its own
+    rows = []
     for max_dim in (0, 2, 4):
         levels = (-1, 0, 1) if max_dim != 4 else (-1, 0)
         for r in range(len(levels) + 1):
             for crit in itertools.combinations(levels, r):
-                for tfd in enumerate_tfd(max_dim, crit):
-                    rows.setdefault(serialization(tfd), tfd)
-    ordered = sorted(rows.values(), key=sort_key)
-    return tuple(_attach_labels(ordered))
+                rows += enumerate_tfd(max_dim, crit)
+    return tuple(_attach_labels(sorted(rows, key=sort_key)))
 
 
 def _attach_labels(ordered: list[TFD]) -> list[TFD]:
@@ -567,5 +560,5 @@ def _attach_labels(ordered: list[TFD]) -> list[TFD]:
         else:
             prev_label = label
             extra_idx = 0
-        out.append(TFD(label, tfd.max_dim, tfd.components, tfd.slices, tfd.blowdowns))
+        out.append(TFD(label, tfd.components, tfd.slices))
     return out

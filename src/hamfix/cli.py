@@ -106,8 +106,7 @@ def cmd_toric(args) -> int:
         if args.polytope:
             xi = CircleDirection(tuple(int(x) for x in args.xi.split(",")))
             poly = Polytope.load(args.polytope)
-            rows = classify_all(strict=False)
-            match = tfd_from_polytope(poly, xi, rows)
+            match = tfd_from_polytope(poly, xi)
             degree = matched_degree(poly, match)
             for f in fixed_faces(poly, xi):
                 print(f"level {f.level}: {f.kind} {f.vertices}")

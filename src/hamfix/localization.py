@@ -189,9 +189,9 @@ class InteriorSurface:
 
 @record
 class ExtremalSurface:
-    """Extremal fixed 2-sphere; normal bundle splits with these degrees."""
+    """Extremal fixed 2-sphere with the degree of its normal bundle."""
 
-    normal_degrees: tuple[int, int]
+    normal_degree: int
 
     dim = 2
 
@@ -207,10 +207,11 @@ class ExtremalSurface:
 
     def contribution(self, level: int, p: int) -> LaurentPoly:
         # Maximum at +2: weights (-1,-1); minimum at -2: weights (+1,+1).
-        d_sum = self.normal_degrees[0] + self.normal_degrees[1]
+        # With q^2 = 0 the Euler class (wx + d1 q)(wx + d2 q) of any split
+        # d1 + d2 = d_sum is x^2 + w d_sum x q, inverse x^-2 - w d_sum q x^-3;
+        # restriction of c1 is 2wx + (d_sum + 2) q.
+        d_sum = self.normal_degree
         w = -1 if level > 0 else 1
-        # Euler class (wx + d1 q)(wx + d2 q) = x^2 + w d_sum x q,
-        # inverse x^-2 - w d_sum q x^-3; restriction of c1 is 2wx + (d_sum + 2) q.
         inv_const = LaurentPoly.x_power(-2)
         inv_q = LaurentPoly.x_power(-3, -w * d_sum)
         if p == 0:
@@ -224,29 +225,30 @@ class ExtremalSurface:
         return self
 
     def descriptor(self):
-        return ("sphere", self.normal_degrees[0] + self.normal_degrees[1])
+        return ("sphere", self.normal_degree)
 
     def column(self) -> str:
-        return f"S2(vol {2 + self.normal_degrees[0] + self.normal_degrees[1]})"
+        return f"S2(vol {2 + self.normal_degree})"
 
     def toric_descriptor(self, omega):
-        return ("sphere", 2 + self.normal_degrees[0] + self.normal_degrees[1])
+        return ("sphere", 2 + self.normal_degree)
 
 
 @record
 class ExtremalFourManifold:
     """Extremal 4-dimensional fixed component, identified with a reduced space."""
 
-    lattice: SurfaceLattice
     euler_at_boundary: CohClass
 
     dim = 4
 
+    @property
+    def lattice(self) -> SurfaceLattice:
+        return self.euler_at_boundary.lattice
+
     def validate(self, level: int) -> None:
         if level not in (-1, 1):
             raise InvalidFixedComponent("4-dim extremum must sit at level +-1")
-        if self.euler_at_boundary.lattice != self.lattice:
-            raise InvalidFixedComponent("boundary Euler class over wrong lattice")
 
     def index(self, level: int) -> int:
         return 2 if level > 0 else 0
@@ -276,7 +278,7 @@ class ExtremalFourManifold:
         return out
 
     def flipped(self) -> ExtremalFourManifold:
-        return ExtremalFourManifold(self.lattice, -1 * self.euler_at_boundary)
+        return ExtremalFourManifold(-1 * self.euler_at_boundary)
 
     def descriptor(self):
         lat = self.lattice
@@ -342,18 +344,17 @@ def chern_number(tfd) -> int:
     """c1^3 of a classified row: 3 times the integral of omega(t)^2 over its slices.
 
     c1^3 = 6 vol(M), and vol(M) integrates omega(t)^2 / 2 (Duistermaat and
-    Heckman 1982).  A slice with omega(t0 + u) = A - u e on [t0 + a, t0 + b]
-    adds 3(A.A)(b - a) - 3(A.e)(b^2 - a^2) + (e.e)(b^3 - a^3), an integer for
-    integral a and b.  The tests check it against `integrate(tfd, C1_CUBED)`.
+    Heckman 1982).  A slice with omega(lo + u) = A - u e on [lo, lo + n]
+    adds 3(A.A)n - 3(A.e)n^2 + (e.e)n^3, an integer for integral n.  The
+    tests check it against `integrate(tfd, C1_CUBED)`.
     """
     total = 0
     for s in tfd.slices:
-        a, b = s.interval[0] - s.anchor_level, s.interval[1] - s.anchor_level
-        if a.denominator != 1 or b.denominator != 1:
-            raise InternalArithmeticError(f"slice {s.interval} not integral from {s.anchor_level}")
-        a, b, big_a, e = a.numerator, b.numerator, s.anchor_class, s.euler
-        total += 3 * pair(big_a, big_a) * (b - a) - 3 * pair(big_a, e) * (b * b - a * a)
-        total += pair(e, e) * (b**3 - a**3)
+        n = s.interval[1] - s.interval[0]
+        if n.denominator != 1:
+            raise InternalArithmeticError(f"slice {s.interval} has non-integral length")
+        n, big_a, e = n.numerator, s.anchor_class, s.euler
+        total += 3 * pair(big_a, big_a) * n - 3 * pair(big_a, e) * n * n + pair(e, e) * n**3
     return total
 
 

@@ -2,10 +2,10 @@
 
 A slice records the intersection lattice of the reduced space, the Euler
 class of the circle bundle, and an affine path of reduced symplectic classes
-omega(t) = anchor - (t - t0) * euler.  Crossing a critical level transforms
-the slice: index-two points blow up, interior surfaces shift the Euler class,
-index-four points blow down the exceptional classes whose area vanishes at
-the level.
+omega(t) = anchor - (t - lo) * euler on its interval [lo, hi].  Crossing a
+critical level transforms the slice: index-two points blow up, interior
+surfaces shift the Euler class, index-four points blow down the exceptional
+classes whose area vanishes at the level.
 """
 
 from __future__ import annotations
@@ -38,25 +38,19 @@ class SliceState:
 
     lattice: SurfaceLattice
     euler: CohClass
-    anchor_level: Fraction
-    anchor_class: CohClass
+    anchor_class: CohClass  # omega at interval[0]
     interval: tuple[Fraction, Fraction]
 
     def omega(self, t) -> CohClass:
-        return self.anchor_class - (Fraction(t) - self.anchor_level) * self.euler
+        return self.anchor_class - (Fraction(t) - self.interval[0]) * self.euler
 
     def with_interval(self, lo, hi) -> SliceState:
-        return SliceState(
-            self.lattice, self.euler, self.anchor_level, self.anchor_class,
-            (Fraction(lo), Fraction(hi)),
-        )
+        """The same path on [lo, hi], anchored at lo."""
+        return _state(self.lattice, self.euler, self.omega(lo), lo, hi)
 
 
-def _state(lattice, euler, anchor_level, anchor_class, lo, hi) -> SliceState:
-    return SliceState(
-        lattice, euler, Fraction(anchor_level), anchor_class,
-        (Fraction(lo), Fraction(hi)),
-    )
+def _state(lattice, euler, anchor_class, lo, hi) -> SliceState:
+    return SliceState(lattice, euler, anchor_class, (Fraction(lo), Fraction(hi)))
 
 
 def initial_slice(min_component: FixedComponent) -> SliceState:
@@ -69,7 +63,7 @@ def initial_slice(min_component: FixedComponent) -> SliceState:
         raise NotAMinimum("isolated minimum must sit at level -3 with index 0")
     lat = make_blowup_lattice(0)
     euler = -1 * lat.basis_class(0)
-    return _state(lat, euler, -3, lat.zero(), -3, 3)
+    return _state(lat, euler, lat.zero(), -3, 3)
 
 
 def dh(state: SliceState, t):
@@ -110,22 +104,19 @@ def blow_up(state: SliceState, level, k: int) -> SliceState:
     euler = sum((new_lat.basis_class(old + 1 + i) for i in range(k)), extend(state.euler))
     # the new exceptional classes have zero area at the crossing
     omega = extend(state.omega(level))
-    return _state(new_lat, euler, level, omega, level, state.interval[1])
+    return _state(new_lat, euler, omega, level, state.interval[1])
 
 
 def shift(state: SliceState, level, total: CohClass) -> SliceState:
     """Cross fixed surfaces of total class `total`: the Euler class shifts by it."""
-    return _state(
-        state.lattice, state.euler + total, level, state.omega(level), level, state.interval[1]
-    )
+    return _state(state.lattice, state.euler + total, state.omega(level), level, state.interval[1])
 
 
 def blow_down(state: SliceState, level, m: int, exceptional):
     """Cross m index-four points: contract the zero-area exceptional classes.
 
-    `exceptional` holds the (-1)-classes of the slice lattice.  Returns the
-    new slice and the contracted classes, which must be exactly m pairwise
-    disjoint ones.
+    `exceptional` holds the (-1)-classes of the slice lattice.  The
+    contracted classes must be exactly m pairwise disjoint ones.
     """
     vanishing = vanishing_classes(state, level, exceptional)
     if len(vanishing) != m:
@@ -139,7 +130,7 @@ def blow_down(state: SliceState, level, m: int, exceptional):
     new_lat, push = blowdown_lattice(state.lattice, vanishing, exceptional)
     euler = push(sum(vanishing, state.euler))
     omega = push(state.omega(level))
-    return _state(new_lat, euler, level, omega, level, state.interval[1]), vanishing
+    return _state(new_lat, euler, omega, level, state.interval[1])
 
 
 def blowdown_lattice(lattice: SurfaceLattice, vanishing, exceptional):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 from fractions import Fraction
 from functools import partial
 from math import gcd
@@ -364,10 +363,15 @@ def _tfd_profile(tfd: TFD):
     return {lvl: tuple(sorted(ds)) for lvl, ds in sorted(levels.items())}
 
 
-def tfd_from_polytope(p: Polytope, d: CircleDirection, rows: list[TFD]) -> TFD:
-    """Match the polytope's fixed-point data against classified rows."""
+def tfd_from_polytope(p: Polytope, d: CircleDirection, rows: list[TFD] | None = None) -> TFD:
+    """Match the polytope's fixed-point data against classified rows.
+
+    Without `rows` it classifies, after the semifree check.
+    """
     if not is_semifree(p, d):
         raise NoMatchingTFD(f"{p.name}: direction {d.xi} is not semifree")
+    if rows is None:
+        rows = classify_all(strict=False)
     observed = observed_profile(p, d)
     # equal profiles have one descriptor per component at the same levels, so
     # a row whose sorted component levels differ cannot match
@@ -406,9 +410,6 @@ def matched_degree(p: Polytope, match: TFD) -> int:
 # corpus handling
 
 def corpus_dir() -> Path:
-    env = os.environ.get("HAMFIX_CORPUS")
-    if env:
-        return Path(env)
     return Path(__file__).resolve().parent / "corpus"
 
 

@@ -46,7 +46,7 @@ from hamfix.reduction import (
     shift,
     vanishing_classes,
 )
-from tfd_slices import dh_jump, slice_above, slice_below
+from tfd_slices import contracted_classes, dh_jump, slice_above, slice_below
 import unpruned
 
 
@@ -58,6 +58,11 @@ def rows():
 @pytest.fixture(scope="module")
 def by_label(rows):
     return {t.label: t for t in rows}
+
+
+def blowdown_levels(tfd):
+    """The levels that hold index-four points, where the reduced space blows down."""
+    return sorted({fc.level for fc in tfd.components if (fc.dim, fc.index) == (0, 4)})
 
 
 def interior_classes(tfd):
@@ -174,7 +179,7 @@ def test_chern_number_needs_integral_slice_ends(by_label):
     t = by_label["III-1"]
     s = t.slices[0].with_interval(-3, Fraction(1, 2))
     with pytest.raises(InternalArithmeticError):
-        chern_number(TFD(t.label, t.max_dim, t.components, (s,), t.blowdowns))
+        chern_number(TFD(t.label, t.components, (s,)))
 
 
 def test_enumeration_requires_vanishing_identities(monkeypatch):
@@ -228,6 +233,21 @@ def test_flip_involution_preserves_invariants(rows):
         assert flip(f).slices == t.slices, t.label
 
 
+def test_flip_recomputes_no_blowdown(rows, monkeypatch):
+    # a flipped row reads everything off its components and slices, so flip
+    # builds no (-1)-classes and looks for no zero-area ones
+    from hamfix import classify6, lattice, reduction
+
+    def refuse(*_args):
+        raise AssertionError("flip recomputed the contracted classes")
+
+    for module in (classify6, lattice, reduction):
+        for name in ("exceptional_classes", "vanishing_classes"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    for t in rows:
+        assert flip(flip(t)) == t, t.label
+
+
 def test_flip_of_symmetric_row_is_itself(by_label):
     i1 = by_label["I-1"]
     assert serialization(flip(i1)) == serialization(i1)
@@ -266,8 +286,10 @@ def test_dh_decrease_at_index2_levels(rows):
 
 
 def test_blowdown_replay(rows):
+    replayed = 0
     for t in rows:
-        for level, classes in t.blowdowns:
+        for level in blowdown_levels(t):
+            classes = contracted_classes(t, level)
             m = sum(
                 1 for fc in t.components
                 if fc.level == level and isinstance(fc.spec, IsolatedPoint)
@@ -275,11 +297,14 @@ def test_blowdown_replay(rows):
             below = slice_below(t, level)
             assert len(classes) == m, t.label
             exc = exceptional_classes(below.lattice)
-            assert tuple(vanishing_classes(below, level, exc)) == classes
+            above = slice_above(t, level)
+            assert blow_down(below, level, m, exc).with_interval(*above.interval) == above
             for a, b in itertools.combinations(classes, 2):
                 assert pair(a, b) == 0
             for c in classes:
                 assert pair(below.omega(level), c) == 0
+            replayed += 1
+    assert replayed == 5  # the rows with index-four points
 
 
 def test_omega_positive_on_all_slices(rows):
@@ -304,8 +329,8 @@ def test_no_candidate_on_box_boundary(rows):
         for fc in t.components:
             if isinstance(fc.spec, InteriorSurface):
                 assert max(abs(c) for c in fc.spec.surface_class.coeffs) < 6
-        for _, classes in t.blowdowns:
-            for c in classes:
+        for level in blowdown_levels(t):
+            for c in contracted_classes(t, level):
                 assert max(abs(x) for x in c.coeffs) < 6
 
 
@@ -432,6 +457,9 @@ def test_generation_funnel(rows):
     assert candidates == 22
     assert sorted(empty) == [(0, (2, -2, -2)), (2, (1, -2, 0)), (2, (2, -2, -2, -1))]
     assert len(rows) == candidates - len(empty) == 19
+    # rows of different cells differ in max_dim or critical levels, so the
+    # rows need no de-duplication across cells
+    assert len({serialization(t) for t in rows}) == 19
 
 
 def test_failed_slice_assertion_is_an_error(monkeypatch):
@@ -450,7 +478,7 @@ def test_search_matches_unpruned_reference(rows):
     # generating only candidates that pass the level-one count, deriving k and
     # sweeping each distinct permutation once lose no row and change none
     def view(t):
-        return (t.label, serialization(t), t.components, t.slices, t.blowdowns)
+        return (t.label, serialization(t), t.components, t.slices)
 
     assert [view(t) for t in unpruned.classify_all()] == [view(t) for t in rows]
 
@@ -525,7 +553,7 @@ def test_sphere_max_parity(rows):
         tops = [fc for fc in t.components if isinstance(fc.spec, ExtremalSurface)]
         if not tops:
             continue
-        b_max = sum(tops[0].spec.normal_degrees)
+        b_max = tops[0].spec.normal_degree
         top_slice = slice_below(t, 2)
         assert (b_max % 2 == 0) == (top_slice.lattice.kind == "product"), t.label
 
@@ -534,9 +562,10 @@ def test_dh_blowdown_jump(rows):
     # crossing m index-four points raises DH by m(t-1)^2 relative to the
     # continuation of the lower branch (the mirror of the index-two drop)
     for t in rows:
-        for level, classes in t.blowdowns:
+        for level in blowdown_levels(t):
             before = slice_below(t, level)
             after = slice_above(t, level)
+            classes = contracted_classes(t, level)
             assert dh_jump(before, after, level) == (0, 0, len(classes)), t.label
 
 
@@ -569,11 +598,12 @@ def test_cross_replays_every_row(rows):
         if m:
             slices.append(state.with_interval(state.interval[0], 1))
             exc = exceptional_classes(state.lattice)
-            state, vanishing = blow_down(slices[-1], 1, m, exc)
-            blowdowns.append((1, vanishing))
+            blowdowns.append((1, vanishing_classes(slices[-1], 1, exc)))
+            state = blow_down(slices[-1], 1, m, exc)
         slices.append(state.with_interval(state.interval[0], max(t.crit_levels)))
         assert tuple(slices) == t.slices, t.label
-        assert tuple(blowdowns) == t.blowdowns, t.label
+        contracted = tuple((level, contracted_classes(t, level)) for level in blowdown_levels(t))
+        assert tuple(blowdowns) == contracted, t.label
 
 
 def test_localization_failure_is_an_error(monkeypatch):
@@ -608,15 +638,15 @@ def test_canonicalize_undoes_every_index_permutation(rows):
                 split.append((permuted, fc.spec.genus))
             split.sort(key=lambda part: part[0].coeffs)
             total = sum((c for c, _ in split), lat.zero())
-            slices, blowdowns, exceptional = _sweep_path(t.max_dim, k, total, m)
+            slices, exceptional = _sweep_path(t.max_dim, k, total, m)
             top_data = _check_top(t.max_dim, slices[-1])
             _check_slices(slices, t.max_dim, exceptional)
-            cand = _assemble(t.max_dim, k, m, tuple(split), slices, blowdowns, top_data)
+            cand = _assemble(t.max_dim, k, m, tuple(split), slices, top_data)
             inputs += 1
             moved += serialization(cand) != serialization(t)
             canon = _canonicalize(cand, k)
             assert serialization(canon) == serialization(t), (t.label, perm)
-            assert (canon.slices, canon.blowdowns) == (t.slices, t.blowdowns), (t.label, perm)
+            assert canon.slices == t.slices, (t.label, perm)
     assert (inputs, moved) == (12, 6)
 
 

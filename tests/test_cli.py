@@ -109,6 +109,20 @@ def test_toric_verify_non_semifree(capsys):
     assert capture(capsys) == ("", "verification failed: p3: direction (2, 1, 1) is not semifree\n")
 
 
+def test_toric_verify_non_semifree_classifies_nothing(capsys, monkeypatch):
+    # the semifree check comes first, so a rejected direction costs no search
+    from hamfix import cli, toric
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("classified before the semifree check")
+
+    monkeypatch.setattr(cli, "classify_all", refuse)
+    monkeypatch.setattr(toric, "classify_all", refuse)
+    path = str(corpus_dir() / "p3.json")
+    assert run(["toric", "verify", "--polytope", path, "--xi", "2,1,1"]) == 1
+    assert capture(capsys) == ("", "verification failed: p3: direction (2, 1, 1) is not semifree\n")
+
+
 @pytest.mark.parametrize(
     "name,profile",
     [

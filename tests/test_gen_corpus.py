@@ -11,7 +11,6 @@ GEN_CORPUS = Path(__file__).resolve().parent.parent / "tools" / "gen_corpus.py"
 
 
 def test_generator_rebuilds_packaged_corpus(monkeypatch):
-    monkeypatch.delenv("HAMFIX_CORPUS", raising=False)
     monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends src/
     packaged = corpus_dir()
     tool = runpy.run_path(str(GEN_CORPUS), run_name="gen_corpus")

@@ -59,7 +59,7 @@ def test_interior_surface_contributions():
 
 def test_four_manifold_contribution():
     e = CohClass(P2, (-1,))
-    fm = FixedComponent(1, ExtremalFourManifold(P2, e))
+    fm = FixedComponent(1, ExtremalFourManifold(e))
     assert contribution(fm, C1_CUBED) == lp({0: 37})
     assert contribution(fm, ONE) == lp({-3: -1})
     assert contribution(fm, C1) == lp({-2: -3})
@@ -71,7 +71,7 @@ def _row_i1():
 
 
 def _row_iii1():
-    fm = FixedComponent(1, ExtremalFourManifold(P2, CohClass(P2, (-1,))))
+    fm = FixedComponent(1, ExtremalFourManifold(CohClass(P2, (-1,))))
     return [point(-3, (1, 1, 1)), fm]
 
 
@@ -99,18 +99,18 @@ def test_chern_numbers_by_hand():
     )
     assert integrate(i3, C1_CUBED) == lp({0: 52})
 
-    fm = FixedComponent(1, ExtremalFourManifold(ONE_BLOWUP, CohClass(ONE_BLOWUP, (-1, 1))))
+    fm = FixedComponent(1, ExtremalFourManifold(CohClass(ONE_BLOWUP, (-1, 1))))
     iii2 = [point(-3, (1, 1, 1)), point(-1, (-1, 1, 1)), fm]
     assert integrate(iii2, C1_CUBED) == lp({0: 56})
 
 
 def test_chern_closed_form_sweep():
-    # point extrema pattern for a sphere maximum: 50 + 4(d1 + d2)
+    # point extrema pattern for a sphere maximum of normal degree d: 50 + 4d
     for s in range(-4, 5):
         comps = [
             point(-3, (1, 1, 1)),
             point(-1, (-1, 1, 1)),
-            FixedComponent(2, ExtremalSurface((s, 0))),
+            FixedComponent(2, ExtremalSurface(s)),
         ]
         total = integrate(comps, C1_CUBED)
         assert total == lp({0: 50 + 4 * s})
@@ -127,7 +127,7 @@ def test_betti_examples():
     assert betti(_row_i1()) == (1, 0, 1, 0, 1, 0, 1)
 
     cubic = FixedComponent(0, InteriorSurface(CohClass(P2, (3,)), 1, (6, 3)))
-    fm = FixedComponent(1, ExtremalFourManifold(P2, CohClass(P2, (2,))))
+    fm = FixedComponent(1, ExtremalFourManifold(CohClass(P2, (2,))))
     iii33 = [point(-3, (1, 1, 1)), cubic, fm]
     assert betti(iii33) == (1, 0, 2, 2, 2, 0, 1)
 
@@ -140,9 +140,9 @@ def test_invalid_components():
     with pytest.raises(InvalidFixedComponent):
         FixedComponent(0, InteriorSurface(CohClass(P2, (2,)), 0, (1, 2)))  # 3 != 4
     with pytest.raises(InvalidFixedComponent):
-        FixedComponent(0, ExtremalSurface((0, 0)))  # spheres live at level +-2
+        FixedComponent(0, ExtremalSurface(0))  # spheres live at level +-2
     with pytest.raises(InvalidFixedComponent):
-        FixedComponent(2, ExtremalFourManifold(P2, CohClass(P2, (1,))))
+        FixedComponent(2, ExtremalFourManifold(CohClass(P2, (1,))))
     with pytest.raises(InvalidFixedComponent):
         FixedComponent(0, object())  # not one of the four component kinds
 

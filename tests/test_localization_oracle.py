@@ -38,7 +38,13 @@ def surface_integral(fc, p):
     down = fc.index // 2
     weights = [1] * (2 - down) + [-1] * down
     genus = getattr(fc.spec, "genus", 0)
-    factors = [w * x + d * t for w, d in zip(weights, fc.spec.normal_degrees)]
+    if hasattr(fc.spec, "normal_degree"):
+        # an extremal sphere stores the sum; with q^2 = 0 the product
+        # (wx + d1 q)(wx + d2 q) depends on d1 + d2 alone
+        degrees = (fc.spec.normal_degree, 0)
+    else:
+        degrees = fc.spec.normal_degrees
+    factors = [w * x + d * t for w, d in zip(weights, degrees)]
     c1 = (2 - 2 * genus) * t + sum(factors)
     return _graded_part(c1**p / sympy.Mul(*factors), 1)
 

@@ -39,7 +39,7 @@ P2 = make_blowup_lattice(0)
 
 def blow_down_at_one(state, m):
     """Cross m index-four points at level one, as the sweep does."""
-    return blow_down(state, 1, m, exceptional_classes(state.lattice))[0]
+    return blow_down(state, 1, m, exceptional_classes(state.lattice))
 
 
 def test_initial_slice_isolated_minimum():
@@ -56,9 +56,9 @@ def test_initial_slice_rejects_non_minimum():
         initial_slice(point(-1, (-1, 1, 1)))
     # the sweep starts only from an isolated minimum
     with pytest.raises(NotAMinimum):
-        initial_slice(FixedComponent(-2, ExtremalSurface((0, 0))))
+        initial_slice(FixedComponent(-2, ExtremalSurface(0)))
     with pytest.raises(NotAMinimum):
-        initial_slice(FixedComponent(-1, ExtremalFourManifold(P2, CohClass(P2, (1,)))))
+        initial_slice(FixedComponent(-1, ExtremalFourManifold(CohClass(P2, (1,)))))
 
 
 def test_cross_three_index2_points():
@@ -140,7 +140,6 @@ def test_blowdown_disjointness():
     state = SliceState(
         two,
         CohClass(two, (2, -1, 0)),
-        Fraction(0),
         two.anticanonical,
         (Fraction(0), Fraction(1)),
     )
@@ -158,7 +157,6 @@ def test_bmax_examples():
         return SliceState(
             lattice,
             CohClass(lattice, euler_coeffs),
-            Fraction(0),
             lattice.anticanonical,
             (Fraction(0), Fraction(2)),
         )
@@ -188,7 +186,7 @@ def test_fiber_classes():
 def test_positive_square_vertex_detection():
     # reduced class (3 - 5t) u dies at t = 3/5 inside the interval
     state = SliceState(
-        P2, CohClass(P2, (5,)), Fraction(0), CohClass(P2, (3,)),
+        P2, CohClass(P2, (5,)), CohClass(P2, (3,)),
         (Fraction(0), Fraction(1)),
     )
     assert not positive_square_throughout(state)

@@ -286,20 +286,6 @@ def test_unbalanced_direction_detected():
         fixed_faces(simplex3, CircleDirection((1, 1, 1)))
 
 
-def test_corpus_env_override(monkeypatch, tmp_path):
-    import shutil
-    import os
-    from hamfix.toric import corpus_dir
-
-    packaged = corpus_dir()
-    stash = tmp_path / "corpus"
-    shutil.copytree(packaged, stash)
-    monkeypatch.setenv("HAMFIX_CORPUS", str(stash))
-    assert corpus_dir() == stash
-    results = verify_corpus()
-    assert len(results) == 14
-
-
 def test_unnormalized_orientation_matches_no_row(corpus, rows):
     # the vertical direction on the simplex puts the 4-manifold at the
     # bottom; classified rows are normalized with an isolated minimum

@@ -1,4 +1,5 @@
-"""Slices of a fixed-point data record next to a critical level, and the DH jump there."""
+"""Slices of a fixed-point data record next to a critical level: the classes
+contracted there and the DH jump there."""
 
 
 def slice_below(t, level):
@@ -9,6 +10,15 @@ def slice_below(t, level):
 def slice_above(t, level):
     """The slice of t whose interval starts at level."""
     return next(s for s in t.slices if s.interval[0] == level)
+
+
+def contracted_classes(t, level):
+    """The (-1)-classes of zero area on the slice below level, which points there contract."""
+    from hamfix.lattice import exceptional_classes
+    from hamfix.reduction import vanishing_classes
+
+    below = slice_below(t, level)
+    return vanishing_classes(below, level, exceptional_classes(below.lattice))
 
 
 def dh_jump(before, after, level):

@@ -78,7 +78,7 @@ def check_top(max_dim, top_slice, exceptional):
         raise Reject("exceptional class collapses at the 4-dimensional maximum")
     if dh(top_slice, 1) <= 0:
         raise Reject("reduced volume vanishes at the 4-dimensional maximum")
-    return (top_slice.lattice, top_slice.euler)
+    return top_slice.euler
 
 
 def check_slices(slices, max_dim, exceptional):
@@ -136,11 +136,11 @@ def candidate_totals(k, has_blowdown):
 
 
 def sweep(max_dim, k, total, m):
-    """Slices, blow-downs and top data, or one of REJECTIONS."""
-    slices, blowdowns, exceptional = _sweep_path(max_dim, k, total, m)
+    """Slices and top data, or one of REJECTIONS."""
+    slices, exceptional = _sweep_path(max_dim, k, total, m)
     top_data = check_top(max_dim, slices[-1], exceptional[-1])
     check_slices(slices, max_dim, exceptional)
-    return slices, blowdowns, top_data
+    return slices, top_data
 
 
 def enumerate_tfd(max_dim, crit):
@@ -152,12 +152,12 @@ def enumerate_tfd(max_dim, crit):
         totals = list(candidate_totals(k, m > 0)) if 0 in crit else [None]
         for total in totals:
             try:
-                slices, blowdowns, top_data = sweep(max_dim, k, total, m)
+                slices, top_data = sweep(max_dim, k, total, m)
             except REJECTIONS:
                 continue
             splittings = component_splittings(total.lattice, total) if total is not None else [()]
             for splitting in splittings:
-                tfd = _assemble(max_dim, k, m, splitting, slices, blowdowns, top_data)
+                tfd = _assemble(max_dim, k, m, splitting, slices, top_data)
                 if not integrate(tfd, ONE).is_zero() or not integrate(tfd, C1).is_zero():
                     continue
                 b = betti(tfd)
@@ -186,10 +186,10 @@ def canonicalize(tfd, k):
             total = total + c
         split.sort(key=lambda t: t[0].coeffs)
         try:
-            slices, blowdowns, top_data = sweep(tfd.max_dim, k, total if interior else None, m)
+            slices, top_data = sweep(tfd.max_dim, k, total if interior else None, m)
         except REJECTIONS:
             continue
-        cand = _assemble(tfd.max_dim, k, m, tuple(split), slices, blowdowns, top_data)
+        cand = _assemble(tfd.max_dim, k, m, tuple(split), slices, top_data)
         if best is None or serialization(cand) < serialization(best):
             best = cand
     return best

@@ -11,44 +11,31 @@ from __future__ import annotations
 import itertools
 import json
 import sys
-from math import gcd
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from hamfix.toric import CircleDirection, Polytope, fixed_faces, is_semifree  # noqa: E402
-
-
-def sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
-
-
-def cross(a, b):
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
-def primitive(v):
-    g = gcd(gcd(abs(v[0]), abs(v[1])), abs(v[2]))
-    return tuple(x // g for x in v)
+from hamfix.toric import (  # noqa: E402
+    CircleDirection,
+    Polytope,
+    _cross,
+    _dot,
+    _primitive,
+    _sub,
+    fixed_faces,
+    is_semifree,
+)
 
 
 def facets_from_vertices(verts):
     facets = {}
     for i, j, k in itertools.combinations(range(len(verts)), 3):
-        n = cross(sub(verts[j], verts[i]), sub(verts[k], verts[i]))
+        n = _cross(_sub(verts[j], verts[i]), _sub(verts[k], verts[i]))
         if n == (0, 0, 0):
             continue
-        n = primitive(n)
-        c = dot(n, verts[i])
-        values = [dot(n, v) for v in verts]
+        n, _ = _primitive(n)
+        c = _dot(n, verts[i])
+        values = [_dot(n, v) for v in verts]
         if min(values) == c:
             facets[(n, c)] = True
         if max(values) == c:
@@ -58,7 +45,7 @@ def facets_from_vertices(verts):
 
 def edges_from_facets(verts, facets):
     on_facet = [
-        {fi for fi, (n, o) in enumerate(facets) if dot(n, v) == o}
+        {fi for fi, (n, o) in enumerate(facets) if _dot(n, v) == o}
         for v in verts
     ]
     edges = []
