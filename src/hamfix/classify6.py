@@ -130,7 +130,6 @@ def flip(t: TFD) -> TFD:
         sorted(
             (
                 SliceState(
-                    s.lattice,
                     -1 * s.euler,
                     s.omega(s.interval[1]),
                     (-s.interval[1], -s.interval[0]),
@@ -203,9 +202,9 @@ def _check_slices(slices, max_dim: int, exceptional):
     exceptional[i] holds the (-1)-classes of the lattice of slices[i].  Every
     generated candidate passes, so a failure raises InternalArithmeticError.
     """
-    zero_ends = {Fraction(-3)}
+    zero_ends = {-3}
     if max_dim < 4:
-        zero_ends.add(Fraction(TOP_LEVEL[max_dim]))  # DH vanishes at the maximum
+        zero_ends.add(TOP_LEVEL[max_dim])  # DH vanishes at the maximum
     for s, exc in zip(slices, exceptional):
         if not positive_square_throughout(s, allow_zero_ends=zero_ends):
             raise InternalArithmeticError(f"reduced class loses positivity on {s.interval}")
@@ -217,16 +216,11 @@ def _check_slices(slices, max_dim: int, exceptional):
 
 
 def _interior_components(slices, level, splitting) -> tuple[FixedComponent, ...]:
-    below = next(s for s in slices if s.interval[1] == level)
     above = next(s for s in slices if s.interval[0] == level)
-    comps = []
-    for cls, genus in splitting:
-        bplus = pair(above.euler, cls)
-        bminus = -pair(below.euler, cls)
-        comps.append(
-            FixedComponent(level, InteriorSurface(cls, genus, (bplus, bminus)))
-        )
-    return tuple(comps)
+    return tuple(
+        FixedComponent(level, InteriorSurface(cls, genus, pair(above.euler, cls)))
+        for cls, genus in splitting
+    )
 
 
 def _assemble(max_dim, k, m, splitting, slices, top_data):

@@ -1,16 +1,17 @@
-"""Intersection lattices of monotone symplectic 4-manifolds and exact cohomology classes.
+"""Intersection lattices of monotone symplectic 4-manifolds and integral cohomology classes.
 
 Two lattice presentations cover every reduced space that can occur: the
 blow-up basis (u, E1, ..., Ek) of a k-fold blow-up of the plane with
 intersection form diag(1, -1, ..., -1), and the product basis (x, y) of a
-product of spheres with form [[0,1],[1,0]].  All arithmetic is exact.
+product of spheres with form [[0,1],[1,0]].  Class coefficients are ints,
+so all arithmetic is exact.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
+import operator
 
 from .errors import InvalidBlowupCount, LatticeMismatch, NoExceptionalBasis
 from .record import record
@@ -67,21 +68,19 @@ def product_lattice() -> SurfaceLattice:
 
 @record
 class CohClass:
-    """Exact coefficient vector over a SurfaceLattice."""
+    """Integral coefficient vector over a SurfaceLattice."""
 
     lattice: SurfaceLattice
-    coeffs: tuple
+    coeffs: tuple[int, ...]
 
     def __post_init__(self):
         if len(self.coeffs) != self.lattice.rank:
             raise LatticeMismatch(
                 f"{len(self.coeffs)} coefficients for rank {self.lattice.rank}"
             )
-        object.__setattr__(self, "coeffs", tuple(_normalize(c) for c in self.coeffs))
-
-    @property
-    def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self.coeffs)
+        for c in self.coeffs:
+            if type(c) is not int:
+                raise TypeError(f"class coefficient {c!r} is not an int")
 
     def __add__(self, other: CohClass) -> CohClass:
         _check_same(self, other)
@@ -115,24 +114,18 @@ class CohClass:
         return out[1:] if out.startswith("+") else out
 
 
-def _normalize(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
-
-
 def _check_same(a: CohClass, b: CohClass) -> None:
     if a.lattice != b.lattice:
         raise LatticeMismatch(f"{a.lattice} vs {b.lattice}")
 
 
-def pair(a: CohClass, b: CohClass):
-    """Intersection pairing, exact: u^2 = 1, Ei^2 = -1, or x.y = 1 on the product."""
+def pair(a: CohClass, b: CohClass) -> int:
+    """Intersection pairing: u^2 = 1, Ei^2 = -1, or x.y = 1 on the product."""
     _check_same(a, b)
     x, y = a.coeffs, b.coeffs
     if a.lattice.kind == PRODUCT:
-        return _normalize(x[0] * y[1] + x[1] * y[0])
-    return _normalize(x[0] * y[0] - sum(p * q for p, q in zip(x[1:], y[1:])))
+        return x[0] * y[1] + x[1] * y[0]
+    return 2 * x[0] * y[0] - sum(map(operator.mul, x, y))  # x0 y0 minus the E-terms
 
 
 # (-1)-classes of the k-fold blow-up of the plane, k <= 8, as the leading
@@ -183,8 +176,6 @@ def adjunction_genus(lattice: SurfaceLattice, c: CohClass):
     genus is negative or fractional admit no connected embedded
     representative.
     """
-    if not c.is_integral:
-        return None
     self_int = pair(c, c)
     degree = pair(lattice.anticanonical, c)
     twice = self_int - degree + 2
@@ -219,8 +210,6 @@ def component_splittings(
     whose quarter discriminant k(d^2 - (9-k)d + 18 - 2k) is >= 0 for k <= 8
     (`_part_leading`).
     """
-    if not total.is_integral:
-        raise ValueError("total class must be integral")
     exc = exceptional_classes(lattice)
     volume = pair(lattice.anticanonical, total)
     if volume <= 0:

@@ -24,6 +24,7 @@ from .errors import (
 from .lattice import (
     CohClass,
     SurfaceLattice,
+    _check_same,
     make_blowup_lattice,
     pair,
     product_lattice,
@@ -34,23 +35,33 @@ from .record import record
 
 @record
 class SliceState:
-    """Reduced space data on an interval of regular values."""
+    """Reduced space data on an interval of regular values; its ends are
+    critical levels, so ints, and omega is integral at every integer level."""
 
-    lattice: SurfaceLattice
     euler: CohClass
     anchor_class: CohClass  # omega at interval[0]
-    interval: tuple[Fraction, Fraction]
+    interval: tuple[int, int]
 
-    def omega(self, t) -> CohClass:
-        return self.anchor_class - (Fraction(t) - self.interval[0]) * self.euler
+    def __post_init__(self):
+        lo, hi = self.interval
+        if type(lo) is not int or type(hi) is not int:
+            raise InternalArithmeticError(f"slice {self.interval} has non-integral ends")
+        _check_same(self.anchor_class, self.euler)
 
-    def with_interval(self, lo, hi) -> SliceState:
+    @property
+    def lattice(self) -> SurfaceLattice:
+        return self.euler.lattice
+
+    def omega(self, t: int) -> CohClass:
+        if type(t) is not int:
+            raise InternalArithmeticError(f"reduced class at non-integral level {t!r}")
+        n = t - self.interval[0]
+        pairs = zip(self.anchor_class.coeffs, self.euler.coeffs)
+        return CohClass(self.lattice, tuple(a - n * e for a, e in pairs))
+
+    def with_interval(self, lo: int, hi: int) -> SliceState:
         """The same path on [lo, hi], anchored at lo."""
-        return _state(self.lattice, self.euler, self.omega(lo), lo, hi)
-
-
-def _state(lattice, euler, anchor_class, lo, hi) -> SliceState:
-    return SliceState(lattice, euler, anchor_class, (Fraction(lo), Fraction(hi)))
+        return SliceState(self.euler, self.omega(lo), (lo, hi))
 
 
 def initial_slice(min_component: FixedComponent) -> SliceState:
@@ -62,18 +73,17 @@ def initial_slice(min_component: FixedComponent) -> SliceState:
     if (min_component.dim, min_component.level, min_component.index) != (0, -3, 0):
         raise NotAMinimum("isolated minimum must sit at level -3 with index 0")
     lat = make_blowup_lattice(0)
-    euler = -1 * lat.basis_class(0)
-    return _state(lat, euler, lat.zero(), -3, 3)
+    return SliceState(-1 * lat.basis_class(0), lat.zero(), (-3, 3))
 
 
-def dh(state: SliceState, t):
-    """Duistermaat-Heckman value: the square of the reduced class at level t."""
+def dh(state: SliceState, t) -> Fraction:
+    """Duistermaat-Heckman value: the square of the reduced class at a rational level t."""
     t = Fraction(t)
     lo, hi = state.interval
     if not lo <= t <= hi:
         raise OutOfInterval(f"{t} outside [{lo}, {hi}]")
-    w = state.omega(t)
-    return pair(w, w)
+    c0, c1, c2 = dh_quadratic(state)
+    return c0 + c1 * t + c2 * t * t
 
 
 def dh_quadratic(state: SliceState):
@@ -104,12 +114,12 @@ def blow_up(state: SliceState, level, k: int) -> SliceState:
     euler = sum((new_lat.basis_class(old + 1 + i) for i in range(k)), extend(state.euler))
     # the new exceptional classes have zero area at the crossing
     omega = extend(state.omega(level))
-    return _state(new_lat, euler, omega, level, state.interval[1])
+    return SliceState(euler, omega, (level, state.interval[1]))
 
 
 def shift(state: SliceState, level, total: CohClass) -> SliceState:
     """Cross fixed surfaces of total class `total`: the Euler class shifts by it."""
-    return _state(state.lattice, state.euler + total, state.omega(level), level, state.interval[1])
+    return SliceState(state.euler + total, state.omega(level), (level, state.interval[1]))
 
 
 def blow_down(state: SliceState, level, m: int, exceptional):
@@ -130,7 +140,7 @@ def blow_down(state: SliceState, level, m: int, exceptional):
     new_lat, push = blowdown_lattice(state.lattice, vanishing, exceptional)
     euler = push(sum(vanishing, state.euler))
     omega = push(state.omega(level))
-    return _state(new_lat, euler, omega, level, state.interval[1])
+    return SliceState(euler, omega, (level, state.interval[1]))
 
 
 def blowdown_lattice(lattice: SurfaceLattice, vanishing, exceptional):
@@ -162,7 +172,11 @@ def blowdown_lattice(lattice: SurfaceLattice, vanishing, exceptional):
         if chosen is None:
             raise InternalArithmeticError("complement has no disjoint exceptional basis")
         new_lat = make_blowup_lattice(r - 1)
-        dual = [Fraction(1, 3) * sum(chosen, c1)] + [-1 * e for e in chosen]
+        triple_u = sum(chosen, c1)
+        if any(c % 3 for c in triple_u.coeffs):
+            raise InternalArithmeticError(f"c1' + sum E' = {triple_u!r} is not divisible by 3")
+        u = CohClass(lattice, tuple(c // 3 for c in triple_u.coeffs))
+        dual = [u] + [-1 * e for e in chosen]
     else:
         v, *rest = vanishing
         fibers = [
@@ -172,8 +186,6 @@ def blowdown_lattice(lattice: SurfaceLattice, vanishing, exceptional):
         if r != 2 or len(fibers) != 2:
             raise InternalArithmeticError("complement lattice not recognized")
         new_lat, dual = product_lattice(), fibers[::-1]
-    if not all(d.is_integral for d in dual):
-        raise InternalArithmeticError("complement basis is not integral")
 
     def push(cls: CohClass) -> CohClass:
         for v in vanishing:

@@ -161,8 +161,13 @@ class Polytope:
     # -- structural checks ---------------------------------------------------
 
     def check_delzant(self) -> None:
+        # the edges at each vertex, in edge order, as `vertex_edges` lists them
+        at = {i: [] for i in range(len(self.vertices))}
+        for e in self.edges:
+            for i in set(e) & at.keys():
+                at[i].append(e)
         for i, v in enumerate(self.vertices):
-            es = self.vertex_edges(i)
+            es = at[i]
             if len(es) != 3:
                 raise NotDelzant(f"{self.name}: vertex {v} meets {len(es)} edges")
             dirs = [self.edge_direction(e, i) for e in es]
@@ -171,9 +176,10 @@ class Polytope:
         for n, o in self.facets:
             if _primitive(n)[1] != 1:
                 raise NotDelzant(f"{self.name}: facet normal {n} not primitive")
-            if any(_dot(n, v) < o for v in self.vertices):
+            heights = [_dot(n, v) for v in self.vertices]
+            if any(h < o for h in heights):
                 raise NotDelzant(f"{self.name}: facet {n} not supporting")
-            on = [v for v in self.vertices if _dot(n, v) == o]
+            on = [v for v, h in zip(self.vertices, heights) if h == o]
             if not any(  # three vertices off one line
                 _cross(_sub(b, on[0]), _sub(c, on[0])) != (0, 0, 0)
                 for b, c in itertools.combinations(on[1:], 2)

@@ -1,6 +1,7 @@
 """The six-dimensional classification: enumeration, predicates, invariants."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -171,15 +172,52 @@ def test_chern_number_runs_no_localization_sum(rows, monkeypatch):
 
 
 def test_chern_number_needs_integral_slice_ends(by_label):
-    from fractions import Fraction
-
-    from hamfix.classify6 import TFD
     from hamfix.errors import InternalArithmeticError
 
-    t = by_label["III-1"]
-    s = t.slices[0].with_interval(-3, Fraction(1, 2))
-    with pytest.raises(InternalArithmeticError):
-        chern_number(TFD(t.label, t.components, (s,)))
+    # slice ends are ints when a slice is built, so chern_number needs no guard
+    s = by_label["III-1"].slices[0]
+    with pytest.raises(InternalArithmeticError, match="non-integral ends"):
+        s.with_interval(-3, Fraction(1, 2))
+    with pytest.raises(InternalArithmeticError, match="non-integral ends"):
+        type(s)(s.euler, s.anchor_class, (Fraction(-3), -1))
+    with pytest.raises(InternalArithmeticError, match="non-integral level"):
+        s.omega(Fraction(-2))
+
+
+def _int_pins(t):
+    """Every slice end and class coefficient a row and its flip carry."""
+    for u in (t, flip(t)):
+        for s in u.slices:
+            yield from s.interval
+            for c in (s.euler, s.anchor_class, s.omega(s.interval[1])):
+                yield from c.coeffs
+        for fc in u.components:
+            for c in (getattr(fc.spec, "surface_class", None),
+                      getattr(fc.spec, "euler_at_boundary", None)):
+                yield from c.coeffs if c is not None else ()
+
+
+def test_slice_path_is_integral(rows):
+    # every critical level is an integer, so the slice path carries ints only
+    assert len(rows) == 19
+    for t in rows:
+        pins = list(_int_pins(t))
+        assert pins and all(type(x) is int for x in pins), t.label
+
+
+def test_dh_at_quarter_steps_is_the_exact_square(rows):
+    # the --emit-dh grid, against (A - (t - lo) e)^2 in Fractions
+    for t in rows:
+        for s in t.slices + flip(t).slices:
+            lo, hi = s.interval
+            for j in range(4 * (hi - lo) + 1):
+                x = lo + Fraction(j, 4)
+                w = [a - (x - lo) * e for a, e in zip(s.anchor_class.coeffs, s.euler.coeffs)]
+                if s.lattice.kind == "product":
+                    want = 2 * w[0] * w[1]
+                else:
+                    want = w[0] ** 2 - sum(y * y for y in w[1:])
+                assert dh(s, x) == want, (t.label, s.interval, x)
 
 
 def test_enumeration_requires_vanishing_identities(monkeypatch):
@@ -311,17 +349,21 @@ def test_omega_positive_on_all_slices(rows):
     for t in rows:
         for s in t.slices:
             lo, hi = s.interval
-            mid = (lo + hi) / 2
+            mid = Fraction(lo + hi, 2)
             assert dh(s, mid) > 0, (t.label, s.interval)
 
 
 def test_normal_degrees_split_self_intersection(rows):
+    # b- is read as Z.Z - b+, so both are checked against the Euler classes
+    # on either side of the surface: b+ = e+.Z and b- = -e-.Z
     for t in rows:
-        for fc in t.components:
-            if isinstance(fc.spec, InteriorSurface):
+        for u in (t, flip(t)):
+            for fc in u.interior_surfaces:
                 bplus, bminus = fc.spec.normal_degrees
                 z = fc.spec.surface_class
-                assert bplus + bminus == pair(z, z), t.label
+                assert bplus + bminus == pair(z, z), u.label
+                assert bplus == pair(slice_above(u, fc.level).euler, z), u.label
+                assert bminus == -pair(slice_below(u, fc.level).euler, z), u.label
 
 
 def test_no_candidate_on_box_boundary(rows):

@@ -49,11 +49,11 @@ def test_isolated_point_contributions():
 
 
 def test_interior_surface_contributions():
-    conic = FixedComponent(0, InteriorSurface(CohClass(P2, (2,)), 0, (2, 2)))
+    conic = FixedComponent(0, InteriorSurface(CohClass(P2, (2,)), 0, 2))
     assert contribution(conic, C1) == lp({-2: -6})
     assert contribution(conic, C1_CUBED).is_zero()
     # asymmetric normal degrees feed the sum of 1/Euler
-    skew = FixedComponent(0, InteriorSurface(CohClass(P2, (2,)), 0, (3, 1)))
+    skew = FixedComponent(0, InteriorSurface(CohClass(P2, (2,)), 0, 3))
     assert contribution(skew, ONE) == lp({-3: 2})
 
 
@@ -66,7 +66,7 @@ def test_four_manifold_contribution():
 
 
 def _row_i1():
-    conic = FixedComponent(0, InteriorSurface(CohClass(P2, (2,)), 0, (2, 2)))
+    conic = FixedComponent(0, InteriorSurface(CohClass(P2, (2,)), 0, 2))
     return [point(-3, (1, 1, 1)), conic, point(3, (-1, -1, -1))]
 
 
@@ -89,7 +89,7 @@ def test_integrate_c1_cubed():
 def test_chern_numbers_by_hand():
     # one blow-up point on each side of a pair of fiber spheres
     spheres = [
-        FixedComponent(0, InteriorSurface(CohClass(ONE_BLOWUP, (1, -1)), 0, (0, 0)))
+        FixedComponent(0, InteriorSurface(CohClass(ONE_BLOWUP, (1, -1)), 0, 0))
         for _ in range(2)
     ]
     i3 = (
@@ -126,7 +126,7 @@ def test_betti_examples():
     assert betti(i2) == (1, 0, 3, 0, 3, 0, 1)
     assert betti(_row_i1()) == (1, 0, 1, 0, 1, 0, 1)
 
-    cubic = FixedComponent(0, InteriorSurface(CohClass(P2, (3,)), 1, (6, 3)))
+    cubic = FixedComponent(0, InteriorSurface(CohClass(P2, (3,)), 1, 6))
     fm = FixedComponent(1, ExtremalFourManifold(CohClass(P2, (2,))))
     iii33 = [point(-3, (1, 1, 1)), cubic, fm]
     assert betti(iii33) == (1, 0, 2, 2, 2, 0, 1)
@@ -138,7 +138,7 @@ def test_invalid_components():
     with pytest.raises(InvalidFixedComponent):
         point(0, (1, 1, 1))  # level must balance the weight sum
     with pytest.raises(InvalidFixedComponent):
-        FixedComponent(0, InteriorSurface(CohClass(P2, (2,)), 0, (1, 2)))  # 3 != 4
+        FixedComponent(0, InteriorSurface(CohClass(P2, (2,)), -1, 2))  # negative genus
     with pytest.raises(InvalidFixedComponent):
         FixedComponent(0, ExtremalSurface(0))  # spheres live at level +-2
     with pytest.raises(InvalidFixedComponent):

@@ -62,9 +62,8 @@ def test_keyword_construction(p3):
 
 
 def test_post_init_runs(p3):
-    c = CohClass(make_blowup_lattice(1), (Fraction(4, 2), Fraction(1, 2)))
-    assert c.coeffs == (2, Fraction(1, 2))
-    assert type(c.coeffs[0]) is int
+    with pytest.raises(TypeError, match="not an int"):
+        CohClass(make_blowup_lattice(1), (2, Fraction(1, 2)))
     with pytest.raises(ValueError, match="not primitive"):
         CircleDirection((2, 0, 0))
     with pytest.raises(NotDelzant, match="not unimodular"):

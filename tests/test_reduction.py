@@ -6,6 +6,7 @@ import pytest
 
 from hamfix.errors import (
     InternalArithmeticError,
+    LatticeMismatch,
     NonDisjointBlowdown,
     NotAMinimum,
     NotASphereMaximum,
@@ -73,7 +74,7 @@ def test_cross_interior_surface():
     s0 = initial_slice(point(-3, (1, 1, 1))).with_interval(-3, 0)
     from hamfix.localization import InteriorSurface
 
-    conic = FixedComponent(0, InteriorSurface(CohClass(P2, (2,)), 0, (2, 2)))
+    conic = FixedComponent(0, InteriorSurface(CohClass(P2, (2,)), 0, 2))
     s1 = shift(s0, 0, conic.spec.surface_class)
     assert s1.euler == CohClass(P2, (1,))
     assert s1.omega(3).is_zero()
@@ -109,7 +110,7 @@ def test_dh_case_iii3():
     from hamfix.localization import InteriorSurface
 
     s0 = initial_slice(point(-3, (1, 1, 1))).with_interval(-3, 0)
-    conic = FixedComponent(0, InteriorSurface(CohClass(P2, (2,)), 0, (2, 2)))
+    conic = FixedComponent(0, InteriorSurface(CohClass(P2, (2,)), 0, 2))
     s1 = shift(s0, 0, conic.spec.surface_class)
     assert dh(s1.with_interval(0, 1), 1) == 4
 
@@ -137,12 +138,7 @@ def test_blowdown_count_mismatch():
 def test_blowdown_disjointness():
     two = make_blowup_lattice(2)
     # Euler class 2u - E1 kills both E1 and u - E1 - E2, which meet
-    state = SliceState(
-        two,
-        CohClass(two, (2, -1, 0)),
-        two.anticanonical,
-        (Fraction(0), Fraction(1)),
-    )
+    state = SliceState(CohClass(two, (2, -1, 0)), two.anticanonical, (0, 1))
     assert {v.coeffs for v in vanishing_classes(state, 1, exceptional_classes(two))} == {
         (0, 1, 0), (1, -1, -1)
     }
@@ -150,16 +146,17 @@ def test_blowdown_disjointness():
         blow_down_at_one(state, 2)
 
 
+def test_slice_classes_share_one_lattice():
+    one = make_blowup_lattice(1)
+    with pytest.raises(LatticeMismatch):
+        SliceState(CohClass(P2, (-1,)), one.anticanonical, (0, 1))
+
+
 def test_bmax_examples():
     two = make_blowup_lattice(2)
 
     def top_state(euler_coeffs, lattice):
-        return SliceState(
-            lattice,
-            CohClass(lattice, euler_coeffs),
-            lattice.anticanonical,
-            (Fraction(0), Fraction(2)),
-        )
+        return SliceState(CohClass(lattice, euler_coeffs), lattice.anticanonical, (0, 2))
 
     assert bmax_from_euler(top_state((2, -1), make_blowup_lattice(1))) == -3
     s = top_state((1, -1), make_blowup_lattice(1))
@@ -185,10 +182,7 @@ def test_fiber_classes():
 
 def test_positive_square_vertex_detection():
     # reduced class (3 - 5t) u dies at t = 3/5 inside the interval
-    state = SliceState(
-        P2, CohClass(P2, (5,)), CohClass(P2, (3,)),
-        (Fraction(0), Fraction(1)),
-    )
+    state = SliceState(CohClass(P2, (5,)), CohClass(P2, (3,)), (0, 1))
     assert not positive_square_throughout(state)
     good = initial_slice(point(-3, (1, 1, 1)))
     assert positive_square_throughout(good, allow_zero_ends={Fraction(-3), Fraction(3)})
@@ -233,3 +227,12 @@ def test_blowdown_lattice_oracle():
                 with pytest.raises(InternalArithmeticError):
                     push(v)
     assert seen == {(1, "blowup"), (2, "blowup"), (2, "product"), (3, "blowup")}
+
+
+def test_blowdown_lattice_needs_c1_plus_basis_divisible_by_3():
+    # u = (c1' + sum E')/3 must be integral; a class E' orthogonal to the
+    # contracted E1 that is no (-1)-class gives c1' + E' = (4; 0, 0)
+    two = make_blowup_lattice(2)
+    e1, fake = CohClass(two, (0, 1, 0)), CohClass(two, (1, 0, 1))
+    with pytest.raises(InternalArithmeticError, match="not divisible by 3"):
+        blowdown_lattice(two, (e1,), (e1, fake))
