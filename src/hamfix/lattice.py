@@ -115,7 +115,7 @@ class CohClass:
 
 
 def _check_same(a: CohClass, b: CohClass) -> None:
-    if a.lattice != b.lattice:
+    if a.lattice is not b.lattice and a.lattice != b.lattice:  # mostly one object
         raise LatticeMismatch(f"{a.lattice} vs {b.lattice}")
 
 

@@ -42,8 +42,8 @@ class LaurentPoly:
 
     @staticmethod
     def from_dict(d: dict) -> LaurentPoly:
-        items = tuple(sorted((k, Fraction(v)) for k, v in d.items() if v != 0))
-        return LaurentPoly(items)
+        terms = {k: v if type(v) is Fraction else Fraction(v) for k, v in d.items() if v != 0}
+        return LaurentPoly(tuple(sorted(terms.items())))
 
     @staticmethod
     def zero() -> LaurentPoly:
@@ -65,7 +65,7 @@ class LaurentPoly:
     def __add__(self, other: LaurentPoly) -> LaurentPoly:
         d = dict(self.terms)
         for deg, c in other.terms:
-            d[deg] = d.get(deg, Fraction(0)) + c
+            d[deg] = d.get(deg, 0) + c
         return LaurentPoly.from_dict(d)
 
     def __mul__(self, other: LaurentPoly) -> LaurentPoly:
@@ -73,7 +73,7 @@ class LaurentPoly:
         for d1, c1 in self.terms:
             for d2, c2 in other.terms:
                 deg = d1 + d2
-                d[deg] = d.get(deg, Fraction(0)) + c1 * c2
+                d[deg] = d.get(deg, 0) + c1 * c2
         return LaurentPoly.from_dict(d)
 
     def scale(self, s) -> LaurentPoly:

@@ -82,7 +82,7 @@ class CircleDirection:
 class Polytope:
     """Simple lattice 3-polytope with explicit combinatorics.
 
-    Checked when built (`check_delzant`, and `check_reflexive` if flagged).
+    Checked, and its `degree` computed, when built (`check_delzant`, `check_reflexive` if flagged).
     """
 
     name: str
@@ -95,6 +95,8 @@ class Polytope:
         self.check_delzant()
         if self.reflexive:
             self.check_reflexive()
+        # not a field, so `==`, hash and `to_dict` ignore it
+        object.__setattr__(self, "degree", self.normalized_volume())
 
     @staticmethod
     def from_dict(d) -> Polytope:
@@ -209,21 +211,21 @@ class Polytope:
                 raise NotReflexive(f"{self.name}: facet {n} at lattice distance {distance}")
 
     def normalized_volume(self) -> int:
-        """Six times the Euclidean volume, an integer."""
-        base = self.vertices[0]
-        total = 0
-        for f in range(len(self.facets)):
-            cycle = self.facet_cycle(f)
-            v0 = self.vertices[cycle[0]]
-            for a, b in zip(cycle[1:], cycle[2:]):
-                total += abs(
-                    _det3(
-                        _sub(v0, base),
-                        _sub(self.vertices[a], base),
-                        _sub(self.vertices[b], base),
-                    )
-                )
-        return total
+        """Six times the Euclidean volume, by localization at the vertices.
+
+        For a covector c that pairs to zero with no edge direction, 6 vol is
+        the sum over the vertices v of <c, v>^3 / prod(-<c, w>), w running
+        over the primitive edge directions at v (Brion 1988, Lawrence 1991),
+        as every vertex cone is unimodular (`check_delzant`).
+        """
+        dirs = [_primitive(_sub(self.vertices[b], self.vertices[a]))[0] for a, b in self.edges]
+        m = 2 * max(abs(x) for d in dirs for x in d) + 1
+        c = (1, m, m * m)  # <c, d> = 0 needs a coordinate of d of size m / 2
+        den = [1] * len(self.vertices)
+        for (a, b), d in zip(self.edges, dirs):
+            den[a] *= -_dot(c, d)
+            den[b] *= _dot(c, d)
+        return int(sum(Fraction(_dot(c, v) ** 3, q) for v, q in zip(self.vertices, den)))
 
 
 def is_semifree(p: Polytope, d: CircleDirection) -> bool:
@@ -319,9 +321,7 @@ def _facet_shape(p: Polytope, verts: tuple[int, ...]):
     D_i^2 is even; otherwise it is P^2 blown up m - 3 times.
     """
     cycle = _facet_cycle_of(p, verts)
-    m = len(cycle)
-    if m < 3:
-        raise NoMatchingTFD(f"{p.name}: cannot identify the 4-manifold over {verts}")
+    m = len(cycle)  # at least 3, as `check_delzant` makes every facet a 2-face
     if m == 4:
         a = [
             _primitive(_sub(p.vertices[cycle[(i + 1) % 4]], p.vertices[cycle[i]]))[0]
@@ -401,7 +401,7 @@ def chern_number_from_volume(p: Polytope) -> int:
     """Anticanonical degree of the toric 3-fold: six times the volume."""
     if not p.reflexive:
         raise NotReflexive(f"{p.name}: not flagged reflexive")
-    return p.normalized_volume()
+    return p.degree
 
 
 def matched_degree(p: Polytope, match: TFD) -> int:

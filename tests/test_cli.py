@@ -96,7 +96,7 @@ def test_toric_verify_checks_volume_degree(monkeypatch, capsys, argv):
     # comes first in the corpus index
     from hamfix import toric
 
-    monkeypatch.setattr(toric.Polytope, "normalized_volume", lambda self: 63)
+    monkeypatch.setattr(toric, "chern_number_from_volume", lambda p: 63)
     assert run(["toric", "verify", *argv]) == 1
     err = "verification failed: p3: volume degree 63 != III-1 c1^3 64\n"
     assert capture(capsys) == ("", err)

@@ -17,11 +17,13 @@ from hamfix.toric import (
     CircleDirection,
     Polytope,
     chern_number_from_volume,
+    facet_lattice_area,
     fixed_faces,
     is_semifree,
     _facet_shape,
     _tfd_profile,
     load_corpus,
+    matched_degree,
     observed_profile,
     tfd_from_polytope,
     verify_corpus,
@@ -95,6 +97,39 @@ def test_volume_degrees(corpus):
     }
     for name, (p, _d, _row) in corpus.items():
         assert chern_number_from_volume(p) == expected[name], name
+
+
+def test_degree_is_twice_the_facet_areas(corpus):
+    # a reflexive polytope is the union of the cones from its interior point
+    # over its facets, each at lattice distance 1, so 6 vol = sum 2 area
+    for name, (p, _d, _row) in corpus.items():
+        areas = [facet_lattice_area(p, tuple(p.facet_vertices(fi))) for fi in range(len(p.facets))]
+        assert p.degree == 2 * sum(areas), name
+
+
+def test_degree_of_polytopes_that_are_not_reflexive():
+    # the size-3 simplex has 6 vol = 27; the hexagon of area 3 times [0, 1], 18
+    assert _size3_simplex().degree == 27
+    assert _hexagonal_prism().degree == 18
+
+
+def test_degree_is_not_a_record_field(corpus):
+    p = corpus["p3"][0]
+    again = Polytope.from_dict(p.to_dict())
+    assert again == p and hash(again) == hash(p) and again.degree == p.degree == 64
+    assert "degree" not in p.to_dict()
+    assert Polytope.__record_fields__ == ("name", "vertices", "edges", "facets", "reflexive")
+
+
+def test_built_polytopes_read_their_degree_without_a_walk(corpus, rows, monkeypatch):
+    matches = {name: tfd_from_polytope(p, d, rows) for name, (p, d, _row) in corpus.items()}
+
+    def refuse(self, f):
+        raise AssertionError(f"{self.name}: walked facet {f} after it was built")
+
+    monkeypatch.setattr(Polytope, "facet_cycle", refuse)
+    for name, (p, _d, _row) in corpus.items():
+        assert chern_number_from_volume(p) == matched_degree(p, matches[name]) == p.degree
 
 
 def test_row_matching(corpus, rows):
@@ -271,9 +306,8 @@ def test_facet_must_be_a_two_face(corpus, plane):
         Polytope.from_dict(record)
 
 
-def test_unbalanced_direction_detected():
-    # the size-3 simplex is not monotone: its fixed faces need different shifts
-    simplex3 = Polytope(
+def _size3_simplex():
+    return Polytope(
         name="simplex3",
         vertices=((0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3)),
         edges=((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
@@ -282,8 +316,12 @@ def test_unbalanced_direction_detected():
         ),
         reflexive=False,
     )
+
+
+def test_unbalanced_direction_detected():
+    # the size-3 simplex is not monotone: its fixed faces need different shifts
     with pytest.raises(NotBalanced):
-        fixed_faces(simplex3, CircleDirection((1, 1, 1)))
+        fixed_faces(_size3_simplex(), CircleDirection((1, 1, 1)))
 
 
 def test_unnormalized_orientation_matches_no_row(corpus, rows):

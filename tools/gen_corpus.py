@@ -69,7 +69,7 @@ def build(name, verts, xi, row):
     direction = CircleDirection(xi)
     assert is_semifree(poly, direction), name
     faces = fixed_faces(poly, direction)
-    print(f"{name}: volume degree {poly.normalized_volume()}")
+    print(f"{name}: volume degree {poly.degree}")
     for f in faces:
         pts = [poly.vertices[i] for i in f.vertices]
         print(f"  level {f.level}: {f.kind} {pts}")
