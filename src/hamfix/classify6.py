@@ -5,12 +5,14 @@ points blow the reduced space up at level -1, fixed surfaces shift the Euler
 class at level 0, index-four points blow down at level +1, and the maximum
 closes the interval at level 3 (point), 2 (sphere) or 1 (4-manifold).
 Candidates are generated with exactly as many zero-area exceptional classes at
-level one as there are points blowing them down, and with a path that closes
-at the maximum (`_closes`), so the sweep rejects nothing: it asserts that
-every slice stays symplectic and every exceptional class keeps positive area
-away from its collapse, and localization and Betti symmetry follow and are
-asserted too.  A candidate ends in a row for each splitting of its interior
-class into disjoint embedded components.
+level one as there are points blowing them down, with a path that closes at
+the maximum (`_closes`) and within the genus budget of a splitting, so the
+sweep rejects nothing and every candidate ends in a row.  Slice positivity
+(every slice symplectic, every exceptional class of positive area away from
+its collapse) is derived in `_candidate_totals` and `_closes`, and
+localization and Betti symmetry follow and are asserted.  A candidate ends in
+a row for each splitting of its interior class into disjoint embedded
+components.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .errors import (
     InternalArithmeticError,
 )
 from .lattice import (
-    BLOWUP,
     CohClass,
     SurfaceLattice,
     component_splittings,
@@ -51,7 +52,6 @@ from .reduction import (
     blow_up,
     bmax_from_euler,
     initial_slice,
-    positive_square_throughout,
     shift,
 )
 
@@ -156,35 +156,29 @@ def capacities(t: TFD) -> tuple[Fraction, Fraction]:
 
 
 def _sweep_path(max_dim: int, k: int, total: CohClass | None, m: int):
-    """Build the slice path for (k points, total surface class, m points).
+    """The slice path for (k points, total surface class, m points).
 
-    Returns (slices, exceptional), where exceptional[i] holds the (-1)-classes
-    of the lattice of slices[i], built once per lattice.
     Generation fixes the level-one blow-down count (`_counts_for`,
     `_candidate_totals`), so a blow-down whose zero-area classes do not match
     the m points is a bug: VanishingCycleMismatch or NonDisjointBlowdown.
     """
     state = initial_slice(point(-3, MIN_WEIGHTS))
-    exc = ()
-    slices, exceptional = [], []
+    slices = []
 
     def close(level):
         slices.append(state.with_interval(state.interval[0], level))
-        exceptional.append(exc)
 
     if k:
         close(-1)
         state = blow_up(state, -1, k)
-        exc = exceptional_classes(state.lattice)
     if total is not None:
         close(0)
         state = shift(state, 0, total)
     if m:
         close(1)
-        state = blow_down(state, 1, m, exc)
-        exc = exceptional_classes(state.lattice) if state.lattice.kind == BLOWUP else ()
+        state = blow_down(state, 1, m, exceptional_classes(state.lattice))
     close(TOP_LEVEL[max_dim])
-    return slices, exceptional
+    return slices
 
 
 def _check_top(max_dim: int, top_slice: SliceState):
@@ -194,25 +188,6 @@ def _check_top(max_dim: int, top_slice: SliceState):
     if max_dim == 2:
         return bmax_from_euler(top_slice)
     return top_slice.euler
-
-
-def _check_slices(slices, max_dim: int, exceptional):
-    """Assert DH positivity and exceptional-area positivity along the whole path.
-
-    exceptional[i] holds the (-1)-classes of the lattice of slices[i].  Every
-    generated candidate passes, so a failure raises InternalArithmeticError.
-    """
-    zero_ends = {-3}
-    if max_dim < 4:
-        zero_ends.add(TOP_LEVEL[max_dim])  # DH vanishes at the maximum
-    for s, exc in zip(slices, exceptional):
-        if not positive_square_throughout(s, allow_zero_ends=zero_ends):
-            raise InternalArithmeticError(f"reduced class loses positivity on {s.interval}")
-        w_lo, w_hi = s.omega(s.interval[0]), s.omega(s.interval[1])
-        for c in exc:
-            alo, ahi = pair(w_lo, c), pair(w_hi, c)
-            if alo < 0 or ahi < 0 or (alo == 0 and ahi == 0):
-                raise InternalArithmeticError(f"{c!r} loses area on {s.interval}")
 
 
 def _interior_components(slices, level, splitting) -> tuple[FixedComponent, ...]:
@@ -239,7 +214,7 @@ def _assemble(max_dim, k, m, splitting, slices, top_data):
 
 
 def _candidate_totals(max_dim: int, k: int, m: int):
-    """Integral class candidates (a; b1, ..., bk) for the level-0 fixed surface.
+    """Integral class candidates T = (a; b1, ..., bk) for the level-0 fixed surface.
 
     m index-four points sit at level one, below a maximum of dimension
     `max_dim`.  Above the minimum the reduced class is (t+3)u and the Euler
@@ -249,22 +224,51 @@ def _candidate_totals(max_dim: int, k: int, m: int):
 
         omega(1) = omega(0) - e0 = (4-a; -(b1+2), ..., -(bk+2)).
 
-    A total is yielded only if the path closes at the maximum, a closed form
-    in e0.e0 = (a-1)^2 - sum (bi+1)^2, c1.e0 = 3(a-1) + sum (bi+1) and m
-    (`_closes`), and exactly m (-1)-classes have zero area under
-    omega(1) and they are pairwise disjoint: these are the classes the m
-    points contract (`blow_down`), and with m = 0 below a 4-dimensional
-    maximum none may collapse there.  Tails are nondecreasing (one
-    representative per index permutation).  Ei has area bi+2 at level one,
-    so bi >= -2, or bi >= -1 when nothing is blown down, and then
-    u - Ei - Ej keeps positive area -a-bi-bj too.  The predicates bound every
-    range:
+    A total is yielded only if:
+
+    - its volume c1.T = 3a + sum b, the surface's area, is >= 1;
+    - it keeps the genus budget T.T + c1.T = a^2 - sum b^2 + 3a + sum b >= 0.
+      A splitting has n >= 1 pairwise disjoint parts Ci of area c1.Ci >= 1,
+      so n <= c1.T, and adjunction gives 2 sum gi = T.T - c1.T + 2n >= 0;
+    - every (-1)-class has area >= 0 at level one, and > 0 when nothing is
+      blown down.  For k <= 4 (`_leading_coefficients`) these are Ei, of
+      area bi+2, so bi >= -2, or bi >= -1; and u - Ei - Ej, of area
+      -a-bi-bj, least for the last two entries of the tail;
+    - the path closes at the maximum, a closed form in e0.e0 =
+      (a-1)^2 - sum (bi+1)^2, c1.e0 = 3(a-1) + sum (bi+1) and m (`_closes`);
+    - exactly m (-1)-classes have zero area under omega(1), pairwise
+      disjoint: the classes the m points contract (`blow_down`).
+
+    Tails are nondecreasing: an index permutation is an isometry of P2#k
+    fixing c1 and e-, so it maps paths to paths, and one total per orbit is
+    swept; `_canonicalize` handles the permutations that fix it.
+
+    Slice positivity follows, so the sweep asserts none of it: omega(t) has
+    positive square on every slice, zero only at -3 and at a point or sphere
+    maximum, and every (-1)-class has area >= 0 at both ends of each slice
+    and > 0 at one.  Positive square is the forward-cone condition of T.-J.
+    Li and A.-K. Liu (2001); the forward cone {x.x > 0, c1.x > 0} is convex.
+
+    - [-3, -1], or up to 0 or the top when k = 0: omega = (t+3)u on P2,
+      which has no (-1)-classes.
+    - [-1, 0], or [-1, 1] without a level-0 surface (k <= 3, `_counts_for`):
+      omega^2 = (t+3)^2 - k(t+1)^2 is concave for k >= 1 and is 4 at -1,
+      9 - k at 0 and 16 - 4k at 1.  A (-1)-class (x; y) has x >= 0, so area
+      2x at -1, and area c1.E = 1 at 0 by adjunction; at 1 the classes Ei and
+      u - Ei - Ej have areas 2 and 0.
+    - [0, 1]: omega(0) = c1, and omega(1)^2 >= 1 by the level-one budget.
+      The bi+2 are >= 0, so by Cauchy-Schwarz sum (bi+2) <= sqrt(k((4-a)^2
+      - 1)) < 3(4-a) for k <= 8, that is c1.omega(1) = 3(4-a) - sum (bi+2)
+      > 0.  Both ends lie in the forward cone, so the whole segment does.
+      Each (-1)-class has area 1 at 0 and >= 0 at 1 (above).
+    - Above level one: `_closes`.
+
+    The predicates bound every range:
 
     - a <= 3.  omega(0) = c1 has u-coefficient 3 and omega is linear up to
       level one, so for a >= 4 the u-coefficient vanishes at some t in
-      (0, 1], where omega^2 = -sum y^2 <= 0; `positive_square_throughout`
-      allows zeros only at -3, 2 and 3 (the forward-cone condition of
-      T.-J. Li and A.-K. Liu, 2001).
+      (0, 1], where omega^2 = -sum y^2 <= 0; the reduced volume vanishes only
+      at -3, 2 and 3.
     - Lower limit on a (`_leading_coefficients`).
     - The level-one budget alone stops the tails (`_sorted_tails`).
     """
@@ -273,9 +277,10 @@ def _candidate_totals(max_dim: int, k: int, m: int):
     b_floor = -2 if m else -1
     for a in _leading_coefficients(k):
         for tail in _sorted_tails(k, b_floor, (4 - a) ** 2 - 1):
-            if 3 * a + sum(tail) < 1:
+            volume = 3 * a + sum(tail)
+            if volume < 1 or a * a - sum(b * b for b in tail) + volume < 0:
                 continue
-            if k >= 2 and not m and a + tail[-1] + tail[-2] > -1:
+            if k >= 2 and a + tail[-1] + tail[-2] > (0 if m else -1):
                 continue
             ee = (a - 1) ** 2 - sum((b + 1) ** 2 for b in tail)
             if not _closes(max_dim, ee, 3 * (a - 1) + sum(tail) + k, m):
@@ -312,12 +317,25 @@ def _closes(max_dim: int, ee: int, ce: int, m: int) -> bool:
       On P2#1 they are the multiples of f = u - E and of u + E, and
       omega(2) = x(u + E), x > 0, would give E the area (1 - x)/2 at level
       one, as omega(1) = (c1+ + omega(2))/2: zero is ruled out by the
-      level-one count and a negative area by the positivity `_check_slices`
-      asserts.  No (-1)-class vanishes at 2: omega(2).E = 0 would leave
-      omega(2) = x u, of square x^2 = 0.
+      level-one count and a negative area by generation
+      (`_candidate_totals`).  No (-1)-class vanishes at 2: omega(2).E = 0
+      would leave omega(2) = x u, of square x^2 = 0.
     - 4-manifold: the top slice is the maximum itself, of volume
       omega(1)^2 >= 1 by the level-one budget (`_sorted_tails`), or
       16 - 4k for k <= 1 without a level-0 surface.  No condition.
+
+    Above level one the slices stay positive (`_candidate_totals` covers the
+    rest of the path).  omega(1) lies in the forward cone {x.x > 0,
+    c1.x > 0}, and a blow-down keeps it there: the contracted classes V have
+    zero area, so the pushforward keeps omega(1)^2, and c1+ = c1 + sum V
+    pairs with omega(1) as c1 does.  At a point maximum omega(3) = 0, so
+    omega(t) = (3-t)/2 omega(1) on [1, 3].  At a sphere maximum omega(2) =
+    mu f is nonzero on the boundary of the cone, so the half-open segment
+    from omega(1) (or from omega(0) = c1 when m = 0) stays inside.  The
+    (-1)-classes of the top lattice are those of the level-one lattice
+    orthogonal to V: they have area >= 0 at level one, and not 0 as every
+    zero-area class was contracted.  Only P2#1 has one, E, with f = u - E,
+    so its area at 2 is mu f.E = mu > 0.
     """
     if max_dim == 0:
         return ee + m == 1 and ce + m == 3
@@ -443,44 +461,38 @@ def enumerate_tfd(max_dim: int, crit) -> list[TFD]:
     for k, m in _counts_for(max_dim, crit):
         totals = _candidate_totals(max_dim, k, m) if 0 in crit else [None]
         for total in totals:
-            slices, exceptional = _sweep_path(max_dim, k, total, m)
+            slices = _sweep_path(max_dim, k, total, m)
             top_data = _check_top(max_dim, slices[-1])
-            _check_slices(slices, max_dim, exceptional)
-            splittings = [()] if total is None else component_splittings(total.lattice, total)
+            splittings = [()] if total is None else [
+                _canonicalize(total, s) for s in component_splittings(total.lattice, total)
+            ]
             for splitting in splittings:
                 tfd = _assemble(max_dim, k, m, splitting, slices, top_data)
                 if not (integrate(tfd, ONE).is_zero() and integrate(tfd, C1).is_zero()):
                     raise InternalArithmeticError(f"localization fails on {serialization(tfd)}")
-                canon = _canonicalize(tfd, k)
-                found.setdefault(serialization(canon), canon)
+                found.setdefault(serialization(tfd), tfd)
     return sorted(found.values(), key=sort_key)
 
 
-def _canonicalize(tfd: TFD, k: int) -> TFD:
-    """Minimize the serialization over permutations of the exceptional indices.
+def _canonicalize(total: CohClass, splitting):
+    """The least form of a splitting of `total` under the index permutations fixing it.
 
-    A permutation of E1..Ek is an isometry of P2#k fixing c1 and e-, so the
-    permuted path closes as the original does.  It keeps the point
-    descriptors and a sphere maximum's -e+.e+; a 4-manifold maximum's Euler
-    class is e- + T.  Level 0 is serialized before the top, so the sorted
-    permuted splitting alone orders the permuted candidates, and only a
-    winner other than `tfd` is swept.
+    The canonical form of a row is its generated total, whose tail is
+    nondecreasing (`_candidate_totals`), with the splitting minimized over
+    the permutations of E1..Ek that fix that total.  Those fix e0 and so the
+    whole slice path, the point descriptors and the top component; level 0
+    is serialized before the top, so the sorted permuted parts alone order
+    the candidates.  Parts come back sorted by coefficients.
     """
-    parts = [(fc.spec.surface_class.coeffs, fc.spec.genus) for fc in tfd.interior_surfaces]
+    tail = total.coeffs[1:]
 
     def permuted(perm):
-        return tuple(sorted(((c[0],) + tuple(c[1 + p] for p in perm), g) for c, g in parts))
+        return tuple(sorted(((c.coeffs[0],) + tuple(c.coeffs[1 + p] for p in perm), g)
+                            for c, g in splitting))
 
-    best = min(map(permuted, itertools.permutations(range(k))))
-    if best == permuted(range(k)):
-        return tfd
-    lat = make_blowup_lattice(k)
-    split = tuple((CohClass(lat, c), g) for c, g in best)
-    m = sum(1 for fc in tfd.components if fc.level == 1 and fc.dim == 0)
-    total = sum((c for c, _ in split), lat.zero())
-    max_dim = tfd.max_dim
-    slices, _ = _sweep_path(max_dim, k, total, m)
-    return _assemble(max_dim, k, m, split, slices, _check_top(max_dim, slices[-1]))
+    fixing = (p for p in itertools.permutations(range(len(tail)))
+              if all(tail[q] == b for q, b in zip(p, tail)))
+    return tuple((CohClass(total.lattice, c), g) for c, g in min(map(permuted, fixing)))
 
 
 def serialization(tfd: TFD):

@@ -62,7 +62,7 @@ def cmd_classify(args) -> int:
         reference, fields = golden.GOLDEN6, FIELDS6
     else:
         computed = [
-            r for r in map(report_row_from_tfd4, classify4(strict=False))
+            r for r in map(report_row_from_tfd4, classify4())
             if _in_case(r["label"], args.case)
         ]
         reference, fields = golden.GOLDEN4, FIELDS4
@@ -124,7 +124,7 @@ def cmd_toric(args) -> int:
 
 def cmd_tables(args) -> int:
     computed6 = [report_row_from_tfd(t) for t in classify_all(strict=False)]
-    computed4 = [report_row_from_tfd4(r) for r in classify4(strict=False)]
+    computed4 = [report_row_from_tfd4(r) for r in classify4()]
     got = (
         "# dim 6\n" + render_tsv(computed6, FIELDS6)
         + "# dim 4\n" + render_tsv(computed4, FIELDS4)

@@ -3,9 +3,9 @@
 The reference tables are stored as the exact TSV text `hamfix classify`
 prints for them, and parsed once into row dicts with the same keys and cell
 types the renderer produces.  Interior surface classes are written in the
-canonical basis ordering used by the classifier (exceptional coefficients
-nondecreasing, jointly minimized with the blow-down data over index
-permutations).
+classifier's canonical form: the level-0 total has nondecreasing exceptional
+coefficients, and its splitting is the least over the index permutations
+that fix the total.
 """
 
 from __future__ import annotations
@@ -104,6 +104,24 @@ def report_row_from_tfd(tfd: TFD) -> dict:
     }
 
 
+def _manifold4(row) -> str:
+    """The 4-manifold of a row: P2 for b2 = 1 and P2#(b2-1) for b2 >= 3.
+
+    By Karshon (1999) it is the plane, a Hirzebruch surface F_n (P1xP1 for
+    even n, P2#1 for odd n) or an equivariant blow-up of one, and F_n#1 is
+    P2#2.  With b2 = 2: isolated fixed points only give P1xP1 (Tolman and
+    Weitsman 2000); an isolated minimum below a sphere maximum is the plane
+    blown up once, P2#1; two fixed spheres bound F_n with n = |euler_min|,
+    the Euler number of the circle bundle just above the minimal sphere.
+    """
+    b2 = row.betti[2]
+    if b2 != 2:
+        return "P2" if b2 == 1 else f"P2#{b2 - 1}"
+    if row.min_level == -2:
+        return "P1xP1" if row.max_level == 2 else "P2#1"
+    return "P2#1" if row.euler_min % 2 else "P1xP1"
+
+
 def report_row_from_tfd4(row) -> dict:
     per_level = []
     for level in row.crit_levels:
@@ -117,7 +135,7 @@ def report_row_from_tfd4(row) -> dict:
     e_str = "0" if e == 0 else ("-u" if e == -1 else f"{e}u")
     return {
         "label": row.label or "?",
-        "m": next((g["m"] for g in GOLDEN4 if g["label"] == row.label), "?"),
+        "m": _manifold4(row),
         "crit": ",".join(str(c) for c in row.crit_levels),
         "components": " | ".join(per_level),
         "b2": row.betti[2],

@@ -36,14 +36,13 @@ _POWER = {ONE: 0, C1: 1, C1_CUBED: 3}
 
 @record
 class LaurentPoly:
-    """Finitely supported map from integer x-degrees to exact rationals."""
+    """Finitely supported map from integer x-degrees to ints and Fractions."""
 
-    terms: tuple[tuple[int, Fraction], ...]
+    terms: tuple[tuple[int, int | Fraction], ...]
 
     @staticmethod
     def from_dict(d: dict) -> LaurentPoly:
-        terms = {k: v if type(v) is Fraction else Fraction(v) for k, v in d.items() if v != 0}
-        return LaurentPoly(tuple(sorted(terms.items())))
+        return LaurentPoly(tuple(sorted((k, v) for k, v in d.items() if v != 0)))
 
     @staticmethod
     def zero() -> LaurentPoly:
@@ -53,11 +52,11 @@ class LaurentPoly:
     def x_power(degree: int, coeff=1) -> LaurentPoly:
         return LaurentPoly.from_dict({degree: coeff})
 
-    def coeff(self, degree: int) -> Fraction:
+    def coeff(self, degree: int) -> int | Fraction:
         for d, c in self.terms:
             if d == degree:
                 return c
-        return Fraction(0)
+        return 0
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -69,7 +68,7 @@ class LaurentPoly:
         return LaurentPoly.from_dict(d)
 
     def __mul__(self, other: LaurentPoly) -> LaurentPoly:
-        d: dict[int, Fraction] = {}
+        d: dict[int, int | Fraction] = {}
         for d1, c1 in self.terms:
             for d2, c2 in other.terms:
                 deg = d1 + d2
@@ -116,8 +115,9 @@ class IsolatedPoint:
         return ((0, 1),)
 
     def contribution(self, level: int, p: int) -> LaurentPoly:
+        # semifree weights are +-1, so 1 / prod w = prod w
         w = self.weights
-        return LaurentPoly.x_power(p - 3, Fraction(sum(w) ** p, w[0] * w[1] * w[2]))
+        return LaurentPoly.x_power(p - 3, sum(w) ** p * w[0] * w[1] * w[2])
 
     def flipped(self) -> IsolatedPoint:
         return IsolatedPoint(tuple(-w for w in self.weights))
@@ -216,8 +216,8 @@ class ExtremalSurface:
         if p == 0:
             return inv_q
         # (2wx + (d_sum+2) q)^p, keeping at most one q
-        num_const = LaurentPoly.x_power(p, Fraction((2 * w) ** p))
-        num_q = LaurentPoly.x_power(p - 1, Fraction(p * (2 * w) ** (p - 1) * (d_sum + 2)))
+        num_const = LaurentPoly.x_power(p, (2 * w) ** p)
+        num_q = LaurentPoly.x_power(p - 1, p * (2 * w) ** (p - 1) * (d_sum + 2))
         return num_const * inv_q + num_q * inv_const
 
     def flipped(self) -> ExtremalSurface:
@@ -271,7 +271,7 @@ class ExtremalFourManifold:
         scalars = (pair(e, e), pair(a_class, e), pair(a_class, a_class))
         out = LaurentPoly.zero()
         for j in range(0, min(p, 2) + 1):
-            pa = LaurentPoly.x_power(p - j, Fraction(comb(p, j) * w ** (p - j)))
+            pa = LaurentPoly.x_power(p - j, comb(p, j) * w ** (p - j))
             pe = LaurentPoly.x_power(j - 3, w if j % 2 == 0 else -w)
             out = out + (pa * pe).scale(scalars[j])
         return out
@@ -333,7 +333,7 @@ def contribution(fc: FixedComponent, alpha: str) -> LaurentPoly:
 def integrate(components, alpha: str) -> LaurentPoly:
     """Sum of localization contributions over all fixed components."""
     comps = getattr(components, "components", components)
-    total: dict[int, Fraction] = {}
+    total: dict[int, int | Fraction] = {}
     for fc in comps:
         for deg, c in contribution(fc, alpha).terms:
             total[deg] = total.get(deg, 0) + c

@@ -213,28 +213,3 @@ def bmax_from_euler(state: SliceState) -> int:
     if state.lattice.rank != 2:
         raise NotASphereMaximum("top slice below a sphere maximum has rank 2")
     return -pair(state.euler, state.euler)
-
-
-def positive_square_throughout(state: SliceState, allow_zero_ends=()) -> bool:
-    """Exact positivity of dh on the closed slice interval.
-
-    dh is quadratic in t, so checking both endpoints plus the interior vertex
-    decides the sign; endpoint zeros are tolerated only where listed.
-    """
-    lo, hi = state.interval
-    c0, c1, c2 = dh_quadratic(state)
-
-    def value(t):
-        return c0 + c1 * t + c2 * t * t
-
-    for t in (lo, hi):
-        v = value(t)
-        if v < 0:
-            return False
-        if v == 0 and t not in allow_zero_ends:
-            return False
-    if c2 > 0:
-        vertex = Fraction(-c1, 2 * c2)
-        if lo < vertex < hi and value(vertex) <= 0:
-            return False
-    return True

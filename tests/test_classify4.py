@@ -105,3 +105,14 @@ def test_sphere_minimum_area_is_positive():
             assert area(r, -1) >= 1
         if r.max_level == 1:
             assert area(r, 1) >= 1
+
+
+def test_manifold_column_is_derived(monkeypatch):
+    # the m column is read off each row, not copied from the reference table,
+    # so a wrong reference manifold shows up in `tables diff`
+    want = [golden.report_row_from_tfd4(r) for r in classify4()]
+    assert [row["m"] for row in want] == [g["m"] for g in golden.GOLDEN4]
+    monkeypatch.setattr(golden, "GOLDEN4", [dict(g, m="S4") for g in golden.GOLDEN4])
+    assert [golden.report_row_from_tfd4(r) for r in classify4()] == want
+    # F_3 has an odd twist, like F_1
+    assert golden.report_row_from_tfd4(TFD4(None, -1, 1, 0, -3))["m"] == "P2#1"

@@ -433,13 +433,17 @@ def _survives(max_dim, k, total, m):
     return True
 
 
+def _has_splitting(total):
+    return bool(component_splittings(total.lattice, total))
+
+
 @pytest.mark.parametrize("has_blowdown", [False, True])
 @pytest.mark.parametrize("k", range(9))
 def test_candidate_totals_match_unpruned_box(k, has_blowdown):
     # in each cell of the unpruned search with k points at level -1 and a
     # level-0 surface, generation yields, in order, exactly the filtered box
-    # totals that the unpruned sweep admits; the derived ranges leave no
-    # box total with a <= 3 for k >= 5
+    # totals that the unpruned sweep admits and that have a splitting; the
+    # derived ranges leave no box total with a <= 3 for k >= 5
     lat = make_blowup_lattice(k)
     box = list(_unpruned_totals(k, has_blowdown, _widened_box(k)))
     cells = sorted(
@@ -449,17 +453,22 @@ def test_candidate_totals_match_unpruned_box(k, has_blowdown):
     assert cells or (k, has_blowdown) == (0, True)  # nothing to blow down
     for max_dim, m in cells:
         got = [c.coeffs for c in _candidate_totals(max_dim, k, m)]
-        assert got == [t for t in box if _survives(max_dim, k, CohClass(lat, t), m)]
+        assert got == [
+            t for t in box
+            if _survives(max_dim, k, CohClass(lat, t), m) and _has_splitting(CohClass(lat, t))
+        ]
     if k >= 5:
         assert [t for t in box if t[0] <= 3] == []
 
 
 def test_candidate_totals_cover_box_survivors():
-    # the search generates exactly what the unpruned sweep admits: over the
-    # 26 cells of the unpruned search with a level-0 surface, the derived
-    # point counts and generation give the same (cell, total) pairs as the
-    # filtered box swept with the former predicates, and without level 0 the
-    # derived point counts keep exactly the cells whose path closes
+    # the search generates exactly what the unpruned sweep admits and can
+    # split: over the 26 cells of the unpruned search with a level-0 surface,
+    # the derived point counts and generation give the same (cell, total)
+    # pairs as the filtered box swept with the former predicates, less the 3
+    # survivors with no splitting (`test_generation_funnel`), and without
+    # level 0 the derived point counts keep exactly the cells whose path
+    # closes
     unpruned_cells, kept = _cells(unpruned.counts_for, True), _cells(_counts_for, True)
     assert (len(unpruned_cells), len(kept)) == (26, 14)
     assert kept <= unpruned_cells
@@ -472,8 +481,12 @@ def test_candidate_totals_cover_box_survivors():
             checked += 1
             if _survives(max_dim, k, CohClass(lat, t), m):
                 survivors.add((max_dim, k, m, t))
-    assert generated == survivors
     assert (checked, len(survivors)) == (290, 19)
+    split = {
+        (d, k, m, t) for d, k, m, t in survivors
+        if _has_splitting(CohClass(make_blowup_lattice(k), t))
+    }
+    assert generated == split and len(generated) == 16
     bare = {
         (d, k, m) for d, k, m in _cells(unpruned.counts_for, False) if _survives(d, k, None, m)
     }
@@ -481,39 +494,62 @@ def test_candidate_totals_cover_box_survivors():
 
 
 def test_generation_funnel(rows):
-    # 22 candidates reach the sweep: 19 level-0 totals and the 3 cells without
-    # level 0.  Each ends in one row, except the 3 totals with no splitting
-    # into disjoint embedded components, the funnel's only cut
-    candidates, empty = 0, []
+    # 19 candidates reach the sweep: 16 level-0 totals and the 3 cells without
+    # level 0, and each ends in exactly one row
+    candidates = 0
     for max_dim in (0, 2, 4):
         for crit in CRIT_SETS:
             for k, m in _counts_for(max_dim, crit):
                 for total in _candidate_totals(max_dim, k, m) if 0 in crit else [None]:
                     candidates += 1
-                    if total is None:
-                        continue
-                    splittings = component_splittings(total.lattice, total)
-                    assert len(splittings) <= 1, (max_dim, total)
-                    if not splittings:
-                        empty.append((max_dim, total.coeffs))
-    assert candidates == 22
-    assert sorted(empty) == [(0, (2, -2, -2)), (2, (1, -2, 0)), (2, (2, -2, -2, -1))]
-    assert len(rows) == candidates - len(empty) == 19
+                    if total is not None:
+                        splittings = component_splittings(total.lattice, total)
+                        assert len(splittings) == 1, (max_dim, total)
+    assert candidates == len(rows) == 19
     # rows of different cells differ in max_dim or critical levels, so the
     # rows need no de-duplication across cells
     assert len({serialization(t) for t in rows}) == 19
 
 
-def test_failed_slice_assertion_is_an_error(monkeypatch):
-    # the sweep rejects nothing, so a slice that loses positivity is a bug:
-    # enumerate_tfd raises instead of dropping the candidate
-    from hamfix import classify6
-    from hamfix.errors import InternalArithmeticError
+# (max_dim, k, m, total) -> T.T + c1.T: the totals the genus budget cuts
+BUDGET_CUT = {
+    (0, 2, 2, (2, -2, -2)): -2,
+    (2, 2, 1, (1, -2, 0)): -2,
+    (2, 3, 2, (2, -2, -2, -1)): -4,
+}
 
-    assert len(enumerate_tfd(0, {-1, 1})) == 1
-    monkeypatch.setattr(classify6, "positive_square_throughout", lambda s, allow_zero_ends: False)
-    with pytest.raises(InternalArithmeticError):
-        enumerate_tfd(0, {-1, 1})
+
+def test_genus_budget_cuts_only_totals_without_splitting():
+    # a splitting of T has n <= c1.T disjoint parts and genera summing to
+    # (T.T - c1.T + 2n) / 2 >= 0, so T.T + c1.T >= 0; the unpruned sweep
+    # admits exactly these 3 totals below the budget, and none splits
+    for (max_dim, k, m, coeffs), budget in BUDGET_CUT.items():
+        total = CohClass(make_blowup_lattice(k), coeffs)
+        assert coeffs in [c.coeffs for c in unpruned.candidate_totals(k, m > 0)]
+        assert _survives(max_dim, k, total, m)
+        assert component_splittings(total.lattice, total) == []
+        assert pair(total, total) + pair(total.lattice.anticanonical, total) == budget
+        assert coeffs not in [c.coeffs for c in _candidate_totals(max_dim, k, m)]
+
+
+def test_every_slice_keeps_positive_volume_and_exceptional_areas(rows):
+    # slice positivity is derived (`_candidate_totals`, `_closes`) and not
+    # checked by the search: on every slice of every row and its flip the
+    # reduced class has positive square, zero only where an isolated point or
+    # sphere extremum collapses the reduced space, and every (-1)-class has
+    # area >= 0 at both ends of the slice and > 0 at one
+    exceptional_checks = 0
+    for t in rows:
+        for u in (t, flip(t)):
+            ends = (u.crit_levels[0], u.crit_levels[-1])
+            zero_ends = {lvl for lvl in ends if all(fc.dim < 4 for fc in u.at_level(lvl))}
+            for s, exc in zip(u.slices, unpruned.slice_exceptional(u.slices)):
+                assert unpruned.positive_square_throughout(s, zero_ends), (u.label, s.interval)
+                for c in exc:
+                    areas = [pair(s.omega(end), c) for end in s.interval]
+                    assert min(areas) >= 0 and max(areas) > 0, (u.label, s.interval, c)
+                    exceptional_checks += 1
+    assert exceptional_checks == 2 * 55
 
 
 def test_search_matches_unpruned_reference(rows):
@@ -540,7 +576,7 @@ def test_swept_candidates_pass_the_level_one_count(monkeypatch):
         for r in range(4):
             for crit in itertools.combinations((-1, 0, 1), r):
                 enumerate_tfd(max_dim, crit)
-    assert len(swept) == 22  # the 22 candidates; every row is already canonical
+    assert len(swept) == 19  # one sweep per candidate, and canonicalization sweeps none
     for k, total, m in swept:
         assert _passes_level_one_count(k, total, m), (k, total, m)
 
@@ -660,36 +696,47 @@ def test_localization_failure_is_an_error(monkeypatch):
         enumerate_tfd(0, {-1, 1})
 
 
-def test_canonicalize_undoes_every_index_permutation(rows):
-    # an index permutation is an isometry fixing c1: the permuted splitting
-    # sweeps without a rejection, and canonicalization returns the row
-    from hamfix.classify6 import _assemble, _canonicalize, _check_slices, _check_top, _sweep_path
+def test_canonicalize_undoes_every_permutation_fixing_the_total(rows):
+    # the canonical form is the generated total, whose tail is nondecreasing,
+    # with its splitting least over the index permutations that fix the
+    # total: those fix the slices, and canonicalization undoes them; a
+    # permutation that moves the total keeps the total it was given
+    from hamfix.classify6 import _canonicalize
 
-    inputs = moved = 0
+    for max_dim, k, m in _cells(_counts_for, True):
+        for total in _candidate_totals(max_dim, k, m):
+            assert list(total.coeffs[1:]) == sorted(total.coeffs[1:]), total
+
+    def summed(split, lat):
+        return sum((c for c, _ in split), lat.zero())
+
+    fixing = moved = 0
     for t in rows:
-        k = sum(1 for fc in t.at_level(-1) if fc.dim == 0)
-        m = sum(1 for fc in t.at_level(1) if fc.dim == 0)
-        if k < 2 or not t.interior_surfaces:
+        if not t.interior_surfaces:
             continue
         lat = t.reduced_lattice
-        for perm in itertools.permutations(range(k)):
-            split = []
-            for fc in t.interior_surfaces:
-                c = fc.spec.surface_class.coeffs
-                permuted = CohClass(lat, (c[0],) + tuple(c[1 + p] for p in perm))
-                split.append((permuted, fc.spec.genus))
-            split.sort(key=lambda part: part[0].coeffs)
-            total = sum((c for c, _ in split), lat.zero())
-            slices, exceptional = _sweep_path(t.max_dim, k, total, m)
-            top_data = _check_top(t.max_dim, slices[-1])
-            _check_slices(slices, t.max_dim, exceptional)
-            cand = _assemble(t.max_dim, k, m, tuple(split), slices, top_data)
-            inputs += 1
-            moved += serialization(cand) != serialization(t)
-            canon = _canonicalize(cand, k)
-            assert serialization(canon) == serialization(t), (t.label, perm)
-            assert canon.slices == t.slices, (t.label, perm)
-    assert (inputs, moved) == (12, 6)
+        row_split = tuple((fc.spec.surface_class, fc.spec.genus) for fc in t.interior_surfaces)
+        total = summed(row_split, lat)
+        for perm in itertools.permutations(range(lat.blowups)):
+            split = tuple(
+                (CohClass(lat, (c.coeffs[0],) + tuple(c.coeffs[1 + p] for p in perm)), g)
+                for c, g in row_split
+            )
+            canon = _canonicalize(summed(split, lat), split)
+            assert summed(canon, lat) == summed(split, lat), (t.label, perm)
+            if summed(split, lat) == total:
+                fixing += 1
+                moved += split != row_split
+                assert canon == row_split, (t.label, perm)
+    # no row's own splitting moves under the permutations fixing its total
+    assert (fixing, moved) == (18, 0)
+    # E1 + (u + E2) on P2#2: swapping the indices fixes the total (1; 1, 1)
+    # and moves the parts, and the least form is E2 + (u + E1)
+    lat = make_blowup_lattice(2)
+    total = CohClass(lat, (1, 1, 1))
+    split = ((CohClass(lat, (0, 1, 0)), 0), (CohClass(lat, (1, 0, 1)), 0))
+    least = ((CohClass(lat, (0, 0, 1)), 0), (CohClass(lat, (1, 1, 0)), 0))
+    assert _canonicalize(total, split) == _canonicalize(total, least) == least
 
 
 def test_internal_arithmetic_errors_surface(monkeypatch):

@@ -29,7 +29,6 @@ from hamfix.reduction import (
     bmax_from_euler,
     dh,
     initial_slice,
-    positive_square_throughout,
     shift,
     vanishing_classes,
 )
@@ -181,6 +180,8 @@ def test_fiber_classes():
 
 
 def test_positive_square_vertex_detection():
+    from unpruned import positive_square_throughout
+
     # reduced class (3 - 5t) u dies at t = 3/5 inside the interval
     state = SliceState(CohClass(P2, (5,)), CohClass(P2, (3,)), (0, 1))
     assert not positive_square_throughout(state)

@@ -9,14 +9,20 @@ the benchmark.
 import ast
 import importlib
 import inspect
+import json
+import types
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 # listed by the tracer but no longer in the package; their metrics are omitted
 ALREADY_ABSENT = {
     ("hamfix.cli", "report_row_from_golden6"),
     ("hamfix.cli", "report_row_from_golden4"),
+    # slice positivity is derived, not checked; classify6.sweep_s still
+    # comes from _sweep_path and _check_top, which share its span
+    ("hamfix.classify6", "_check_slices"),
 }
 
 
@@ -48,3 +54,35 @@ def test_traced_generators_are_generator_functions():
     for module, attr, _span in _tracer_constant("WRAPPED"):
         if attr in generators:
             assert inspect.isgeneratorfunction(getattr(importlib.import_module(module), attr))
+
+
+def _load_tracer():
+    """The tracer module, compiled from its source without writing bytecode."""
+    module = types.ModuleType("perfbench_tracer")
+    exec(compile(TRACER.read_text(encoding="utf-8"), str(TRACER), "exec"), module.__dict__)
+    return module
+
+
+def _layer_metrics(tracer, absent):
+    """The per-layer metric names a traced run reports when `absent` is missing."""
+    record = {"run": "contract", "spans": [], "counts": {}, "absent": sorted(absent)}
+    names = set(tracer.engine_metrics(record)) | set(tracer.cli_metrics([record]))
+    return names | {"trace.overhead_s"}  # run.py adds the tracer's own cost
+
+
+def test_traced_run_reports_every_per_layer_metric():
+    # the tracer drops the metrics of a wrapped function that no longer
+    # resolves without a message, so every gated per-layer name must still
+    # come out of the functions the package has
+    tracer = _load_tracer()
+    absent = {
+        f"{module}.{attr}"
+        for module, attr, _span in tracer.WRAPPED
+        if not callable(getattr(importlib.import_module(module), attr, None))
+    }
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    want = {metric["name"] for metric in benchmark["per_layer"]}
+    assert len(want) == 34
+    assert _layer_metrics(tracer, absent) == want
+    dropped = _layer_metrics(tracer, absent | {"hamfix.classify6._canonicalize"})
+    assert want - dropped == {"classify6.canonicalize_s"}

@@ -7,7 +7,7 @@ not match is a rejection, the predicates below reject a candidate whose path
 does not close at the maximum or loses positivity, and canonicalization
 sweeps all k! index permutations.  The slice path (`_sweep_path`) is shared
 with the package; the predicates are the package's former ones, which the
-pruned search derives or asserts instead.
+pruned search derives instead.
 """
 
 import itertools
@@ -23,14 +23,17 @@ from hamfix.classify6 import (
     sort_key,
 )
 from hamfix.errors import NonDisjointBlowdown, NotASphereMaximum, VanishingCycleMismatch
-from hamfix.lattice import PRODUCT, CohClass, component_splittings, make_blowup_lattice, pair
-from hamfix.localization import C1, ONE, betti, integrate
-from hamfix.reduction import (
-    bmax_from_euler,
-    dh,
-    positive_square_throughout,
-    vanishing_classes,
+from hamfix.lattice import (
+    BLOWUP,
+    PRODUCT,
+    CohClass,
+    component_splittings,
+    exceptional_classes,
+    make_blowup_lattice,
+    pair,
 )
+from hamfix.localization import C1, ONE, betti, integrate
+from hamfix.reduction import bmax_from_euler, dh, dh_quadratic, vanishing_classes
 
 
 class Reject(Exception):
@@ -79,6 +82,36 @@ def check_top(max_dim, top_slice, exceptional):
     if dh(top_slice, 1) <= 0:
         raise Reject("reduced volume vanishes at the 4-dimensional maximum")
     return top_slice.euler
+
+
+def positive_square_throughout(state, allow_zero_ends=()) -> bool:
+    """Exact positivity of dh on the closed slice interval.
+
+    dh is quadratic in t, so checking both endpoints plus the interior vertex
+    decides the sign; endpoint zeros are tolerated only where listed.
+    """
+    lo, hi = state.interval
+    c0, c1, c2 = dh_quadratic(state)
+
+    def value(t):
+        return c0 + c1 * t + c2 * t * t
+
+    for t in (lo, hi):
+        v = value(t)
+        if v < 0:
+            return False
+        if v == 0 and t not in allow_zero_ends:
+            return False
+    if c2 > 0:
+        vertex = Fraction(-c1, 2 * c2)
+        if lo < vertex < hi and value(vertex) <= 0:
+            return False
+    return True
+
+
+def slice_exceptional(slices):
+    """The (-1)-classes of each slice's lattice."""
+    return [exceptional_classes(s.lattice) if s.lattice.kind == BLOWUP else () for s in slices]
 
 
 def check_slices(slices, max_dim, exceptional):
@@ -137,7 +170,8 @@ def candidate_totals(k, has_blowdown):
 
 def sweep(max_dim, k, total, m):
     """Slices and top data, or one of REJECTIONS."""
-    slices, exceptional = _sweep_path(max_dim, k, total, m)
+    slices = _sweep_path(max_dim, k, total, m)
+    exceptional = slice_exceptional(slices)
     top_data = check_top(max_dim, slices[-1], exceptional[-1])
     check_slices(slices, max_dim, exceptional)
     return slices, top_data
