@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (
@@ -142,13 +141,13 @@ def flip(t: TFD) -> TFD:
     return TFD(t.label, tuple(comps), slices)
 
 
-def capacities(t: TFD) -> tuple[Fraction, Fraction]:
-    """(ball capacity, oscillation capacity) from the critical values."""
+def capacities(t: TFD) -> tuple[int, int]:
+    """(ball capacity, oscillation capacity) from the critical values, which are ints."""
     levels = t.crit_levels
     bottom = t.at_level(levels[0])
     if len(bottom) != 1 or bottom[0].dim != 0:
         raise CapacityFormulaInapplicable("minimum must be an isolated point")
-    return (Fraction(levels[1] - levels[0]), Fraction(levels[-1] - levels[0]))
+    return (levels[1] - levels[0], levels[-1] - levels[0])
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +425,9 @@ def enumerate_tfd(max_dim: int, crit) -> list[TFD]:
     """All topological fixed-point data above an isolated minimum.
 
     The maximum has dimension `max_dim` (0, 2 or 4) and `crit` holds the
-    interior critical levels.  The searched classes range over what the
-    predicates allow (see `_candidate_totals` and `component_splittings`).
+    interior critical levels.  The level-0 totals are generated by
+    `_candidate_totals`, and each splits into disjoint embedded parts in the
+    closed form of `component_splittings`.
 
     Betti symmetry and the localization identities (the integrals of 1 and
     c1 vanish) follow from the sweep, as the Laplace-transform side of

@@ -10,8 +10,6 @@ that fix the total.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .classify6 import TFD, capacities
 from .localization import betti, chern_number
 
@@ -57,17 +55,12 @@ III-4\tP2#3\t-1,0,1\t-1:S2 | 0:pt*2 | 1:S2\t4\t-u
 """
 
 
-def _num(x):
-    f = Fraction(x)
-    return int(f) if f.denominator == 1 else str(f)
-
-
 def parse_tsv(text: str) -> list[dict]:
-    """Rows of a rendered table, numeric columns back as numbers."""
+    """Rows of a rendered table, numeric columns back as ints."""
     header, *lines = text.splitlines()
     fields = header.split("\t")
     return [
-        {f: _num(v) if f in _NUMERIC else v for f, v in zip(fields, line.split("\t"))}
+        {f: int(v) if f in _NUMERIC else v for f, v in zip(fields, line.split("\t"))}
         for line in lines
     ]
 
@@ -99,8 +92,8 @@ def report_row_from_tfd(tfd: TFD) -> dict:
         "b2": b[2],
         "b_odd": b[1] + b[3] + b[5],
         "c1_cubed": chern_number(tfd),
-        "gromov_width": _num(w),
-        "hofer_zehnder": _num(h),
+        "gromov_width": w,
+        "hofer_zehnder": h,
     }
 
 

@@ -4,13 +4,13 @@ Two lattice presentations cover every reduced space that can occur: the
 blow-up basis (u, E1, ..., Ek) of a k-fold blow-up of the plane with
 intersection form diag(1, -1, ..., -1), and the product basis (x, y) of a
 product of spheres with form [[0,1],[1,0]].  Class coefficients are ints,
-so all arithmetic is exact.
+so all arithmetic is exact.  The (-1)-classes and the splittings of a class
+into disjoint embedded surfaces are closed forms, not searches.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 
 from .errors import InvalidBlowupCount, LatticeMismatch, NoExceptionalBasis
@@ -198,80 +198,59 @@ def component_splittings(
     Each splitting is a multiset of (class, genus) pairs: the classes are
     integral, sum to `total`, are pairwise orthogonal, have anticanonical
     degree >= 1 and a valid adjunction genus, and every class of nonnegative
-    square meets each exceptional class nonnegatively.  The lattice is a
-    blow-up of the plane (the level-0 reduced space of an isolated minimum);
-    the product lattice raises NoExceptionalBasis.
+    square meets each exceptional class nonnegatively.  Parts are sorted by
+    coefficients and splittings by their parts.  The lattice is a blow-up of
+    the plane (the level-0 reduced space of an isolated minimum); the
+    product lattice raises NoExceptionalBasis.
 
-    A part (a; b1, ..., bk) has degree d = 3a + sum b in [1, volume], since
-    the degrees are >= 1 and sum to `volume`.  Twice its genus is
-    (a-1)(a-2) - sum b(b+1), so (a-1)(a-2) is a budget that the entries
-    draw from one by one, as b(b+1) >= 0 (`_adjunction_tails`).  With
-    k sum b^2 >= (sum b)^2 the budget gives (9-k)a^2 - 6da + d^2 + kd - 2k <= 0,
-    whose quarter discriminant k(d^2 - (9-k)d + 18 - 2k) is >= 0 for k <= 8
-    (`_part_leading`).
+    The splittings are found in closed form.  Write T = `total` and c1 for
+    the anticanonical class, so a part C of genus g has 2g - 2 = C.C - c1.C.
+    As c1 is characteristic, C.C and c1.C have the same parity.
+
+    1. A part C of square < 0 has 2g - 2 = C.C - c1.C <= -2, as c1.C >= 1,
+       so g = 0 and C.C = c1.C - 2 >= -1: C is a (-1)-class.
+    2. A part of square 0 has g = 0 and c1.C = 2, as g >= 1 would force
+       c1.C <= 0.
+    3. In signature (1, k), two orthogonal nonzero classes of square >= 0
+       are isotropic and proportional (the light-cone lemma; T.-J. Li and
+       A.-K. Liu 2001).  So at most one part has positive square, the parts
+       of square 0 never sit beside a positive part, and they are all
+       copies of one fiber class F, as proportional classes with c1.F = 2
+       are equal.
+    4. Each (-1)-part E meets only itself, so T.E = E.E = -1.  The
+       (-1)-parts are a pairwise-disjoint subset S of the (-1)-classes with
+       T.E = -1, each at most once, as E.E != 0.
+    5. The rest R = T - sum S is the sum of the parts of square >= 0, and
+       R.E = T.E - E.E = 0 for each E in S.  By 3 it is one of three
+       things: zero; one part with R.R > 0, a valid adjunction genus,
+       c1.R >= 1 and Li-Liu positivity; or j = c1.R / 2 copies of
+       F = R / j, where R.R = 0 and F is integral and Li-Liu positive.
+
+    So each subset S gives at most one splitting.
     """
     exc = exceptional_classes(lattice)
-    volume = pair(lattice.anticanonical, total)
-    if volume <= 0:
-        return []
-    candidates = []
-    for a in _part_leading(lattice.blowups, volume):
-        for tail in _adjunction_tails(lattice.blowups, (a - 1) * (a - 2)):
-            vol = 3 * a + sum(tail)  # anticanonical degree
-            if not 1 <= vol <= volume:
+    subsets: list[tuple[CohClass, ...]] = [()]
+    for e in exc:
+        if pair(total, e) == -1:
+            subsets += [s + (e,) for s in subsets if all(pair(e, f) == 0 for f in s)]
+    out = []
+    for s in subsets:
+        parts = [(e, 0) for e in s]
+        rest = total - sum(s, lattice.zero())
+        if not rest.is_zero():
+            square, degree = pair(rest, rest), pair(lattice.anticanonical, rest)
+            if square < 0 or degree < 1 or not li_positive(rest, exc):
                 continue
-            c = CohClass(lattice, (a,) + tail)
-            g = adjunction_genus(lattice, c)
-            if g is None or not li_positive(c, exc):
-                continue
-            candidates.append((c, g, vol))
-    candidates.sort(key=lambda t: t[0].coeffs)
-    out: list[tuple[tuple[CohClass, int], ...]] = []
-    _split_search(lattice, total, volume, candidates, 0, [], out)
-    return out
-
-
-def _part_leading(k: int, volume: int) -> list[int]:
-    """The integers a between the roots (3d -+ sqrt(D))/(9-k) for some d in 1..volume.
-
-    D is the quarter discriminant of `component_splittings`; flooring its
-    square root keeps both integer ends exact.
-    """
-    q = 9 - k
-    found = set()
-    for d in range(1, volume + 1):
-        root = math.isqrt(k * (d * d - q * d + 18 - 2 * k))
-        found.update(range(-((root - 3 * d) // q), (3 * d + root) // q + 1))
-    return sorted(found)
-
-
-def _adjunction_tails(n, budget):
-    """Tuples of length n with sum b(b+1) <= budget, lexicographic.
-
-    b(b+1) <= budget exactly for -r-1 <= b <= r, r = (isqrt(4 budget + 1) - 1) // 2.
-    """
-    if n == 0:
-        yield ()
-        return
-    r = (math.isqrt(4 * budget + 1) - 1) // 2
-    for b in range(-r - 1, r + 1):
-        for rest in _adjunction_tails(n - 1, budget - b * (b + 1)):
-            yield (b,) + rest
-
-
-def _split_search(lattice, remaining, vol_left, candidates, start, chosen, out):
-    if remaining.is_zero():
-        if chosen:
-            out.append(tuple(chosen))
-        return
-    if vol_left <= 0:
-        return
-    for i in range(start, len(candidates)):
-        c, g, vol = candidates[i]
-        if vol > vol_left:
-            continue
-        if any(pair(c, prev) != 0 for prev, _ in chosen):
-            continue
-        chosen.append((c, g))
-        _split_search(lattice, remaining - c, vol_left - vol, candidates, i, chosen, out)
-        chosen.pop()
+            if square > 0:
+                g = adjunction_genus(lattice, rest)
+                if g is None:
+                    continue
+                parts.append((rest, g))
+            else:
+                j = degree // 2
+                if any(c % j for c in rest.coeffs):
+                    continue
+                parts += [(CohClass(lattice, tuple(c // j for c in rest.coeffs)), 0)] * j
+        if parts:
+            out.append(tuple(sorted(parts, key=lambda p: p[0].coeffs)))
+    return sorted(out, key=lambda s: [c.coeffs for c, _ in s])

@@ -254,6 +254,7 @@ def test_capacity_formula(by_label):
     assert capacities(by_label["I-1"]) == (3, 6)
     for label, t in by_label.items():
         w, h = capacities(t)
+        assert type(w) is type(h) is int
         assert h == 3 + max(t.crit_levels)
 
 
@@ -482,6 +483,12 @@ def test_candidate_totals_cover_box_survivors():
             if _survives(max_dim, k, CohClass(lat, t), m):
                 survivors.add((max_dim, k, m, t))
     assert (checked, len(survivors)) == (290, 19)
+    for _, k, _, t in survivors:
+        # the closed-form splittings are the reference search's, in order
+        total = CohClass(make_blowup_lattice(k), t)
+        assert component_splittings(total.lattice, total) == unpruned.search_splittings(
+            total.lattice, total
+        )
     split = {
         (d, k, m, t) for d, k, m, t in survivors
         if _has_splitting(CohClass(make_blowup_lattice(k), t))

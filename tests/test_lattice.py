@@ -9,7 +9,6 @@ from hamfix.errors import InvalidBlowupCount, LatticeMismatch, NoExceptionalBasi
 from hamfix.lattice import (
     PRODUCT,
     CohClass,
-    _part_leading,
     adjunction_genus,
     component_splittings,
     exceptional_classes,
@@ -17,6 +16,8 @@ from hamfix.lattice import (
     pair,
     product_lattice,
 )
+
+import unpruned
 
 
 def cls(lattice, *coeffs):
@@ -210,12 +211,25 @@ def test_splitting_mixed_pair():
     assert out == [((cls(two, 1, -1, -1), 0), (cls(two, 1, -1, 0), 0))]
 
 
+def test_splitting_rest_needs_li_positivity():
+    # 3u + E1 has positive square and genus 0 but meets E1 in -1, so it is no
+    # part; the one splitting takes E1 off and leaves the cubic 3u of genus 1
+    one = make_blowup_lattice(1)
+    total = cls(one, 3, 1)
+    assert adjunction_genus(one, total) == 0 and pair(total, cls(one, 0, 1)) == -1
+    want = [((cls(one, 0, 1), 0), (cls(one, 3, 0), 1))]
+    assert unpruned.search_splittings(one, total) == want
+    assert component_splittings(one, total) == want
+
+
 @pytest.mark.parametrize(
     "total,want",
     [((1, -1, -1, 0), [(((1, -1, -1, 0), 0),)]), ((2, -2, -2, -1), [])],
 )
 def test_splitting_rank4_inputs_of_the_search(total, want):
-    # the two rank-4 totals that reach the splitting step in the search
+    # the two rank-4 totals that survive the unpruned sweep: the first reaches
+    # the splitting step in classify_all, the second has no splitting and the
+    # genus budget cuts it from generation
     three = make_blowup_lattice(3)
     out = component_splittings(three, cls(three, *total))
     assert [tuple((c.coeffs, g) for c, g in s) for s in out] == want
@@ -264,23 +278,34 @@ def _oracle_splittings(lattice, total, bound):
     return results
 
 
-@pytest.mark.parametrize(
-    "k,total",
-    [
-        (1, (2, -2)), (0, (2,)), (2, (2, -2, -1)), (1, (3, -1)), (0, (3,)),
-        # the other totals that reach the splitting step in classify_all
-        (0, (1,)), (1, (0, 1)), (1, (1, -1)), (1, (1, 0)), (1, (2, -1)),
-        (2, (1, -2, 0)), (2, (1, -1, -1)), (2, (1, -1, 0)), (2, (2, -2, -2)),
-        (3, (1, -1, -1, 0)), (3, (2, -2, -2, -1)),
-    ],
-)
+ORACLE_TOTALS = [
+    (1, (2, -2)), (0, (2,)), (2, (2, -2, -1)), (1, (3, -1)), (0, (3,)),
+    # the other totals that survive the unpruned sweep
+    (0, (1,)), (1, (0, 1)), (1, (1, -1)), (1, (1, 0)), (1, (2, -1)),
+    (2, (1, -2, 0)), (2, (1, -1, -1)), (2, (1, -1, 0)), (2, (2, -2, -2)),
+    (3, (1, -1, -1, 0)), (3, (2, -2, -2, -1)),
+]
+
+
+@pytest.mark.parametrize("k,total", ORACLE_TOTALS)
 def test_splitting_oracle_agreement(k, total):
     lat = make_blowup_lattice(k)
     total = CohClass(lat, total)
-    volume = pair(lat.anticanonical, total)
-    # the derived leading range is the quadratic's integer solutions, and
-    # with the genus-budget tail range it lies inside the oracle's box
-    leading = _part_leading(k, volume)
+    got = {
+        tuple(sorted((c.coeffs, g) for c, g in s))
+        for s in component_splittings(lat, total)
+    }
+    assert got == _oracle_splittings(lat, total, 5)
+
+
+@pytest.mark.parametrize("k,total", ORACLE_TOTALS)
+def test_search_part_range_fits_the_oracle_box(k, total):
+    # the reference search's leading range is the quadratic's integer
+    # solutions, and with the genus-budget tail range it lies inside the
+    # oracle's box
+    lat = make_blowup_lattice(k)
+    volume = pair(lat.anticanonical, CohClass(lat, total))
+    leading = unpruned._part_leading(k, volume)
     assert leading == [
         a for a in range(-50, 51)
         if any((9 - k) * a * a - 6 * d * a + d * d + k * d - 2 * k <= 0
@@ -288,11 +313,30 @@ def test_splitting_oracle_agreement(k, total):
     ]
     tails = [b for a in leading for b in range(-50, 51) if b * (b + 1) <= (a - 1) * (a - 2)]
     assert max(map(abs, leading + tails)) <= 5
-    got = {
-        tuple(sorted((c.coeffs, g) for c, g in s))
-        for s in component_splittings(lat, total)
-    }
-    assert got == _oracle_splittings(lat, total, 5)
+
+
+def _small_totals():
+    """Totals of P2#k, k <= 4, coefficients in [-3, 3], nondecreasing tail, volume 1..6."""
+    for k in range(5):
+        lat = make_blowup_lattice(k)
+        for a in range(-3, 4):
+            for tail in itertools.combinations_with_replacement(range(-3, 4), k):
+                if 1 <= 3 * a + sum(tail) <= 6:
+                    yield CohClass(lat, (a,) + tail)
+
+
+def test_closed_form_splittings_match_the_search():
+    # the closed form returns what the reference search returns, in order;
+    # 38 of the totals that split have two or more (-1)-parts, which no
+    # generated total exercises
+    totals = list(_small_totals())
+    split = several_minus = 0
+    for total in totals:
+        want = unpruned.search_splittings(total.lattice, total)
+        assert component_splittings(total.lattice, total) == want, total
+        split += bool(want)
+        several_minus += any(sum(pair(c, c) == -1 for c, _ in s) >= 2 for s in want)
+    assert (len(totals), split, several_minus) == (617, 115, 38)
 
 
 def test_splitting_replay():

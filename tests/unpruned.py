@@ -7,10 +7,13 @@ not match is a rejection, the predicates below reject a candidate whose path
 does not close at the maximum or loses positivity, and canonicalization
 sweeps all k! index permutations.  The slice path (`_sweep_path`) is shared
 with the package; the predicates are the package's former ones, which the
-pruned search derives instead.
+pruned search derives instead.  The level-0 class is split by the former
+backtracking search over every admissible part (`search_splittings`), which
+`component_splittings` replaces with a closed form.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from hamfix.classify6 import (
@@ -27,8 +30,9 @@ from hamfix.lattice import (
     BLOWUP,
     PRODUCT,
     CohClass,
-    component_splittings,
+    adjunction_genus,
     exceptional_classes,
+    li_positive,
     make_blowup_lattice,
     pair,
 )
@@ -189,7 +193,7 @@ def enumerate_tfd(max_dim, crit):
                 slices, top_data = sweep(max_dim, k, total, m)
             except REJECTIONS:
                 continue
-            splittings = component_splittings(total.lattice, total) if total is not None else [()]
+            splittings = search_splittings(total.lattice, total) if total is not None else [()]
             for splitting in splittings:
                 tfd = _assemble(max_dim, k, m, splitting, slices, top_data)
                 if not integrate(tfd, ONE).is_zero() or not integrate(tfd, C1).is_zero():
@@ -239,3 +243,91 @@ def classify_all():
                 for tfd in enumerate_tfd(max_dim, crit):
                     rows.setdefault(serialization(tfd), tfd)
     return _attach_labels(sorted(rows.values(), key=sort_key))
+
+
+def search_splittings(lattice, total):
+    """All decompositions of `total` into disjoint embedded surface classes, by search.
+
+    This is the search that `component_splittings` replaced with its closed
+    form, kept as the reference it is compared against.
+
+    Each splitting is a multiset of (class, genus) pairs: the classes are
+    integral, sum to `total`, are pairwise orthogonal, have anticanonical
+    degree >= 1 and a valid adjunction genus, and every class of nonnegative
+    square meets each exceptional class nonnegatively.  The lattice is a
+    blow-up of the plane (the level-0 reduced space of an isolated minimum);
+    the product lattice raises NoExceptionalBasis.
+
+    A part (a; b1, ..., bk) has degree d = 3a + sum b in [1, volume], since
+    the degrees are >= 1 and sum to `volume`.  Twice its genus is
+    (a-1)(a-2) - sum b(b+1), so (a-1)(a-2) is a budget that the entries
+    draw from one by one, as b(b+1) >= 0 (`_adjunction_tails`).  With
+    k sum b^2 >= (sum b)^2 the budget gives (9-k)a^2 - 6da + d^2 + kd - 2k <= 0,
+    whose quarter discriminant k(d^2 - (9-k)d + 18 - 2k) is >= 0 for k <= 8
+    (`_part_leading`).
+    """
+    exc = exceptional_classes(lattice)
+    volume = pair(lattice.anticanonical, total)
+    if volume <= 0:
+        return []
+    candidates = []
+    for a in _part_leading(lattice.blowups, volume):
+        for tail in _adjunction_tails(lattice.blowups, (a - 1) * (a - 2)):
+            vol = 3 * a + sum(tail)  # anticanonical degree
+            if not 1 <= vol <= volume:
+                continue
+            c = CohClass(lattice, (a,) + tail)
+            g = adjunction_genus(lattice, c)
+            if g is None or not li_positive(c, exc):
+                continue
+            candidates.append((c, g, vol))
+    candidates.sort(key=lambda t: t[0].coeffs)
+    out: list[tuple[tuple[CohClass, int], ...]] = []
+    _split_search(lattice, total, volume, candidates, 0, [], out)
+    return out
+
+
+def _part_leading(k: int, volume: int) -> list[int]:
+    """The integers a between the roots (3d -+ sqrt(D))/(9-k) for some d in 1..volume.
+
+    D is the quarter discriminant of `search_splittings`; flooring its
+    square root keeps both integer ends exact.
+    """
+    q = 9 - k
+    found = set()
+    for d in range(1, volume + 1):
+        root = math.isqrt(k * (d * d - q * d + 18 - 2 * k))
+        found.update(range(-((root - 3 * d) // q), (3 * d + root) // q + 1))
+    return sorted(found)
+
+
+def _adjunction_tails(n, budget):
+    """Tuples of length n with sum b(b+1) <= budget, lexicographic.
+
+    b(b+1) <= budget exactly for -r-1 <= b <= r, r = (isqrt(4 budget + 1) - 1) // 2.
+    """
+    if n == 0:
+        yield ()
+        return
+    r = (math.isqrt(4 * budget + 1) - 1) // 2
+    for b in range(-r - 1, r + 1):
+        for rest in _adjunction_tails(n - 1, budget - b * (b + 1)):
+            yield (b,) + rest
+
+
+def _split_search(lattice, remaining, vol_left, candidates, start, chosen, out):
+    if remaining.is_zero():
+        if chosen:
+            out.append(tuple(chosen))
+        return
+    if vol_left <= 0:
+        return
+    for i in range(start, len(candidates)):
+        c, g, vol = candidates[i]
+        if vol > vol_left:
+            continue
+        if any(pair(c, prev) != 0 for prev, _ in chosen):
+            continue
+        chosen.append((c, g))
+        _split_search(lattice, remaining - c, vol_left - vol, candidates, i, chosen, out)
+        chosen.pop()
