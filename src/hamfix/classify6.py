@@ -28,7 +28,6 @@ from .errors import (
 )
 from .lattice import (
     CohClass,
-    SurfaceLattice,
     component_splittings,
     exceptional_classes,
     make_blowup_lattice,
@@ -91,14 +90,6 @@ class TFD:
     def interior_surfaces(self) -> tuple[FixedComponent, ...]:
         """The fixed surfaces at interior levels, whose classes are searched."""
         return tuple(fc for fc in self.components if (fc.dim, fc.index) == (2, 2))
-
-    @property
-    def reduced_lattice(self) -> SurfaceLattice:
-        """Lattice of the reduced space at level zero."""
-        for s in self.slices:
-            if s.interval[0] <= 0 <= s.interval[1]:
-                return s.lattice
-        raise InternalArithmeticError("no slice contains level 0")
 
     def omega_at(self, level) -> CohClass:
         """Reduced class at the level, from the first slice reaching it."""
@@ -427,7 +418,9 @@ def enumerate_tfd(max_dim: int, crit) -> list[TFD]:
     The maximum has dimension `max_dim` (0, 2 or 4) and `crit` holds the
     interior critical levels.  The level-0 totals are generated by
     `_candidate_totals`, and each splits into disjoint embedded parts in the
-    closed form of `component_splittings`.
+    closed form of `component_splittings`.  Distinct totals, and splittings
+    of one total with distinct least forms (`_canonicalize`), give distinct
+    rows.
 
     Betti symmetry and the localization identities (the integrals of 1 and
     c1 vanish) follow from the sweep, as the Laplace-transform side of
@@ -457,21 +450,21 @@ def enumerate_tfd(max_dim: int, crit) -> list[TFD]:
         raise ValueError(f"interior critical levels {sorted(crit)} outside -1..1")
     if max_dim == 4 and 1 in crit:
         return []  # level one is occupied by the maximum itself
-    found: dict[tuple, TFD] = {}
+    rows = []
     for k, m in _counts_for(max_dim, crit):
         totals = _candidate_totals(max_dim, k, m) if 0 in crit else [None]
         for total in totals:
             slices = _sweep_path(max_dim, k, total, m)
             top_data = _check_top(max_dim, slices[-1])
-            splittings = [()] if total is None else [
+            splittings = {()} if total is None else {
                 _canonicalize(total, s) for s in component_splittings(total.lattice, total)
-            ]
+            }
             for splitting in splittings:
                 tfd = _assemble(max_dim, k, m, splitting, slices, top_data)
                 if not (integrate(tfd, ONE).is_zero() and integrate(tfd, C1).is_zero()):
-                    raise InternalArithmeticError(f"localization fails on {serialization(tfd)}")
-                found.setdefault(serialization(tfd), tfd)
-    return sorted(found.values(), key=sort_key)
+                    raise InternalArithmeticError(f"localization fails on {tfd.components}")
+                rows.append(tfd)
+    return sorted(rows, key=sort_key)
 
 
 def _canonicalize(total: CohClass, splitting):
@@ -480,9 +473,9 @@ def _canonicalize(total: CohClass, splitting):
     The canonical form of a row is its generated total, whose tail is
     nondecreasing (`_candidate_totals`), with the splitting minimized over
     the permutations of E1..Ek that fix that total.  Those fix e0 and so the
-    whole slice path, the point descriptors and the top component; level 0
-    is serialized before the top, so the sorted permuted parts alone order
-    the candidates.  Parts come back sorted by coefficients.
+    whole slice path, the points and the top component, so two splittings of
+    one total give the same row exactly when their least forms agree.  Parts
+    come back sorted by coefficients.
     """
     tail = total.coeffs[1:]
 
@@ -495,21 +488,12 @@ def _canonicalize(total: CohClass, splitting):
     return tuple((CohClass(total.lattice, c), g) for c, g in min(map(permuted, fixing)))
 
 
-def serialization(tfd: TFD):
-    """Canonical nested-tuple form of a TFD, used for ordering and matching."""
-    per_level = []
-    for level in tfd.crit_levels:
-        descs = sorted(fc.spec.descriptor() for fc in tfd.at_level(level))
-        per_level.append((level, tuple(descs)))
-    lat = tfd.reduced_lattice
-    return (tfd.max_dim, (lat.kind, lat.blowups), tuple(per_level))
-
-
 def sort_key(tfd: TFD):
+    """Table order: profile, interior critical levels, k, then the interior classes."""
     crit = tfd.interior_crit
     k = len([fc for fc in tfd.components if fc.level == -1 and fc.dim == 0])
     interior = tuple(sorted(fc.spec.surface_class.coeffs for fc in tfd.interior_surfaces))
-    return (tfd.max_dim, len(crit), crit, k, interior, serialization(tfd))
+    return (tfd.max_dim, len(crit), crit, k, interior)
 
 
 def classify_all(strict: bool = True) -> list[TFD]:
@@ -539,8 +523,8 @@ def classify_all(strict: bool = True) -> list[TFD]:
 
 @lru_cache(maxsize=None)
 def _classify_cached() -> tuple[TFD, ...]:
-    # a row's serialization holds max_dim and its critical levels, so rows of
-    # different cells never coincide and each cell de-duplicates its own
+    # rows of different cells differ in max_dim or critical levels, and
+    # enumerate_tfd gives each row of a cell once
     rows = []
     for max_dim in (0, 2, 4):
         levels = (-1, 0, 1) if max_dim != 4 else (-1, 0)

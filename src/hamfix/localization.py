@@ -1,20 +1,25 @@
 """Exact equivariant localization sums over fixed-point data.
 
-Every integral is a finite sum of fixed-component contributions, each an
-exact Laurent polynomial in the degree-two generator x of the classifying
-space.  Surface contributions are computed in a rank-one nilpotent extension
-(q^2 = 0 on a 2-sphere or torus); contributions of 4-dimensional extrema are
-expanded as Laurent series in 1/x with cohomology truncated above the top
-degree of the surface.
+The equivariant integral of a degree-2p class over the six-manifold lies in
+H^(2p-6)(BS^1) = Z x^(p-3), where x is the degree-two generator of the
+classifying space, and localization (Atiyah and Bott 1984) writes it as a
+sum over the fixed components.  Each summand is one integer times x^(p-3),
+by degree counting: on a component of complex codimension r the integrand
+divided by the normal Euler class has degree 2p - 2r, and integrating over
+the component, of real dimension 2(3 - r), lowers that by 2(3 - r).  So
+`contribution` returns that integer, and `integrate` sums them into a
+`LaurentPoly` of at most the one term (p - 3, total).  Surface contributions
+are computed in a rank-one nilpotent extension (q^2 = 0 on a 2-sphere or
+torus); contributions of 4-dimensional extrema expand the inverse Euler
+class in 1/x and keep the terms of cohomology degree 4 on the component.
 
 The four kinds of fixed component (isolated point, interior surface,
 extremal sphere, extremal 4-manifold) each carry their own behaviour:
 validation at a level, index, dimension, Poincare terms, contribution,
-orientation reversal, and the descriptors that serialization, the report
-columns and the toric matcher read (`toric_descriptor(omega)` takes a
-callable giving the reduced class at the component's level, which points
-never call).  Other modules call these methods and never test a component's
-type.
+orientation reversal, the report column, and the key the toric matcher
+reads (`toric_descriptor(omega)` takes a callable giving the reduced
+class at the component's level, which points never call).  Other modules
+call these methods and never test a component's type.
 """
 
 from __future__ import annotations
@@ -36,23 +41,11 @@ _POWER = {ONE: 0, C1: 1, C1_CUBED: 3}
 
 @record
 class LaurentPoly:
-    """Finitely supported map from integer x-degrees to ints and Fractions."""
+    """An equivariant integral: at most one term (p - 3, n), n an int, in x."""
 
-    terms: tuple[tuple[int, int | Fraction], ...]
+    terms: tuple[tuple[int, int], ...]
 
-    @staticmethod
-    def from_dict(d: dict) -> LaurentPoly:
-        return LaurentPoly(tuple(sorted((k, v) for k, v in d.items() if v != 0)))
-
-    @staticmethod
-    def zero() -> LaurentPoly:
-        return LaurentPoly(())
-
-    @staticmethod
-    def x_power(degree: int, coeff=1) -> LaurentPoly:
-        return LaurentPoly.from_dict({degree: coeff})
-
-    def coeff(self, degree: int) -> int | Fraction:
+    def coeff(self, degree: int) -> int:
         for d, c in self.terms:
             if d == degree:
                 return c
@@ -60,23 +53,6 @@ class LaurentPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __add__(self, other: LaurentPoly) -> LaurentPoly:
-        d = dict(self.terms)
-        for deg, c in other.terms:
-            d[deg] = d.get(deg, 0) + c
-        return LaurentPoly.from_dict(d)
-
-    def __mul__(self, other: LaurentPoly) -> LaurentPoly:
-        d: dict[int, int | Fraction] = {}
-        for d1, c1 in self.terms:
-            for d2, c2 in other.terms:
-                deg = d1 + d2
-                d[deg] = d.get(deg, 0) + c1 * c2
-        return LaurentPoly.from_dict(d)
-
-    def scale(self, s) -> LaurentPoly:
-        return LaurentPoly.from_dict({d: c * s for d, c in self.terms})
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -114,16 +90,13 @@ class IsolatedPoint:
     def poincare(self):
         return ((0, 1),)
 
-    def contribution(self, level: int, p: int) -> LaurentPoly:
+    def contribution(self, level: int, p: int) -> int:
         # semifree weights are +-1, so 1 / prod w = prod w
         w = self.weights
-        return LaurentPoly.x_power(p - 3, sum(w) ** p * w[0] * w[1] * w[2])
+        return sum(w) ** p * w[0] * w[1] * w[2]
 
     def flipped(self) -> IsolatedPoint:
         return IsolatedPoint(tuple(-w for w in self.weights))
-
-    def descriptor(self):
-        return ("pt", self.weights)
 
     def column(self) -> str:
         return "pt"
@@ -157,24 +130,20 @@ class InteriorSurface:
     def poincare(self):
         return ((0, 1), (1, 2 * self.genus), (2, 1))
 
-    def contribution(self, level: int, p: int) -> LaurentPoly:
+    def contribution(self, level: int, p: int) -> int:
         # Normal weights (+1, -1): equivariant Euler class (x + b+ q)(-x + b- q)
         # with q^2 = 0, so the inverse is -x^-2 - (b- - b+) q x^-3.  The
         # restricted first Chern class is Vol(Z) q, hence the cube contributes
-        # nothing.
+        # nothing.  Fiber integration keeps the q-coefficient.
         bplus, bminus = self.normal_degrees
-        volume = pair(self.surface_class, self.surface_class) + 2 - 2 * self.genus
-        if p == 0:  # fiber integration keeps the q-coefficient
-            return LaurentPoly.x_power(-3, -(bminus - bplus))
+        if p == 0:
+            return bplus - bminus
         if p == 1:
-            return LaurentPoly.x_power(-2, -volume)
-        return LaurentPoly.zero()  # (Vol q)^3 = 0
+            return -(pair(self.surface_class, self.surface_class) + 2 - 2 * self.genus)
+        return 0  # (Vol q)^p = 0 for p >= 2
 
     def flipped(self) -> InteriorSurface:
         return InteriorSurface(self.surface_class, self.genus, self.normal_degrees[1])
-
-    def descriptor(self):
-        return ("surface", self.surface_class.coeffs, self.genus)
 
     def column(self) -> str:
         head = {0: "S2", 1: "T2"}.get(self.genus, f"g{self.genus}")
@@ -204,27 +173,22 @@ class ExtremalSurface:
     def poincare(self):
         return ((0, 1), (2, 1))
 
-    def contribution(self, level: int, p: int) -> LaurentPoly:
+    def contribution(self, level: int, p: int) -> int:
         # Maximum at +2: weights (-1,-1); minimum at -2: weights (+1,+1).
         # With q^2 = 0 the Euler class (wx + d1 q)(wx + d2 q) of any split
         # d1 + d2 = d_sum is x^2 + w d_sum x q, inverse x^-2 - w d_sum q x^-3;
-        # restriction of c1 is 2wx + (d_sum + 2) q.
+        # restriction of c1 is 2wx + (d_sum + 2) q.  The q-coefficient of
+        # (2wx + (d_sum + 2) q)^p times the inverse is
+        # (2w)^p (-w d_sum) x^(p-3) + p (2w)^(p-1) (d_sum + 2) x^(p-3).
         d_sum = self.normal_degree
         w = -1 if level > 0 else 1
-        inv_const = LaurentPoly.x_power(-2)
-        inv_q = LaurentPoly.x_power(-3, -w * d_sum)
-        if p == 0:
-            return inv_q
-        # (2wx + (d_sum+2) q)^p, keeping at most one q
-        num_const = LaurentPoly.x_power(p, (2 * w) ** p)
-        num_q = LaurentPoly.x_power(p - 1, p * (2 * w) ** (p - 1) * (d_sum + 2))
-        return num_const * inv_q + num_q * inv_const
+        total = (2 * w) ** p * -w * d_sum
+        if p:
+            total += p * (2 * w) ** (p - 1) * (d_sum + 2)
+        return total
 
     def flipped(self) -> ExtremalSurface:
         return self
-
-    def descriptor(self):
-        return ("sphere", self.normal_degree)
 
     def column(self) -> str:
         return f"S2(vol {2 + self.normal_degree})"
@@ -255,7 +219,7 @@ class ExtremalFourManifold:
     def poincare(self):
         return ((0, 1), (2, self.lattice.rank), (4, 1))
 
-    def contribution(self, level: int, p: int) -> LaurentPoly:
+    def contribution(self, level: int, p: int) -> int:
         # Maximum at +1 (normal weight -1): Euler class -x - e, restricted c1 is
         # c1(S) - x - e; the mirrored minimum at -1 carries x + e and
         # c1(S) + x + e, where e is the Euler class of the circle bundle on the
@@ -267,21 +231,16 @@ class ExtremalFourManifold:
         # the Euler class is w(x + e): max 1/(-x-e) = -x^-1 + e x^-2 - e^2 x^-3,
         # min 1/(x+e) = x^-1 - e x^-2 + e^2 x^-3; expand
         # (a + wx)^p = sum binom(p, j) a^j (wx)^(p-j) and keep the terms of
-        # total cohomology degree 4, a^j e^(2-j), which fiber integration reads
+        # total cohomology degree 4, a^j e^(2-j) x^(p-3) with coefficient
+        # binom(p, j) w^(p-j) (+-w), which fiber integration reads
         scalars = (pair(e, e), pair(a_class, e), pair(a_class, a_class))
-        out = LaurentPoly.zero()
-        for j in range(0, min(p, 2) + 1):
-            pa = LaurentPoly.x_power(p - j, comb(p, j) * w ** (p - j))
-            pe = LaurentPoly.x_power(j - 3, w if j % 2 == 0 else -w)
-            out = out + (pa * pe).scale(scalars[j])
-        return out
+        return sum(
+            comb(p, j) * w ** (p - j) * (w if j % 2 == 0 else -w) * scalars[j]
+            for j in range(min(p, 2) + 1)
+        )
 
     def flipped(self) -> ExtremalFourManifold:
         return ExtremalFourManifold(-1 * self.euler_at_boundary)
-
-    def descriptor(self):
-        lat = self.lattice
-        return ("fourmanifold", lat.kind, lat.blowups, self.euler_at_boundary.coeffs)
 
     def column(self) -> str:
         if self.lattice.kind == PRODUCT:
@@ -323,8 +282,11 @@ def point(level: int, weights: tuple[int, int, int]) -> FixedComponent:
     return FixedComponent(level, IsolatedPoint(tuple(weights)))
 
 
-def contribution(fc: FixedComponent, alpha: str) -> LaurentPoly:
-    """Localization summand of the component for one of the three integrands."""
+def contribution(fc: FixedComponent, alpha: str) -> int:
+    """Localization summand of the component for one of the three integrands.
+
+    It is the coefficient of x^(p-3), for the integrand c1^p.
+    """
     if alpha not in _POWER:
         raise ValueError(f"unknown integrand {alpha!r}")
     return fc.spec.contribution(fc.level, _POWER[alpha])
@@ -333,11 +295,8 @@ def contribution(fc: FixedComponent, alpha: str) -> LaurentPoly:
 def integrate(components, alpha: str) -> LaurentPoly:
     """Sum of localization contributions over all fixed components."""
     comps = getattr(components, "components", components)
-    total: dict[int, int | Fraction] = {}
-    for fc in comps:
-        for deg, c in contribution(fc, alpha).terms:
-            total[deg] = total.get(deg, 0) + c
-    return LaurentPoly.from_dict(total)
+    total = sum(contribution(fc, alpha) for fc in comps)
+    return LaurentPoly(((_POWER[alpha] - 3, total),) if total else ())
 
 
 def chern_number(tfd) -> int:

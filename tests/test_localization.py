@@ -1,7 +1,5 @@
 """Localization contributions, identities, Chern and Betti numbers."""
 
-from fractions import Fraction
-
 import pytest
 
 from hamfix.errors import InvalidFixedComponent
@@ -26,43 +24,32 @@ ONE_BLOWUP = make_blowup_lattice(1)
 THREE_BLOWUPS = make_blowup_lattice(3)
 
 
-def lp(d):
-    return LaurentPoly.from_dict(d)
-
-
-def test_laurent_arithmetic():
-    a = lp({0: 1, -2: Fraction(1, 2)})
-    b = lp({-1: 3})
-    assert (a + b).coeff(-1) == 3
-    assert (a * b).coeff(-3) == Fraction(3, 2)
-    assert (a + a.scale(-1)).is_zero()
-    assert lp({2: 0}).is_zero()
-    assert a.scale(2).coeff(-2) == 1
+# a contribution is the int coefficient of x^(p-3) for the integrand c1^p
 
 
 def test_isolated_point_contributions():
-    assert contribution(point(-3, (1, 1, 1)), C1_CUBED) == lp({0: 27})
-    assert contribution(point(-1, (-1, 1, 1)), ONE) == lp({-3: -1})
-    assert contribution(point(-1, (-1, 1, 1)), C1) == lp({-2: -1})
-    assert contribution(point(1, (-1, -1, 1)), C1_CUBED) == lp({0: -1})
-    assert contribution(point(3, (-1, -1, -1)), C1_CUBED) == lp({0: 27})
+    assert contribution(point(-3, (1, 1, 1)), C1_CUBED) == 27
+    assert contribution(point(-1, (-1, 1, 1)), ONE) == -1
+    assert contribution(point(-1, (-1, 1, 1)), C1) == -1
+    assert contribution(point(1, (-1, -1, 1)), C1_CUBED) == -1
+    assert contribution(point(3, (-1, -1, -1)), C1_CUBED) == 27
 
 
 def test_interior_surface_contributions():
     conic = FixedComponent(0, InteriorSurface(CohClass(P2, (2,)), 0, 2))
-    assert contribution(conic, C1) == lp({-2: -6})
-    assert contribution(conic, C1_CUBED).is_zero()
+    assert contribution(conic, C1) == -6
+    assert contribution(conic, C1_CUBED) == 0
     # asymmetric normal degrees feed the sum of 1/Euler
     skew = FixedComponent(0, InteriorSurface(CohClass(P2, (2,)), 0, 3))
-    assert contribution(skew, ONE) == lp({-3: 2})
+    assert contribution(skew, ONE) == 2
 
 
 def test_four_manifold_contribution():
     e = CohClass(P2, (-1,))
     fm = FixedComponent(1, ExtremalFourManifold(e))
-    assert contribution(fm, C1_CUBED) == lp({0: 37})
-    assert contribution(fm, ONE) == lp({-3: -1})
-    assert contribution(fm, C1) == lp({-2: -3})
+    assert contribution(fm, C1_CUBED) == 37
+    assert contribution(fm, ONE) == -1
+    assert contribution(fm, C1) == -3
 
 
 def _row_i1():
@@ -83,7 +70,7 @@ def test_integrate_identities_vanish():
 
 
 def test_integrate_c1_cubed():
-    assert integrate(_row_iii1(), C1_CUBED) == lp({0: 64})
+    assert integrate(_row_iii1(), C1_CUBED) == LaurentPoly(((0, 64),))
 
 
 def test_chern_numbers_by_hand():
@@ -97,11 +84,11 @@ def test_chern_numbers_by_hand():
         + spheres
         + [point(1, (-1, -1, 1)), point(3, (-1, -1, -1))]
     )
-    assert integrate(i3, C1_CUBED) == lp({0: 52})
+    assert integrate(i3, C1_CUBED) == LaurentPoly(((0, 52),))
 
     fm = FixedComponent(1, ExtremalFourManifold(CohClass(ONE_BLOWUP, (-1, 1))))
     iii2 = [point(-3, (1, 1, 1)), point(-1, (-1, 1, 1)), fm]
-    assert integrate(iii2, C1_CUBED) == lp({0: 56})
+    assert integrate(iii2, C1_CUBED) == LaurentPoly(((0, 56),))
 
 
 def test_chern_closed_form_sweep():
@@ -113,7 +100,7 @@ def test_chern_closed_form_sweep():
             FixedComponent(2, ExtremalSurface(s)),
         ]
         total = integrate(comps, C1_CUBED)
-        assert total == lp({0: 50 + 4 * s})
+        assert total == LaurentPoly(((0, 50 + 4 * s),))
 
 
 def test_betti_examples():
@@ -154,18 +141,3 @@ def test_isolated_point_weight_level_table():
     assert point(1, (-1, -1, 1)).index == 4
     assert point(3, (-1, -1, -1)).index == 6
 
-
-from hypothesis import given, strategies as st
-
-_poly = st.dictionaries(st.integers(-4, 4), st.fractions(), max_size=5).map(
-    LaurentPoly.from_dict
-)
-
-
-@given(_poly, _poly, _poly)
-def test_laurent_ring_axioms(a, b, c):
-    assert a + b == b + a
-    assert a * b == b * a
-    assert (a + b) * c == a * c + b * c
-    assert (a * b) * c == a * (b * c)
-    assert (a + a.scale(-1)).is_zero()

@@ -4,9 +4,9 @@ Each fixed component's equivariant integral is rebuilt from its data as a
 rational function of the equivariant parameter x: a point from its tangent
 weights, a surface from its normal degrees with q^2 = 0, and a 4-manifold
 from its normal Euler class, truncated above degree 4 and read through
-`pair`.  The sums must equal `integrate` for every integrand, on every row
-and on its flip.  sympy is a test-only dependency; the package stays
-standard-library only.
+`pair`.  Each must equal `contribution` times x^(p-3), and their sum must
+equal `integrate`, for every integrand, on every row and on its flip.  sympy
+is a test-only dependency; the package stays standard-library only.
 """
 
 import pytest
@@ -15,7 +15,14 @@ sympy = pytest.importorskip("sympy")
 
 from hamfix.classify6 import classify_all, flip  # noqa: E402
 from hamfix.lattice import pair  # noqa: E402
-from hamfix.localization import C1, C1_CUBED, INTEGRANDS, ONE, integrate  # noqa: E402
+from hamfix.localization import (  # noqa: E402
+    C1,
+    C1_CUBED,
+    INTEGRANDS,
+    ONE,
+    contribution,
+    integrate,
+)
 
 x, t, a, n = sympy.symbols("x t a n")
 POWER = {ONE: 0, C1: 1, C1_CUBED: 3}
@@ -74,10 +81,6 @@ def oracle(tfd, alpha):
     return sympy.simplify(sum(INTEGRAL[fc.dim](fc, p) for fc in tfd.components))
 
 
-def as_sympy(laurent):
-    return sum(sympy.Rational(c.numerator, c.denominator) * x**d for d, c in laurent.terms)
-
-
 def _cases():
     for row in classify_all(strict=False):
         yield pytest.param(row, id=row.label)
@@ -87,4 +90,19 @@ def _cases():
 @pytest.mark.parametrize("tfd", list(_cases()))
 def test_integrals_match_sympy_oracle(tfd):
     for alpha in INTEGRANDS:
-        assert sympy.simplify(oracle(tfd, alpha) - as_sympy(integrate(tfd, alpha))) == 0, alpha
+        p = POWER[alpha]
+        value = integrate(tfd, alpha)
+        assert value.terms in ((), ((p - 3, value.coeff(p - 3)),)), alpha
+        assert sympy.simplify(oracle(tfd, alpha) - value.coeff(p - 3) * x ** (p - 3)) == 0, alpha
+
+
+@pytest.mark.parametrize("tfd", list(_cases()))
+def test_contributions_match_sympy_oracle(tfd):
+    # each component's integral is one int times x^(p-3), by degree counting
+    for fc in tfd.components:
+        for alpha in INTEGRANDS:
+            p = POWER[alpha]
+            value = contribution(fc, alpha)
+            assert type(value) is int, (fc, alpha)
+            exact = INTEGRAL[fc.dim](fc, p)
+            assert sympy.simplify(exact - value * x ** (p - 3)) == 0, (fc, alpha)

@@ -22,7 +22,6 @@ from hamfix.classify6 import (
     _attach_labels,
     _sorted_tails,
     _sweep_path,
-    serialization,
     sort_key,
 )
 from hamfix.errors import NonDisjointBlowdown, NotASphereMaximum, VanishingCycleMismatch
@@ -202,12 +201,24 @@ def enumerate_tfd(max_dim, crit):
                 if b != tuple(reversed(b)):
                     continue
                 canon = canonicalize(tfd, k)
-                found.setdefault(serialization(canon), canon)
+                found.setdefault(row_key(canon), canon)
     return sorted(found.values(), key=sort_key)
 
 
+def row_key(tfd):
+    """What this search minimizes over permutations and de-duplicates by.
+
+    The profile, critical levels and k, then the sorted interior parts with
+    their genera.  With k the interior parts fix the slice path, so the key
+    fixes the whole row.
+    """
+    k = sum(1 for fc in tfd.components if fc.level == -1 and fc.dim == 0)
+    parts = sorted((fc.spec.surface_class.coeffs, fc.spec.genus) for fc in tfd.interior_surfaces)
+    return (tfd.max_dim, tfd.crit_levels, k, tuple(parts))
+
+
 def canonicalize(tfd, k):
-    """Minimize the serialization over all k! permutations of the exceptional indices."""
+    """Minimize `row_key` over all k! permutations of the exceptional indices."""
     if k <= 1:
         return tfd
     best = None
@@ -228,7 +239,7 @@ def canonicalize(tfd, k):
         except REJECTIONS:
             continue
         cand = _assemble(tfd.max_dim, k, m, tuple(split), slices, top_data)
-        if best is None or serialization(cand) < serialization(best):
+        if best is None or row_key(cand) < row_key(best):
             best = cand
     return best
 
@@ -241,7 +252,7 @@ def classify_all():
         for r in range(len(levels) + 1):
             for crit in itertools.combinations(levels, r):
                 for tfd in enumerate_tfd(max_dim, crit):
-                    rows.setdefault(serialization(tfd), tfd)
+                    rows.setdefault(row_key(tfd), tfd)
     return _attach_labels(sorted(rows.values(), key=sort_key))
 
 
