@@ -15,7 +15,6 @@ from .localization import (
     C1_CUBED,
     ExtremalFourManifold,
     ExtremalSurface,
-    FixedComponent,
     InteriorSurface,
     IsolatedPoint,
     LaurentPoly,

@@ -37,11 +37,10 @@ from .localization import (
     C1,
     ExtremalFourManifold,
     ExtremalSurface,
-    FixedComponent,
     InteriorSurface,
+    IsolatedPoint,
     ONE,
     integrate,
-    point,
 )
 from .record import record
 from .reduction import (
@@ -66,7 +65,7 @@ class TFD:
     """A topological fixed-point data record with its derived slice path."""
 
     label: str | None
-    components: tuple[FixedComponent, ...]
+    components: tuple  # the fixed components, by level
     slices: tuple[SliceState, ...]
 
     @property
@@ -83,11 +82,11 @@ class TFD:
         lo, hi = min(self.crit_levels), max(self.crit_levels)
         return tuple(c for c in self.crit_levels if lo < c < hi)
 
-    def at_level(self, level: int) -> tuple[FixedComponent, ...]:
+    def at_level(self, level: int) -> tuple:
         return tuple(fc for fc in self.components if fc.level == level)
 
     @property
-    def interior_surfaces(self) -> tuple[FixedComponent, ...]:
+    def interior_surfaces(self) -> tuple:
         """The fixed surfaces at interior levels, whose classes are searched."""
         return tuple(fc for fc in self.components if (fc.dim, fc.index) == (2, 2))
 
@@ -112,10 +111,7 @@ def flip(t: TFD) -> TFD:
     integrals of 1 and c1 are those of `t` at -x, which `enumerate_tfd`
     asserts vanish.
     """
-    comps = sorted(
-        (FixedComponent(-fc.level, fc.spec.flipped()) for fc in t.components),
-        key=lambda fc: fc.level,
-    )
+    comps = sorted((fc.flipped() for fc in t.components), key=lambda fc: fc.level)
     slices = tuple(
         sorted(
             (
@@ -152,7 +148,7 @@ def _sweep_path(max_dim: int, k: int, total: CohClass | None, m: int):
     `_candidate_totals`), so a blow-down whose zero-area classes do not match
     the m points is a bug: VanishingCycleMismatch or NonDisjointBlowdown.
     """
-    state = initial_slice(point(-3, MIN_WEIGHTS))
+    state = initial_slice()
     slices = []
 
     def close(level):
@@ -180,26 +176,25 @@ def _check_top(max_dim: int, top_slice: SliceState):
     return top_slice.euler
 
 
-def _interior_components(slices, level, splitting) -> tuple[FixedComponent, ...]:
+def _interior_components(slices, level, splitting) -> tuple:
     above = next(s for s in slices if s.interval[0] == level)
     return tuple(
-        FixedComponent(level, InteriorSurface(cls, genus, pair(above.euler, cls)))
-        for cls, genus in splitting
+        InteriorSurface(level, cls, genus, pair(above.euler, cls)) for cls, genus in splitting
     )
 
 
 def _assemble(max_dim, k, m, splitting, slices, top_data):
-    comps = [point(-3, MIN_WEIGHTS)]
-    comps += [point(-1, INDEX2_WEIGHTS) for _ in range(k)]
+    comps = [IsolatedPoint(-3, MIN_WEIGHTS)]
+    comps += [IsolatedPoint(-1, INDEX2_WEIGHTS) for _ in range(k)]
     if splitting:
         comps += list(_interior_components(slices, 0, splitting))
-    comps += [point(1, INDEX4_WEIGHTS) for _ in range(m)]
+    comps += [IsolatedPoint(1, INDEX4_WEIGHTS) for _ in range(m)]
     if max_dim == 0:
-        comps.append(point(3, MAX_WEIGHTS))
+        comps.append(IsolatedPoint(3, MAX_WEIGHTS))
     elif max_dim == 2:
-        comps.append(FixedComponent(2, ExtremalSurface(top_data)))
+        comps.append(ExtremalSurface(2, top_data))
     else:
-        comps.append(FixedComponent(1, ExtremalFourManifold(top_data)))
+        comps.append(ExtremalFourManifold(1, top_data))
     return TFD(None, tuple(comps), tuple(slices))
 
 
@@ -492,7 +487,7 @@ def sort_key(tfd: TFD):
     """Table order: profile, interior critical levels, k, then the interior classes."""
     crit = tfd.interior_crit
     k = len([fc for fc in tfd.components if fc.level == -1 and fc.dim == 0])
-    interior = tuple(sorted(fc.spec.surface_class.coeffs for fc in tfd.interior_surfaces))
+    interior = tuple(sorted(fc.surface_class.coeffs for fc in tfd.interior_surfaces))
     return (tfd.max_dim, len(crit), crit, k, interior)
 
 

@@ -25,10 +25,6 @@ class InternalArithmeticError(HamfixError):
     """Exact arithmetic produced something structurally impossible."""
 
 
-class NotAMinimum(HamfixError):
-    """initial_slice needs an extremal minimum component."""
-
-
 class VanishingCycleMismatch(HamfixError):
     """Zero-area exceptional classes do not match the blow-down count."""
 

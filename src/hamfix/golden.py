@@ -73,7 +73,7 @@ def fixed_point_columns(tfd: TFD) -> tuple[str, str]:
     """The `crit` and `components` cells of a six-dimensional row."""
     per_level = []
     for level in tfd.crit_levels:
-        descs = [fc.spec.column() for fc in tfd.at_level(level)]
+        descs = [fc.column() for fc in tfd.at_level(level)]
         pts = descs.count("pt")
         if pts > 1:
             descs = [d for d in descs if d != "pt"] + [f"pt*{pts}"]

@@ -14,12 +14,14 @@ torus); contributions of 4-dimensional extrema expand the inverse Euler
 class in 1/x and keep the terms of cohomology degree 4 on the component.
 
 The four kinds of fixed component (isolated point, interior surface,
-extremal sphere, extremal 4-manifold) each carry their own behaviour:
-validation at a level, index, dimension, Poincare terms, contribution,
-orientation reversal, the report column, and the key the toric matcher
-reads (`toric_descriptor(omega)` takes a callable giving the reduced
-class at the component's level, which points never call).  Other modules
-call these methods and never test a component's type.
+extremal sphere, extremal 4-manifold) each carry their balanced moment-map
+level as their first field, checked when the component is built, and their
+own behaviour: Morse-Bott index (twice the number of negative weights),
+dimension, Poincare terms, contribution, orientation reversal, the report
+column, and the key the toric matcher reads (`toric_descriptor(omega)` takes
+a callable giving the reduced class at the component's level, which points
+never call).  Other modules call these methods and never test a
+component's type.
 """
 
 from __future__ import annotations
@@ -72,31 +74,33 @@ class LaurentPoly:
 class IsolatedPoint:
     """Isolated fixed point with semifree tangent weights."""
 
+    level: int
     weights: tuple[int, int, int]
 
     dim = 0
 
-    def validate(self, level: int) -> None:
+    def __post_init__(self):
         if sorted(abs(w) for w in self.weights) != [1, 1, 1]:
             raise InvalidFixedComponent(f"weights {self.weights} not semifree")
-        if level != -sum(self.weights):
+        if self.level != -sum(self.weights):
             raise InvalidFixedComponent(
-                f"level {level} != -sum{self.weights} (balanced condition)"
+                f"level {self.level} != -sum{self.weights} (balanced condition)"
             )
 
-    def index(self, level: int) -> int:
+    @property
+    def index(self) -> int:
         return 2 * sum(1 for w in self.weights if w < 0)
 
     def poincare(self):
         return ((0, 1),)
 
-    def contribution(self, level: int, p: int) -> int:
+    def contribution(self, p: int) -> int:
         # semifree weights are +-1, so 1 / prod w = prod w
         w = self.weights
         return sum(w) ** p * w[0] * w[1] * w[2]
 
     def flipped(self) -> IsolatedPoint:
-        return IsolatedPoint(tuple(-w for w in self.weights))
+        return IsolatedPoint(-self.level, tuple(-w for w in self.weights))
 
     def column(self) -> str:
         return "pt"
@@ -109,28 +113,27 @@ class IsolatedPoint:
 class InteriorSurface:
     """Fixed surface at an interior level, embedded in the reduced space."""
 
+    level: int
     surface_class: CohClass
     genus: int
     bplus: int  # degree of the positive normal bundle
 
     dim = 2
+    index = 2  # one negative normal weight
 
     @property
     def normal_degrees(self) -> tuple[int, int]:
         """(b+, b-): the two normal bundles split the self-intersection Z.Z."""
         return self.bplus, pair(self.surface_class, self.surface_class) - self.bplus
 
-    def validate(self, level: int) -> None:
+    def __post_init__(self):
         if self.genus < 0:
             raise InvalidFixedComponent("negative genus")
-
-    def index(self, level: int) -> int:
-        return 2
 
     def poincare(self):
         return ((0, 1), (1, 2 * self.genus), (2, 1))
 
-    def contribution(self, level: int, p: int) -> int:
+    def contribution(self, p: int) -> int:
         # Normal weights (+1, -1): equivariant Euler class (x + b+ q)(-x + b- q)
         # with q^2 = 0, so the inverse is -x^-2 - (b- - b+) q x^-3.  The
         # restricted first Chern class is Vol(Z) q, hence the cube contributes
@@ -143,7 +146,7 @@ class InteriorSurface:
         return 0  # (Vol q)^p = 0 for p >= 2
 
     def flipped(self) -> InteriorSurface:
-        return InteriorSurface(self.surface_class, self.genus, self.normal_degrees[1])
+        return InteriorSurface(-self.level, self.surface_class, self.genus, self.normal_degrees[1])
 
     def column(self) -> str:
         head = {0: "S2", 1: "T2"}.get(self.genus, f"g{self.genus}")
@@ -159,21 +162,23 @@ class InteriorSurface:
 class ExtremalSurface:
     """Extremal fixed 2-sphere with the degree of its normal bundle."""
 
+    level: int
     normal_degree: int
 
     dim = 2
 
-    def validate(self, level: int) -> None:
-        if level not in (-2, 2):
+    def __post_init__(self):
+        if self.level not in (-2, 2):
             raise InvalidFixedComponent("extremal sphere must sit at level +-2")
 
-    def index(self, level: int) -> int:
-        return 4 if level > 0 else 0
+    @property
+    def index(self) -> int:
+        return 4 if self.level > 0 else 0
 
     def poincare(self):
         return ((0, 1), (2, 1))
 
-    def contribution(self, level: int, p: int) -> int:
+    def contribution(self, p: int) -> int:
         # Maximum at +2: weights (-1,-1); minimum at -2: weights (+1,+1).
         # With q^2 = 0 the Euler class (wx + d1 q)(wx + d2 q) of any split
         # d1 + d2 = d_sum is x^2 + w d_sum x q, inverse x^-2 - w d_sum q x^-3;
@@ -181,14 +186,14 @@ class ExtremalSurface:
         # (2wx + (d_sum + 2) q)^p times the inverse is
         # (2w)^p (-w d_sum) x^(p-3) + p (2w)^(p-1) (d_sum + 2) x^(p-3).
         d_sum = self.normal_degree
-        w = -1 if level > 0 else 1
+        w = -1 if self.level > 0 else 1
         total = (2 * w) ** p * -w * d_sum
         if p:
             total += p * (2 * w) ** (p - 1) * (d_sum + 2)
         return total
 
     def flipped(self) -> ExtremalSurface:
-        return self
+        return ExtremalSurface(-self.level, self.normal_degree)
 
     def column(self) -> str:
         return f"S2(vol {2 + self.normal_degree})"
@@ -201,6 +206,7 @@ class ExtremalSurface:
 class ExtremalFourManifold:
     """Extremal 4-dimensional fixed component, identified with a reduced space."""
 
+    level: int
     euler_at_boundary: CohClass
 
     dim = 4
@@ -209,25 +215,26 @@ class ExtremalFourManifold:
     def lattice(self) -> SurfaceLattice:
         return self.euler_at_boundary.lattice
 
-    def validate(self, level: int) -> None:
-        if level not in (-1, 1):
+    def __post_init__(self):
+        if self.level not in (-1, 1):
             raise InvalidFixedComponent("4-dim extremum must sit at level +-1")
 
-    def index(self, level: int) -> int:
-        return 2 if level > 0 else 0
+    @property
+    def index(self) -> int:
+        return 2 if self.level > 0 else 0
 
     def poincare(self):
         return ((0, 1), (2, self.lattice.rank), (4, 1))
 
-    def contribution(self, level: int, p: int) -> int:
+    def contribution(self, p: int) -> int:
         # Maximum at +1 (normal weight -1): Euler class -x - e, restricted c1 is
         # c1(S) - x - e; the mirrored minimum at -1 carries x + e and
         # c1(S) + x + e, where e is the Euler class of the circle bundle on the
         # boundary slice.
         e = self.euler_at_boundary
         c1 = self.lattice.anticanonical
-        w = -1 if level > 0 else 1
-        a_class = c1 - e if level > 0 else c1 + e
+        w = -1 if self.level > 0 else 1
+        a_class = c1 - e if self.level > 0 else c1 + e
         # the Euler class is w(x + e): max 1/(-x-e) = -x^-1 + e x^-2 - e^2 x^-3,
         # min 1/(x+e) = x^-1 - e x^-2 + e^2 x^-3; expand
         # (a + wx)^p = sum binom(p, j) a^j (wx)^(p-j) and keep the terms of
@@ -240,7 +247,7 @@ class ExtremalFourManifold:
         )
 
     def flipped(self) -> ExtremalFourManifold:
-        return ExtremalFourManifold(-1 * self.euler_at_boundary)
+        return ExtremalFourManifold(-self.level, -1 * self.euler_at_boundary)
 
     def column(self) -> str:
         if self.lattice.kind == PRODUCT:
@@ -253,43 +260,14 @@ class ExtremalFourManifold:
         return ("fourmanifold", lat.kind, lat.blowups, Fraction(pair(w, w), 2))
 
 
-_SPECS = (IsolatedPoint, InteriorSurface, ExtremalSurface, ExtremalFourManifold)
-
-
-@record
-class FixedComponent:
-    """A fixed component together with its balanced moment-map level."""
-
-    level: int
-    spec: object
-
-    def __post_init__(self):
-        if not isinstance(self.spec, _SPECS):
-            raise InvalidFixedComponent(f"unknown component spec {self.spec!r}")
-        self.spec.validate(self.level)
-
-    @property
-    def index(self) -> int:
-        """Morse-Bott index (twice the number of negative weights)."""
-        return self.spec.index(self.level)
-
-    @property
-    def dim(self) -> int:
-        return self.spec.dim
-
-
-def point(level: int, weights: tuple[int, int, int]) -> FixedComponent:
-    return FixedComponent(level, IsolatedPoint(tuple(weights)))
-
-
-def contribution(fc: FixedComponent, alpha: str) -> int:
+def contribution(fc, alpha: str) -> int:
     """Localization summand of the component for one of the three integrands.
 
     It is the coefficient of x^(p-3), for the integrand c1^p.
     """
     if alpha not in _POWER:
         raise ValueError(f"unknown integrand {alpha!r}")
-    return fc.spec.contribution(fc.level, _POWER[alpha])
+    return fc.contribution(_POWER[alpha])
 
 
 def integrate(components, alpha: str) -> LaurentPoly:
@@ -319,7 +297,7 @@ def betti(components) -> tuple[int, ...]:
     comps = getattr(components, "components", components)
     b = [0] * 7
     for fc in comps:
-        for deg, mult in fc.spec.poincare():
+        for deg, mult in fc.poincare():
             b[fc.index + deg] += mult
     return tuple(b)
 

@@ -16,7 +16,6 @@ from fractions import Fraction
 from .errors import (
     InternalArithmeticError,
     NonDisjointBlowdown,
-    NotAMinimum,
     NotASphereMaximum,
     OutOfInterval,
     VanishingCycleMismatch,
@@ -29,7 +28,6 @@ from .lattice import (
     pair,
     product_lattice,
 )
-from .localization import FixedComponent
 from .record import record
 
 
@@ -64,14 +62,12 @@ class SliceState:
         return SliceState(self.euler, self.omega(lo), (lo, hi))
 
 
-def initial_slice(min_component: FixedComponent) -> SliceState:
+def initial_slice() -> SliceState:
     """Slice just above the isolated minimum at level -3.
 
     The reduced class path is pinned by monotonicity: omega(t) equals the
     anticanonical class minus t times the Euler class on every slice.
     """
-    if (min_component.dim, min_component.level, min_component.index) != (0, -3, 0):
-        raise NotAMinimum("isolated minimum must sit at level -3 with index 0")
     lat = make_blowup_lattice(0)
     return SliceState(-1 * lat.basis_class(0), lat.zero(), (-3, 3))
 

@@ -362,7 +362,7 @@ def _tfd_profile(tfd: TFD):
     levels: dict[int, list] = {}
     for fc in tfd.components:
         # points never read the reduced class, so it is built on demand
-        desc = fc.spec.toric_descriptor(partial(tfd.omega_at, fc.level))
+        desc = fc.toric_descriptor(partial(tfd.omega_at, fc.level))
         if desc is None:
             return None
         levels.setdefault(fc.level, []).append(desc)

@@ -171,7 +171,7 @@ def test_criterion_8_property_suites(rows):
                 failures.append(f"{t.label}: DH jump at {s1.interval[1]}")
         k = sum(
             1 for fc in t.components
-            if fc.level == -1 and isinstance(fc.spec, IsolatedPoint)
+            if fc.level == -1 and isinstance(fc, IsolatedPoint)
         )
         if k and dh_jump(slice_below(t, -1), slice_above(t, -1), -1) != (0, 0, -k):
             failures.append(f"{t.label}: DH drop is not k t^2")
@@ -179,8 +179,8 @@ def test_criterion_8_property_suites(rows):
         if chern_number(f) != chern_number(t) or flip(f).components != t.components:
             failures.append(f"{t.label}: flip misbehaves")
         for fc in t.components:
-            if isinstance(fc.spec, InteriorSurface):
-                if max(abs(c) for c in fc.spec.surface_class.coeffs) >= 6:
+            if isinstance(fc, InteriorSurface):
+                if max(abs(c) for c in fc.surface_class.coeffs) >= 6:
                     failures.append(f"{t.label}: class on the search boundary")
     for k in (1, 2, 3):
         lat = make_blowup_lattice(k)

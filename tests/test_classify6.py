@@ -36,7 +36,6 @@ from hamfix.localization import (
     betti,
     chern_number,
     integrate,
-    point,
 )
 from hamfix.reduction import (
     blow_down,
@@ -67,9 +66,9 @@ def blowdown_levels(tfd):
 
 def interior_classes(tfd):
     return sorted(
-        fc.spec.surface_class.coeffs
+        fc.surface_class.coeffs
         for fc in tfd.components
-        if isinstance(fc.spec, InteriorSurface)
+        if isinstance(fc, InteriorSurface)
     )
 
 
@@ -77,8 +76,8 @@ def test_point_max_single_conic():
     rows = enumerate_tfd(0, {0})
     assert len(rows) == 1
     assert interior_classes(rows[0]) == [(2,)]
-    (fc,) = [f for f in rows[0].components if isinstance(f.spec, InteriorSurface)]
-    assert fc.spec.genus == 0
+    (fc,) = [f for f in rows[0].components if isinstance(f, InteriorSurface)]
+    assert fc.genus == 0
 
 
 def test_sphere_max_nonexistence_cases():
@@ -191,8 +190,8 @@ def _int_pins(t):
             for c in (s.euler, s.anchor_class, s.omega(s.interval[1])):
                 yield from c.coeffs
         for fc in u.components:
-            for c in (getattr(fc.spec, "surface_class", None),
-                      getattr(fc.spec, "euler_at_boundary", None)):
+            for c in (getattr(fc, "surface_class", None),
+                      getattr(fc, "euler_at_boundary", None)):
                 yield from c.coeffs if c is not None else ()
 
 
@@ -313,7 +312,7 @@ def test_dh_decrease_at_index2_levels(rows):
     for t in rows:
         k = sum(
             1 for fc in t.components
-            if fc.level == -1 and isinstance(fc.spec, IsolatedPoint)
+            if fc.level == -1 and isinstance(fc, IsolatedPoint)
         )
         if not k:
             continue
@@ -329,7 +328,7 @@ def test_blowdown_replay(rows):
             classes = contracted_classes(t, level)
             m = sum(
                 1 for fc in t.components
-                if fc.level == level and isinstance(fc.spec, IsolatedPoint)
+                if fc.level == level and isinstance(fc, IsolatedPoint)
             )
             below = slice_below(t, level)
             assert len(classes) == m, t.label
@@ -358,8 +357,8 @@ def test_normal_degrees_split_self_intersection(rows):
     for t in rows:
         for u in (t, flip(t)):
             for fc in u.interior_surfaces:
-                bplus, bminus = fc.spec.normal_degrees
-                z = fc.spec.surface_class
+                bplus, bminus = fc.normal_degrees
+                z = fc.surface_class
                 assert bplus + bminus == pair(z, z), u.label
                 assert bplus == pair(slice_above(u, fc.level).euler, z), u.label
                 assert bminus == -pair(slice_below(u, fc.level).euler, z), u.label
@@ -368,8 +367,8 @@ def test_normal_degrees_split_self_intersection(rows):
 def test_no_candidate_on_box_boundary(rows):
     for t in rows:
         for fc in t.components:
-            if isinstance(fc.spec, InteriorSurface):
-                assert max(abs(c) for c in fc.spec.surface_class.coeffs) < 6
+            if isinstance(fc, InteriorSurface):
+                assert max(abs(c) for c in fc.surface_class.coeffs) < 6
         for level in blowdown_levels(t):
             for c in contracted_classes(t, level):
                 assert max(abs(x) for x in c.coeffs) < 6
@@ -397,7 +396,7 @@ def _widened_box(k):
 
 def _level_one_vanishing(k, total):
     """The (-1)-classes of zero area at level one, read off the swept slice."""
-    state = blow_up(initial_slice(point(-3, (1, 1, 1))), -1, k)
+    state = blow_up(initial_slice(), -1, k)
     if total is not None:
         state = shift(state, 0, total)
     return vanishing_classes(state, 1, exceptional_classes(state.lattice))
@@ -616,7 +615,7 @@ def test_count_relations(rows):
         pts = {
             lvl: sum(
                 1 for fc in t.components
-                if fc.level == lvl and isinstance(fc.spec, IsolatedPoint)
+                if fc.level == lvl and isinstance(fc, IsolatedPoint)
             )
             for lvl in (-1, 1)
         }
@@ -633,10 +632,10 @@ def test_sphere_max_parity(rows):
     from hamfix.localization import ExtremalSurface
 
     for t in rows:
-        tops = [fc for fc in t.components if isinstance(fc.spec, ExtremalSurface)]
+        tops = [fc for fc in t.components if isinstance(fc, ExtremalSurface)]
         if not tops:
             continue
-        b_max = tops[0].spec.normal_degree
+        b_max = tops[0].normal_degree
         top_slice = slice_below(t, 2)
         assert (b_max % 2 == 0) == (top_slice.lattice.kind == "product"), t.label
 
@@ -667,10 +666,10 @@ def test_cross_replays_every_row(rows):
     for t in rows:
         inner = [fc for level in (-1, 0, 1) for fc in t.at_level(level) if fc.dim < 4]
         k = sum(1 for fc in inner if (fc.level, fc.dim) == (-1, 0))
-        surfaces = [fc.spec.surface_class for fc in inner if (fc.level, fc.dim) == (0, 2)]
+        surfaces = [fc.surface_class for fc in inner if (fc.level, fc.dim) == (0, 2)]
         m = sum(1 for fc in inner if (fc.level, fc.dim) == (1, 0))
         assert k + len(surfaces) + m == len(inner), t.label
-        state = initial_slice(t.at_level(-3)[0])
+        state = initial_slice()
         slices, blowdowns = [], []
         if k:
             slices.append(state.with_interval(state.interval[0], -1))
@@ -719,8 +718,8 @@ def test_canonicalize_undoes_every_permutation_fixing_the_total(rows):
     for t in rows:
         if not t.interior_surfaces:
             continue
-        lat = t.interior_surfaces[0].spec.surface_class.lattice
-        row_split = tuple((fc.spec.surface_class, fc.spec.genus) for fc in t.interior_surfaces)
+        lat = t.interior_surfaces[0].surface_class.lattice
+        row_split = tuple((fc.surface_class, fc.genus) for fc in t.interior_surfaces)
         total = summed(row_split, lat)
         for perm in itertools.permutations(range(lat.blowups)):
             split = tuple(

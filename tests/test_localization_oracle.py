@@ -34,7 +34,7 @@ def _graded_part(expr, degree):
 
 
 def point_integral(fc, p):
-    w = fc.spec.weights
+    w = fc.weights
     return (sum(w) * x) ** p / (w[0] * w[1] * w[2] * x**3)
 
 
@@ -44,13 +44,13 @@ def surface_integral(fc, p):
     # (2 - 2g) q plus their sum; t stands for q, and integration reads q^1
     down = fc.index // 2
     weights = [1] * (2 - down) + [-1] * down
-    genus = getattr(fc.spec, "genus", 0)
-    if hasattr(fc.spec, "normal_degree"):
+    genus = getattr(fc, "genus", 0)
+    if hasattr(fc, "normal_degree"):
         # an extremal sphere stores the sum; with q^2 = 0 the product
         # (wx + d1 q)(wx + d2 q) depends on d1 + d2 alone
-        degrees = (fc.spec.normal_degree, 0)
+        degrees = (fc.normal_degree, 0)
     else:
-        degrees = fc.spec.normal_degrees
+        degrees = fc.normal_degrees
     factors = [w * x + d * t for w, d in zip(weights, degrees)]
     c1 = (2 - 2 * genus) * t + sum(factors)
     return _graded_part(c1**p / sympy.Mul(*factors), 1)
@@ -61,7 +61,7 @@ def fourmanifold_integral(fc, p):
     # slice's Euler class; with A = c1(F) + w e for the restricted c1, the
     # degree-4 part is a quadratic form in (A, w e), read through `pair`
     w = 1 if fc.index == 0 else -1
-    lattice, e = fc.spec.lattice, fc.spec.euler_at_boundary
+    lattice, e = fc.lattice, fc.euler_at_boundary
     normal = w * e
     big_a = lattice.anticanonical + normal
     quadratic = sympy.expand(_graded_part((w * x + a * t) ** p / (w * x + n * t), 2))

@@ -6,7 +6,6 @@ import pytest
 
 from hamfix.errors import NotDelzant
 from hamfix.lattice import CohClass, SurfaceLattice, make_blowup_lattice
-from hamfix.localization import ExtremalSurface, IsolatedPoint
 from hamfix.record import record
 from hamfix.toric import CircleDirection, FixedFace, Polytope, load_corpus
 
@@ -38,10 +37,20 @@ def test_equality_and_hash_are_by_value():
 
 
 def test_different_records_with_equal_fields_are_unequal():
-    assert IsolatedPoint((1, 1, 1)) != ExtremalSurface((1, 1, 1))
-    assert ExtremalSurface((1, 1, 1)) != IsolatedPoint((1, 1, 1))
-    assert IsolatedPoint((1, 1, 1)) != ((1, 1, 1),)
-    assert IsolatedPoint((1, 1, 1)).__eq__(ExtremalSurface((1, 1, 1))) is NotImplemented
+    @record
+    class Left:
+        level: int
+        data: tuple
+
+    @record
+    class Right:
+        level: int
+        data: tuple
+
+    assert Left(2, (1, 1, 1)) != Right(2, (1, 1, 1))
+    assert Right(2, (1, 1, 1)) != Left(2, (1, 1, 1))
+    assert Left(2, (1, 1, 1)) != (2, (1, 1, 1))
+    assert Left(2, (1, 1, 1)).__eq__(Right(2, (1, 1, 1))) is NotImplemented
 
 
 def test_class_level_defaults(p3):

@@ -8,7 +8,6 @@ from hamfix.errors import (
     InternalArithmeticError,
     LatticeMismatch,
     NonDisjointBlowdown,
-    NotAMinimum,
     NotASphereMaximum,
     OutOfInterval,
     VanishingCycleMismatch,
@@ -20,7 +19,6 @@ from hamfix.lattice import (
     pair,
     product_lattice,
 )
-from hamfix.localization import ExtremalFourManifold, ExtremalSurface, FixedComponent, point
 from hamfix.reduction import (
     SliceState,
     blow_down,
@@ -43,26 +41,14 @@ def blow_down_at_one(state, m):
 
 
 def test_initial_slice_isolated_minimum():
-    s = initial_slice(point(-3, (1, 1, 1)))
+    s = initial_slice()
     assert s.euler == CohClass(P2, (-1,))
     assert s.omega(0) == CohClass(P2, (3,))
     assert s.omega(-3).is_zero()
 
 
-def test_initial_slice_rejects_non_minimum():
-    with pytest.raises(NotAMinimum):
-        initial_slice(point(3, (-1, -1, -1)))
-    with pytest.raises(NotAMinimum):
-        initial_slice(point(-1, (-1, 1, 1)))
-    # the sweep starts only from an isolated minimum
-    with pytest.raises(NotAMinimum):
-        initial_slice(FixedComponent(-2, ExtremalSurface(0)))
-    with pytest.raises(NotAMinimum):
-        initial_slice(FixedComponent(-1, ExtremalFourManifold(CohClass(P2, (1,)))))
-
-
 def test_cross_three_index2_points():
-    s0 = initial_slice(point(-3, (1, 1, 1))).with_interval(-3, -1)
+    s0 = initial_slice().with_interval(-3, -1)
     s1 = blow_up(s0, -1, 3)
     assert s1.lattice == make_blowup_lattice(3)
     assert s1.euler.coeffs == (-1, 1, 1, 1)
@@ -70,18 +56,18 @@ def test_cross_three_index2_points():
 
 
 def test_cross_interior_surface():
-    s0 = initial_slice(point(-3, (1, 1, 1))).with_interval(-3, 0)
+    s0 = initial_slice().with_interval(-3, 0)
     from hamfix.localization import InteriorSurface
 
-    conic = FixedComponent(0, InteriorSurface(CohClass(P2, (2,)), 0, 2))
-    s1 = shift(s0, 0, conic.spec.surface_class)
+    conic = InteriorSurface(0, CohClass(P2, (2,)), 0, 2)
+    s1 = shift(s0, 0, conic.surface_class)
     assert s1.euler == CohClass(P2, (1,))
     assert s1.omega(3).is_zero()
 
 
 def test_cross_blowdown_three_lines():
     # three blow-ups then three simultaneous blow-downs land back on the plane
-    s0 = initial_slice(point(-3, (1, 1, 1))).with_interval(-3, -1)
+    s0 = initial_slice().with_interval(-3, -1)
     s1 = blow_up(s0, -1, 3).with_interval(-1, 1)
     vanish = vanishing_classes(s1, 1, exceptional_classes(s1.lattice))
     assert {v.coeffs for v in vanish} == {
@@ -96,7 +82,7 @@ def test_cross_blowdown_three_lines():
 
 
 def test_dh_values():
-    s0 = initial_slice(point(-3, (1, 1, 1)))
+    s0 = initial_slice()
     assert dh(s0, -3) == 0
     s1 = blow_up(s0.with_interval(-3, -1), -1, 3)
     assert dh(s1.with_interval(-1, 1), 1) == 16 - 4 * 3
@@ -108,14 +94,14 @@ def test_dh_case_iii3():
     # interior conic on the plane: reduced class (4 - a) u at the top, a = 2
     from hamfix.localization import InteriorSurface
 
-    s0 = initial_slice(point(-3, (1, 1, 1))).with_interval(-3, 0)
-    conic = FixedComponent(0, InteriorSurface(CohClass(P2, (2,)), 0, 2))
-    s1 = shift(s0, 0, conic.spec.surface_class)
+    s0 = initial_slice().with_interval(-3, 0)
+    conic = InteriorSurface(0, CohClass(P2, (2,)), 0, 2)
+    s1 = shift(s0, 0, conic.surface_class)
     assert dh(s1.with_interval(0, 1), 1) == 4
 
 
 def test_check_dh_decrease():
-    s0 = initial_slice(point(-3, (1, 1, 1))).with_interval(-3, -1)
+    s0 = initial_slice().with_interval(-3, -1)
     s1 = blow_up(s0, -1, 3)
     assert dh_jump(s0, s1.with_interval(-1, 1), -1) == (0, 0, -3)
 
@@ -128,7 +114,7 @@ def test_check_dh_decrease():
 
 def test_blowdown_count_mismatch():
     # two blow-downs cannot swallow the three simultaneous vanishing classes
-    s0 = initial_slice(point(-3, (1, 1, 1))).with_interval(-3, -1)
+    s0 = initial_slice().with_interval(-3, -1)
     s1 = blow_up(s0, -1, 3).with_interval(-1, 1)
     with pytest.raises(VanishingCycleMismatch):
         blow_down_at_one(s1, 2)
@@ -165,7 +151,7 @@ def test_bmax_examples():
     s31 = top_state((-1, 2), make_blowup_lattice(1))
     assert 2 + bmax_from_euler(s31) == 5
     with pytest.raises(NotASphereMaximum):
-        bmax_from_euler(initial_slice(point(-3, (1, 1, 1))))
+        bmax_from_euler(initial_slice())
     assert pair(CohClass(two, (2, -1, 0)), CohClass(two, (2, -1, 0))) == 3
 
 
@@ -185,7 +171,7 @@ def test_positive_square_vertex_detection():
     # reduced class (3 - 5t) u dies at t = 3/5 inside the interval
     state = SliceState(CohClass(P2, (5,)), CohClass(P2, (3,)), (0, 1))
     assert not positive_square_throughout(state)
-    good = initial_slice(point(-3, (1, 1, 1)))
+    good = initial_slice()
     assert positive_square_throughout(good, allow_zero_ends={Fraction(-3), Fraction(3)})
 
 

@@ -1,6 +1,6 @@
-"""Only the spec module tells the kinds of fixed component apart by type.
+"""Only the localization module tells the kinds of fixed component apart by type.
 
-Every other module asks a component for its behaviour (`fc.spec.column()`,
+Every other module asks a component for its behaviour (`fc.column()`,
 `fc.dim`, `fc.index`, ...) instead of testing its class, so a new kind of
 component is added in one place.
 """

@@ -54,31 +54,31 @@ from hamfix.localization import (
 
 
 def point_term(fc):
-    w = fc.spec.weights
+    w = fc.weights
     e2 = w[0] * w[1] + w[0] * w[2] + w[1] * w[2]
     return Fraction(sum(w) * e2, w[0] * w[1] * w[2])
 
 
 def interior_surface_term(fc):
-    z = fc.spec.surface_class
-    return 2 - 2 * fc.spec.genus + pair(z, z)
+    z = fc.surface_class
+    return 2 - 2 * fc.genus + pair(z, z)
 
 
 def extremal_sphere_term(fc):
-    return fc.spec.normal_degree + 10
+    return fc.normal_degree + 10
 
 
 def _chi(fc):
-    return fc.spec.lattice.rank + 2
+    return fc.lattice.rank + 2
 
 
 def _c1c1(fc):
-    c1 = fc.spec.lattice.anticanonical
+    c1 = fc.lattice.anticanonical
     return pair(c1, c1)
 
 
 def _c1e(fc):
-    return pair(fc.spec.lattice.anticanonical, fc.spec.euler_at_boundary)
+    return pair(fc.lattice.anticanonical, fc.euler_at_boundary)
 
 
 def _side(fc):
@@ -100,7 +100,7 @@ TERMS = {
 
 def todd_integral(tfd, terms=TERMS):
     """The localized integral of c1 c2: one term per fixed component."""
-    return sum(terms[type(fc.spec)](fc) for fc in tfd.components)
+    return sum(terms[type(fc)](fc) for fc in tfd.components)
 
 
 @pytest.fixture(scope="module")
@@ -117,20 +117,20 @@ def test_c1c2_is_24_on_every_row_and_flip(rows):
 def test_the_flips_exercise_every_minimum_side_term(rows):
     # a flip puts the maximum at the bottom: spheres and 4-manifolds at the
     # minimum occur, so their derived terms are read and not merely written
-    kinds = {(type(fc.spec), fc.level < 0) for t in rows for fc in flip(t).components}
+    kinds = {(type(fc), fc.level < 0) for t in rows for fc in flip(t).components}
     assert (ExtremalSurface, True) in kinds
     assert (ExtremalFourManifold, True) in kinds
 
 
 # each mutant changes one term of one formula
 MUTANTS = {
-    "point without e2": (IsolatedPoint, lambda fc: Fraction(sum(fc.spec.weights))),
-    "surface without Z.Z": (InteriorSurface, lambda fc: 2 - 2 * fc.spec.genus),
+    "point without e2": (IsolatedPoint, lambda fc: Fraction(sum(fc.weights))),
+    "surface without Z.Z": (InteriorSurface, lambda fc: 2 - 2 * fc.genus),
     "surface without genus": (
         InteriorSurface,
-        lambda fc: 2 + pair(fc.spec.surface_class, fc.spec.surface_class),
+        lambda fc: 2 + pair(fc.surface_class, fc.surface_class),
     ),
-    "sphere d + 9": (ExtremalSurface, lambda fc: fc.spec.normal_degree + 9),
+    "sphere d + 9": (ExtremalSurface, lambda fc: fc.normal_degree + 9),
     "sphere without d": (ExtremalSurface, lambda fc: 10),
     "4-manifold without chi": (ExtremalFourManifold, lambda fc: _c1c1(fc) + _side(fc) * _c1e(fc)),
     "4-manifold without c1.c1": (ExtremalFourManifold, lambda fc: _chi(fc) + _side(fc) * _c1e(fc)),

@@ -229,11 +229,11 @@ def test_euler_characteristic_consistency(corpus, rows):
             signed_vertices += 1 if prod > 0 else -1
         corrections = 0
         for fc in match.components:
-            if isinstance(fc.spec, InteriorSurface) or isinstance(fc.spec, ExtremalSurface):
+            if isinstance(fc, InteriorSurface) or isinstance(fc, ExtremalSurface):
                 continue  # spheres contribute zero to the alternating sum
-            if isinstance(fc.spec, ExtremalFourManifold):
+            if isinstance(fc, ExtremalFourManifold):
                 sign = -1 if fc.index == 2 else 1
-                corrections += sign * (2 - fc.spec.lattice.rank)
+                corrections += sign * (2 - fc.lattice.rank)
         assert signed_vertices + corrections == alternating, name
 
 

@@ -213,7 +213,7 @@ def row_key(tfd):
     fixes the whole row.
     """
     k = sum(1 for fc in tfd.components if fc.level == -1 and fc.dim == 0)
-    parts = sorted((fc.spec.surface_class.coeffs, fc.spec.genus) for fc in tfd.interior_surfaces)
+    parts = sorted((fc.surface_class.coeffs, fc.genus) for fc in tfd.interior_surfaces)
     return (tfd.max_dim, tfd.crit_levels, k, tuple(parts))
 
 
@@ -229,9 +229,9 @@ def canonicalize(tfd, k):
         total = lat.zero()
         split = []
         for fc in interior:
-            tail = fc.spec.surface_class.coeffs[1:]
-            c = CohClass(lat, (fc.spec.surface_class.coeffs[0],) + tuple(tail[p] for p in perm))
-            split.append((c, fc.spec.genus))
+            tail = fc.surface_class.coeffs[1:]
+            c = CohClass(lat, (fc.surface_class.coeffs[0],) + tuple(tail[p] for p in perm))
+            split.append((c, fc.genus))
             total = total + c
         split.sort(key=lambda t: t[0].coeffs)
         try:
