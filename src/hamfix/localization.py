@@ -80,6 +80,8 @@ class IsolatedPoint:
     dim = 0
 
     def __post_init__(self):
+        if type(self.weights) is not tuple:  # a list would be unequal to it and unhashable
+            raise InvalidFixedComponent(f"weights {self.weights!r} are not a tuple")
         if sorted(abs(w) for w in self.weights) != [1, 1, 1]:
             raise InvalidFixedComponent(f"weights {self.weights} not semifree")
         if self.level != -sum(self.weights):
@@ -127,6 +129,8 @@ class InteriorSurface:
         return self.bplus, pair(self.surface_class, self.surface_class) - self.bplus
 
     def __post_init__(self):
+        if self.level != 0:  # the normal weights (+1, -1) sum to 0
+            raise InvalidFixedComponent(f"level {self.level} != -sum(1, -1) (balanced condition)")
         if self.genus < 0:
             raise InvalidFixedComponent("negative genus")
 

@@ -1,10 +1,10 @@
 """Lattice polytopes with a circle direction: verification of toric candidates.
 
-A polytope is shipped with explicit vertices, edges and inward facet
-normals.  Given a primitive direction, the module checks semifreeness,
-extracts the fixed faces with their balanced levels, assembles the data into
-a fixed-point-data shape and matches it against the classified rows, and
-computes the anticanonical degree from the normalized volume.
+A polytope is given by its inward facet normals and offsets, and derives its
+vertices and edges.  Given a primitive direction, the module checks
+semifreeness, extracts the fixed faces with their balanced levels, assembles
+the data into a fixed-point-data shape and matches it against the classified
+rows, and computes the anticanonical degree from the normalized volume.
 """
 
 from __future__ import annotations
@@ -16,12 +16,7 @@ from functools import partial
 from math import gcd
 from pathlib import Path
 
-from .errors import (
-    NoMatchingTFD,
-    NotBalanced,
-    NotDelzant,
-    NotReflexive,
-)
+from .errors import NoMatchingTFD, NotBalanced, NotDelzant, NotReflexive
 from .classify6 import TFD, classify_all
 from .localization import chern_number
 from .record import record
@@ -60,10 +55,6 @@ def _primitive(v):
     return tuple(x // g for x in v), g
 
 
-def _det3(a, b, c):
-    return _dot(a, _cross(b, c))
-
-
 @record
 class CircleDirection:
     """Primitive integer generator of a circle subgroup of the torus."""
@@ -78,24 +69,76 @@ class CircleDirection:
             raise ValueError(f"{self.xi} is not primitive")
 
 
+def _meet(f, g, h):
+    """(d, q): by Cramer's rule the planes n.p = o of three facets meet at q / d,
+    d > 0, or d = 0 when their normals are dependent."""
+    (a, o), (b, s), (c, t) = f, g, h
+    bc, ca, ab = _cross(b, c), _cross(c, a), _cross(a, b)
+    d = a[0] * bc[0] + a[1] * bc[1] + a[2] * bc[2]
+    if d < 0:
+        d, o, s, t = -d, -o, -s, -t
+    return d, (o * bc[0] + s * ca[0] + t * ab[0], o * bc[1] + s * ca[1] + t * ab[1],
+               o * bc[2] + s * ca[2] + t * ab[2])
+
+
+def _combinatorics(name, facets):
+    """(vertices, edges) of {p : n.p >= o on every facet (n, o)}, checked Delzant:
+    the sorted points where three facets meet and that satisfy every facet, and
+    the vertex pairs i < j on two common facets."""
+    for n, _ in facets:
+        if _primitive(n)[1] != 1:
+            raise NotDelzant(f"{name}: facet normal {n} not primitive")
+    on = {}  # vertex -> indices of the facets through it
+    for i, j, k in itertools.combinations(range(len(facets)), 3):
+        d, q = _meet(facets[i], facets[j], facets[k])
+        if d == 0:
+            continue
+        x, y, z = q
+        for (a, b, c), o in facets:
+            if a * x + b * y + c * z < o * d:
+                break
+        else:
+            if d != 1:
+                point = ", ".join(str(Fraction(w, d)) for w in q)
+                raise NotDelzant(f"{name}: facet normals at ({point}) not unimodular")
+            on.setdefault(q, set()).update((i, j, k))
+    if not on:
+        raise NotDelzant(f"{name}: the facets meet at no vertex")
+    vertices = tuple(sorted(on))
+    at = [on[v] for v in vertices]
+    pairs = itertools.combinations(range(len(vertices)), 2)
+    edges = tuple((i, j) for i, j in pairs if len(at[i] & at[j]) > 1)
+    for i, v in enumerate(vertices):
+        if (m := sum(i in e for e in edges)) != 3:  # else a ray leaves v
+            raise NotDelzant(f"{name}: vertex {v} meets {m} edges")
+    for f, (n, _) in enumerate(facets):
+        if sum(f in s for s in at) < 3:  # no three vertices lie on one line
+            raise NotDelzant(f"{name}: facet {n} is not a 2-face")
+    for v, s in zip(vertices, at):
+        if len(s) != 3:
+            raise NotDelzant(f"{name}: {len(s)} facets meet at vertex {v}")
+    return vertices, edges
+
+
 @record
 class Polytope:
-    """Simple lattice 3-polytope with explicit combinatorics.
+    """Delzant lattice 3-polytope, given by its facets.
 
-    Checked, and its `degree` computed, when built (`check_delzant`, `check_reflexive` if flagged).
+    Its `vertices` and `edges` are derived, which checks it Delzant, when it is
+    built; then it is checked reflexive if flagged and its `degree` computed.
     """
 
     name: str
-    vertices: tuple[tuple[int, int, int], ...]
-    edges: tuple[tuple[int, int], ...]
     facets: tuple[tuple[tuple[int, int, int], int], ...]  # (inward normal, offset)
     reflexive: bool = True
 
     def __post_init__(self):
-        self.check_delzant()
+        # derived, not fields, so `==` and hash ignore them
+        vertices, edges = _combinatorics(self.name, self.facets)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
         if self.reflexive:
             self.check_reflexive()
-        # not a field, so `==`, hash and `to_dict` ignore it
         object.__setattr__(self, "degree", self.normalized_volume())
 
     @staticmethod
@@ -103,29 +146,16 @@ class Polytope:
         try:
             return Polytope(
                 name=d["name"],
-                vertices=tuple(_ivec(v) for v in d["vertices"]),
-                edges=tuple(_ivec(e) for e in d["edges"]),
                 facets=tuple((_ivec(f["normal"]), _strict(f["offset"])) for f in d["facets"]),
                 reflexive=_strict(d.get("reflexive", True), bool),
             )
         except (KeyError, TypeError, IndexError) as err:
-            raise ValueError(f"not a polytope record (name/vertices/edges/facets): {err}") from err
+            raise ValueError(f"not a polytope record (name/facets): {err}") from err
 
     @staticmethod
     def load(path) -> Polytope:
         with open(path, encoding="utf-8") as fh:
             return Polytope.from_dict(json.load(fh))
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "vertices": [list(v) for v in self.vertices],
-            "edges": [list(e) for e in self.edges],
-            "facets": [
-                {"normal": list(n), "offset": o} for n, o in self.facets
-            ],
-            "reflexive": self.reflexive,
-        }
 
     def vertex_edges(self, i: int) -> list[tuple[int, int]]:
         return [e for e in self.edges if i in e]
@@ -160,48 +190,10 @@ class Polytope:
             cycle.append(nxt[0])
         return cycle
 
-    # -- structural checks ---------------------------------------------------
-
-    def check_delzant(self) -> None:
-        # the edges at each vertex, in edge order, as `vertex_edges` lists them
-        at = {i: [] for i in range(len(self.vertices))}
-        for e in self.edges:
-            for i in set(e) & at.keys():
-                at[i].append(e)
-        for i, v in enumerate(self.vertices):
-            es = at[i]
-            if len(es) != 3:
-                raise NotDelzant(f"{self.name}: vertex {v} meets {len(es)} edges")
-            dirs = [self.edge_direction(e, i) for e in es]
-            if abs(_det3(*dirs)) != 1:
-                raise NotDelzant(f"{self.name}: edge directions at {v} not unimodular")
-        for n, o in self.facets:
-            if _primitive(n)[1] != 1:
-                raise NotDelzant(f"{self.name}: facet normal {n} not primitive")
-            heights = [_dot(n, v) for v in self.vertices]
-            if any(h < o for h in heights):
-                raise NotDelzant(f"{self.name}: facet {n} not supporting")
-            on = [v for v, h in zip(self.vertices, heights) if h == o]
-            if not any(  # three vertices off one line
-                _cross(_sub(b, on[0]), _sub(c, on[0])) != (0, 0, 0)
-                for b, c in itertools.combinations(on[1:], 2)
-            ):
-                raise NotDelzant(f"{self.name}: facet {n} is not a 2-face")
-
     def interior_point(self) -> tuple[int, int, int]:
-        """Solve n.p = o + 1 on the facets at vertex 0 by Cramer's rule.
-
-        The facet normals at a Delzant vertex are dual to its edge directions,
-        so their determinant is +-1 and p is integral.
-        """
+        """The point at lattice distance 1 from the facets at vertex 0 (a lattice basis)."""
         v = self.vertices[0]
-        at = [(n, o) for n, o in self.facets if _dot(n, v) == o]
-        det = _det3(*(n for n, _ in at)) if len(at) == 3 else 0
-        if abs(det) != 1:
-            raise NotDelzant(f"{self.name}: facet normals at {v} are not a lattice basis")
-        (n0, o0), (n1, o1), (n2, o2) = at
-        terms = ((o0 + 1, _cross(n1, n2)), (o1 + 1, _cross(n2, n0)), (o2 + 1, _cross(n0, n1)))
-        return tuple(det * sum(c * w[i] for c, w in terms) for i in range(3))
+        return _meet(*((n, o + 1) for n, o in self.facets if _dot(n, v) == o))[1]
 
     def check_reflexive(self) -> None:
         center = self.interior_point()
@@ -216,7 +208,7 @@ class Polytope:
         For a covector c that pairs to zero with no edge direction, 6 vol is
         the sum over the vertices v of <c, v>^3 / prod(-<c, w>), w running
         over the primitive edge directions at v (Brion 1988, Lawrence 1991),
-        as every vertex cone is unimodular (`check_delzant`).
+        as every vertex cone is unimodular (`_combinatorics`).
         """
         dirs = [_primitive(_sub(self.vertices[b], self.vertices[a]))[0] for a, b in self.edges]
         m = 2 * max(abs(x) for d in dirs for x in d) + 1
@@ -321,7 +313,7 @@ def _facet_shape(p: Polytope, verts: tuple[int, ...]):
     D_i^2 is even; otherwise it is P^2 blown up m - 3 times.
     """
     cycle = _facet_cycle_of(p, verts)
-    m = len(cycle)  # at least 3, as `check_delzant` makes every facet a 2-face
+    m = len(cycle)  # at least 3, as `_combinatorics` makes every facet a 2-face
     if m == 4:
         a = [
             _primitive(_sub(p.vertices[cycle[(i + 1) % 4]], p.vertices[cycle[i]]))[0]

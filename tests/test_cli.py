@@ -87,6 +87,31 @@ def test_toric_verify_single(capsys):
 
 
 @pytest.mark.parametrize(
+    "name,xi,out",
+    [
+        (
+            "v7", "0,-1,0",
+            "level -3: vertex (3,)\nlevel -1: vertex (2,)\nlevel 1: facet (0, 1, 4, 5)\n"
+            "v7: matches III-2, anticanonical degree 56\n",
+        ),
+        (
+            "p1xf1", "-1,0,-1",
+            "level -3: vertex (5,)\nlevel -1: vertex (1,)\nlevel -1: vertex (7,)\n"
+            "level 0: edge (4, 6)\nlevel 1: vertex (3,)\nlevel 2: edge (0, 2)\n"
+            "p1xf1: matches II-4.1b, anticanonical degree 48\n",
+        ),
+    ],
+    ids=["v7", "p1xf1"],
+)
+def test_toric_verify_prints_faces_by_sorted_vertex_index(capsys, name, xi, out):
+    # the indices name the vertices in sorted order, as they are derived
+    path = str(corpus_dir() / f"{name}.json")
+    # "--xi=" because argparse reads "-1,0,-1" after a space as an option
+    assert run(["toric", "verify", "--polytope", path, f"--xi={xi}"]) == 0
+    assert capture(capsys) == (out, "")
+
+
+@pytest.mark.parametrize(
     "argv",
     [["--polytope", str(corpus_dir() / "p3.json"), "--xi", "1,1,1"], []],
     ids=["polytope", "corpus"],
@@ -200,9 +225,9 @@ def test_toric_verify_corpus_excludes_polytope():
     assert proc.stderr == "--corpus and --polytope exclude each other\n"
 
 
-def test_toric_verify_dangling_edge_exits_2(tmp_path):
-    # an edge naming a vertex that does not exist is malformed input
-    path = p3_with(tmp_path, ("edges", 0), [0, 99])
+def test_toric_verify_short_normal_exits_2(tmp_path):
+    # a facet normal with two coordinates is malformed input
+    path = p3_with(tmp_path, ("facets", 1, "normal"), [0, 1])
     proc = hamfix("toric", "verify", "--polytope", str(path), "--xi", "1,1,1")
     assert proc.returncode == 2
     assert proc.stderr.startswith("invalid input: ")
@@ -212,10 +237,10 @@ def test_toric_verify_dangling_edge_exits_2(tmp_path):
 @pytest.mark.parametrize(
     "keys,value",
     [
-        (("vertices", 1, 0), 0.5),
-        (("vertices", 2, 1), 4.0),
-        (("vertices", 0, 0), True),
-        (("edges", 0, 1), True),
+        (("facets", 1, "normal", 2), 0.5),
+        (("facets", 2, "offset"), 4.0),
+        (("facets", 3, "normal", 0), True),
+        (("facets", 3, "offset"), True),
         (("facets", 0, "normal", 0), -1.0),
         (("facets", 0, "offset"), -4.0),
         (("reflexive",), "false"),
@@ -267,11 +292,12 @@ def test_toric_verify_malformed_index_entry_exits_2(tmp_path, edit):
 
 
 def test_toric_verify_not_delzant_exits_1(tmp_path):
-    path = p3_with(tmp_path, ("vertices", 1), [3, 0, 0])
+    # the facet -x - y - z >= -4, tilted to -x - y - 2z >= -4
+    path = p3_with(tmp_path, ("facets", 0, "normal"), [-1, -1, -2])
     proc = hamfix("toric", "verify", "--polytope", str(path), "--xi", "1,1,1")
     assert proc.returncode == 1
     assert proc.stderr == (
-        "verification failed: p3: edge directions at (0, 0, 0) not unimodular\n"
+        "verification failed: p3: facet normals at (0, 0, 2) not unimodular\n"
     )
 
 
@@ -279,8 +305,6 @@ def test_toric_verify_not_reflexive_exits_1(tmp_path):
     # the size-2 simplex is Delzant but has no interior lattice point
     record = {
         "name": "bad",
-        "vertices": [[0, 0, 0], [2, 0, 0], [0, 2, 0], [0, 0, 2]],
-        "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]],
         "facets": [
             {"normal": list(n), "offset": o}
             for n, o in (((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, -1), -2))

@@ -126,9 +126,17 @@ def test_invalid_components():
     with pytest.raises(InvalidFixedComponent):
         InteriorSurface(0, CohClass(P2, (2,)), -1, 2)  # negative genus
     with pytest.raises(InvalidFixedComponent):
+        InteriorSurface(3, CohClass(P2, (2,)), 0, 2)  # normal weights (+1, -1) balance at 0
+    with pytest.raises(InvalidFixedComponent):
         ExtremalSurface(0, 0)  # spheres live at level +-2
     with pytest.raises(InvalidFixedComponent):
         ExtremalFourManifold(2, CohClass(P2, (1,)))
+
+
+def test_isolated_point_weights_are_a_tuple():
+    # a list would be unequal to the tuple form and unhashable
+    with pytest.raises(InvalidFixedComponent, match="not a tuple"):
+        IsolatedPoint(-3, [1, 1, 1])
 
 
 def test_isolated_point_weight_level_table():

@@ -29,7 +29,6 @@ ALLOWED = {
     "cli.main": "console-script entry point; the scan calls cli.run",
     "record._frozen": "raises on assignment to a record; no command assigns",
     "record._repr": "repr of a record without its own; no command prints one",
-    "toric.Polytope.to_dict": "tools/gen_corpus.py writes the corpus with it",
     "errors.ClassificationMismatch.__init__": "raised only with strict=True, which "
     "perfbench and snapshot.py still pass as False",
 }

@@ -56,15 +56,13 @@ def test_different_records_with_equal_fields_are_unequal():
 def test_class_level_defaults(p3):
     assert SurfaceLattice("blowup") == SurfaceLattice("blowup", 0)
     assert SurfaceLattice("blowup").rank == 1
-    built = Polytope(p3.name, p3.vertices, p3.edges, p3.facets)
+    built = Polytope(p3.name, p3.facets)
     assert built.reflexive is True
     assert built == p3
 
 
 def test_keyword_construction(p3):
-    built = Polytope(
-        facets=p3.facets, edges=p3.edges, vertices=p3.vertices, name=p3.name, reflexive=False
-    )
+    built = Polytope(facets=p3.facets, name=p3.name, reflexive=False)
     assert (built.name, built.reflexive) == ("p3", False)
     with pytest.raises(TypeError):
         FixedFace(kind="vertex", vertices=(0,))
@@ -75,8 +73,9 @@ def test_post_init_runs(p3):
         CohClass(make_blowup_lattice(1), (2, Fraction(1, 2)))
     with pytest.raises(ValueError, match="not primitive"):
         CircleDirection((2, 0, 0))
-    with pytest.raises(NotDelzant, match="not unimodular"):
-        Polytope(p3.name, (p3.vertices[0], (3, 0, 0)) + p3.vertices[2:], p3.edges, p3.facets)
+    # the facet -x - y - z >= -4, tilted to -x - y - 2z >= -4, meets the z-axis at (0, 0, 2)
+    with pytest.raises(NotDelzant, match=r"at \(0, 0, 2\) not unimodular"):
+        Polytope(p3.name, (((-1, -1, -2), -4),) + p3.facets[1:])
 
 
 def test_repr_is_the_dataclass_string():

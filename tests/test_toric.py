@@ -1,6 +1,7 @@
 """Polytope verification: Delzant/reflexive checks, fixed faces, row matching."""
 
 import itertools
+import json
 
 import pytest
 
@@ -17,6 +18,7 @@ from hamfix.toric import (
     CircleDirection,
     Polytope,
     chern_number_from_volume,
+    corpus_dir,
     facet_lattice_area,
     fixed_faces,
     is_semifree,
@@ -115,10 +117,63 @@ def test_degree_of_polytopes_that_are_not_reflexive():
 
 def test_degree_is_not_a_record_field(corpus):
     p = corpus["p3"][0]
-    again = Polytope.from_dict(p.to_dict())
+    stored = json.loads((corpus_dir() / "p3.json").read_text(encoding="utf-8"))
+    again = Polytope.from_dict(stored)
     assert again == p and hash(again) == hash(p) and again.degree == p.degree == 64
-    assert "degree" not in p.to_dict()
-    assert Polytope.__record_fields__ == ("name", "vertices", "edges", "facets", "reflexive")
+    assert Polytope.__record_fields__ == ("name", "facets", "reflexive")
+    # a file's other keys are ignored, stale vertex lists included
+    assert Polytope.from_dict(dict(stored, vertices=[[9, 9, 9]], degree=1)) == p
+
+
+# the hand-written vertex lists the corpus was made from, in no order
+HAND_VERTICES = {
+    "p3": [(0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4)],
+    "v7": [(0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 2), (2, 0, 2), (0, 2, 2)],
+    "cube2": list(itertools.product((0, 2), repeat=3)),
+    "p1xp2": [(0, 0, 0), (-3, 0, 0), (0, 0, -3), (0, 2, 0), (-3, 2, 0), (0, 2, -3)],
+    "p_oo2": [(0, 0, 0), (5, 0, 0), (0, 5, 0), (0, 0, 2), (1, 0, 2), (0, 1, 2)],
+    "p_oo11": [(0, 0, 0), (0, 0, 2), (1, 1, 2), (3, 3, 0), (0, 1, 2), (0, 3, 0),
+               (1, 0, 2), (3, 0, 0)],
+    "p1xs7": [(0, 2, 0), (2, 2, 0), (0, 2, 2), (0, 0, 0), (2, 2, 1), (1, 2, 2),
+              (0, 0, 2), (2, 0, 0), (1, 0, 2), (2, 0, 1)],
+    "bl_p1xs8": [(3, 0, 0), (3, 2, 0), (1, 0, 2), (1, 1, 2), (2, 2, 1), (0, 0, 0),
+                 (0, 0, 2), (0, 1, 2), (0, 2, 0), (0, 2, 1)],
+    "bl_y2": [(4, 0, 0), (2, 0, 2), (2, 0, 0), (1, 0, 1), (1, 0, 2), (0, 4, 0),
+              (0, 2, 0), (0, 1, 1), (0, 1, 2), (0, 2, 2)],
+    "v7_bl_e1": [(0, 0, 0), (0, 0, 2), (0, 1, 2), (1, 0, 2), (3, 0, 1), (0, 3, 1),
+                 (0, 4, 0), (4, 0, 0)],
+    "v7_bl_e2": [(4, 0, 0), (0, 4, 0), (2, 0, 2), (0, 2, 2), (1, 0, 0), (0, 1, 0),
+                 (1, 0, 2), (0, 1, 2)],
+    "v7_bl_e3": [(0, 0, 0), (0, 0, 2), (2, 0, 2), (0, 2, 2), (3, 0, 0), (0, 3, 0),
+                 (3, 0, 1), (0, 3, 1)],
+    "p3_bl_line": [(0, 0, 0), (0, 0, 4), (3, 0, 0), (0, 3, 0), (3, 0, 1), (0, 3, 1)],
+    "p1xf1": [(0, -1, -1), (0, 1, -1), (0, 1, 0), (0, -1, 2), (2, -1, -1),
+              (2, 1, -1), (2, 1, 0), (2, -1, 2)],
+}
+
+
+def test_vertices_are_derived_from_the_facets(corpus):
+    assert corpus.keys() == HAND_VERTICES.keys()
+    for name, (p, _d, _row) in corpus.items():
+        assert p.vertices == tuple(sorted(set(HAND_VERTICES[name]))), name
+
+
+OCTANT = (((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0))
+
+
+@pytest.mark.parametrize(
+    "facets,message",
+    [
+        (OCTANT, r"vertex \(0, 0, 0\) meets 0 edges"),
+        (OCTANT + (((-1, 0, 0), 1), ((1, 1, 1), 2)), "meet at no vertex"),
+        ((), "meet at no vertex"),
+        (OCTANT[1:] + (((2, 0, 0), 0), ((-1, -1, -1), -4)), r"normal \(2, 0, 0\) not primitive"),
+    ],
+    ids=["octant", "infeasible", "empty", "non-primitive"],
+)
+def test_facets_that_bound_no_delzant_polytope(facets, message):
+    with pytest.raises(NotDelzant, match=message):
+        Polytope("bad", facets, reflexive=False)
 
 
 def test_built_polytopes_read_their_degree_without_a_walk(corpus, rows, monkeypatch):
@@ -172,19 +227,14 @@ def test_semifreeness_invariant_under_lattice_automorphisms(corpus):
         return tuple(sum(mat[i][j] * v[j] for j in range(3)) for i in range(3))
 
     for mat in shears:
-        verts = tuple(apply(mat, v) for v in p3.vertices)
-        # transform the direction contragradiently: edge pairings are preserved
-        # when both the polytope and the dual vector transform consistently;
-        # here we transform edges directly so pair values are unchanged.
+        # normals move contragradiently, so offsets and edge pairings with the
+        # moved direction are preserved, and the vertices move with the matrix
         moved = Polytope(
             name="moved",
-            vertices=verts,
-            edges=p3.edges,
-            facets=tuple(
-                (_solve_normal(mat, n), o) for (n, o) in p3.facets
-            ),
+            facets=tuple((_solve_normal(mat, n), o) for (n, o) in p3.facets),
             reflexive=True,
         )
+        assert moved.vertices == tuple(sorted(apply(mat, v) for v in p3.vertices))
         xi = _solve_normal(mat, d.xi)
         assert is_semifree(moved, CircleDirection(xi)) == is_semifree(p3, d)
 
@@ -252,14 +302,9 @@ def test_interior_point_is_the_only_interior_lattice_point(corpus):
 def test_reflexive_check_needs_a_basis_of_facet_normals():
     # a repeated facet puts four facets through vertex 0
     unit = (((1, 0, 0), -1), ((0, 1, 0), -1), ((0, 0, 1), -1), ((-1, -1, -1), -1))
-    record = dict(
-        name="twice",
-        vertices=((-1, -1, -1), (3, -1, -1), (-1, 3, -1), (-1, -1, 3)),
-        edges=((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
-    )
-    assert Polytope(facets=unit, **record).interior_point() == (0, 0, 0)
-    with pytest.raises(NotDelzant):
-        Polytope(facets=unit + unit[:1], **record)
+    assert Polytope("twice", unit).interior_point() == (0, 0, 0)
+    with pytest.raises(NotDelzant, match=r"4 facets meet at vertex \(-1, -1, -1\)"):
+        Polytope("twice", unit + unit[:1])
 
 
 def test_not_delzant_detected():
@@ -270,19 +315,16 @@ def test_not_delzant_detected():
     with pytest.raises(NotReflexive):
         Polytope(
             name="bad",
-            vertices=((0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)),
-            edges=((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
             facets=(
                 ((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, -1), -2),
             ),
             reflexive=True,
         )
-    # shrink instead to break the vertex cone
-    with pytest.raises(NotDelzant):
+    # the tetrahedron on (0,0,0), (2,0,0), (0,2,0), (1,1,2) has vertex cones
+    # of index 4
+    with pytest.raises(NotDelzant, match=r"at \(0, 0, 0\) not unimodular"):
         Polytope(
             name="squashed",
-            vertices=((0, 0, 0), (2, 0, 0), (0, 2, 0), (1, 1, 2)),
-            edges=((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
             facets=(
                 ((0, 0, 1), 0), ((2, 0, -1), 0), ((0, 2, -1), 0), ((-2, -2, -1), -4),
             ),
@@ -299,18 +341,14 @@ def test_facet_must_be_a_two_face(corpus, plane):
     # fixed facets are read from the normals +-xi, which is exact only when
     # every listed facet is a real 2-face; a supporting plane through fewer
     # than three vertices off one line is rejected when the polytope is built
-    record = corpus["p3"][0].to_dict()
-    normal, offset = plane
-    record["facets"].append({"normal": list(normal), "offset": offset})
+    p3 = corpus["p3"][0]
     with pytest.raises(NotDelzant, match="not a 2-face"):
-        Polytope.from_dict(record)
+        Polytope(p3.name, p3.facets + (plane,))
 
 
 def _size3_simplex():
     return Polytope(
         name="simplex3",
-        vertices=((0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3)),
-        edges=((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
         facets=(
             ((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, -1), -3),
         ),
@@ -345,22 +383,18 @@ def _facet_index(p, normal):
 
 def _hexagonal_prism():
     """P^2#3 x interval: the reflexive hexagon times [0, 1]."""
-    hexagon = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
-    vertices = tuple((x, y, z) for z in (0, 1) for x, y in hexagon)
-    edges = tuple(
-        (i + 6 * z, (i + 1) % 6 + 6 * z) for z in (0, 1) for i in range(6)
-    ) + tuple((i, i + 6) for i in range(6))
     sides = [(-1, 0), (0, -1), (1, -1), (1, 0), (0, 1), (-1, 1)]
     facets = tuple(((nx, ny, 0), -1) for nx, ny in sides) + (
         ((0, 0, 1), 0), ((0, 0, -1), -1),
     )
-    return Polytope("hexprism", vertices, edges, facets, reflexive=False)
+    return Polytope("hexprism", facets, reflexive=False)
 
 
 def test_facet_shape_from_edge_count_and_parity(corpus):
     p_oo2, p1xf1 = corpus["p_oo2"][0], corpus["p1xf1"][0]
     prism = _hexagonal_prism()
-    prism.check_delzant()
+    hexagon = {(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)}
+    assert set(prism.vertices) == {(x, y, z) for x, y in hexagon for z in (0, 1)}
 
     def shape(p, fi):
         return _facet_shape(p, tuple(p.facet_vertices(fi)))
