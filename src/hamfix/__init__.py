@@ -1,4 +1,12 @@
-"""Exact classification toolkit for semifree Hamiltonian circle actions."""
+"""Exact classification toolkit for semifree Hamiltonian circle actions.
+
+The package imports every module eagerly, not on first attribute access
+(PEP 562): the benchmark's layer tracer wraps the functions of the modules
+that are loaded after a bare `import hamfix`, so a lazy package would leave
+every per-layer span empty without an error (`tests/test_stdlib_only.py`
+checks this).  The modules themselves defer what few commands use (`json`,
+`fractions`, `pathlib`) to the functions that use it.
+"""
 
 from .lattice import (
     CohClass,

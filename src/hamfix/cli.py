@@ -3,10 +3,7 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from fractions import Fraction
-from pathlib import Path
 
 from . import golden
 from .classify4 import classify4, enumerate_case3_tuples
@@ -14,7 +11,6 @@ from .classify6 import classify_all
 from .errors import HamfixError
 from .golden import FIELDS4, FIELDS6, render_tsv, report_row_from_tfd, report_row_from_tfd4
 from .localization import chern_number
-from .reduction import dh
 from .toric import (
     CircleDirection,
     Polytope,
@@ -26,6 +22,7 @@ from .toric import (
 
 
 def render_json(rows: list[dict]) -> str:
+    import json  # only --format json needs it; most runs skip its import
     return json.dumps(rows, indent=2, sort_keys=True) + "\n"
 
 
@@ -34,6 +31,9 @@ def _in_case(label: str, case: str) -> bool:
 
 
 def _emit_dh(rows, directory):
+    from fractions import Fraction
+    from pathlib import Path
+    from .reduction import dh
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for tfd in rows:
@@ -190,10 +190,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bind_xi(argv: list[str]) -> list[str]:
+    """`--xi V` as `--xi=V`: argparse reads a V such as -1,0,-1 as an option."""
+    out = []
+    for token in argv:
+        if out and out[-1] == "--xi":
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_bind_xi(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -26,7 +26,6 @@ component's type.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from .errors import InvalidFixedComponent
@@ -259,6 +258,7 @@ class ExtremalFourManifold:
         return "P2" if self.lattice.blowups == 0 else f"P2#{self.lattice.blowups}"
 
     def toric_descriptor(self, omega):
+        from fractions import Fraction  # only the toric matcher reads areas
         lat = self.lattice
         w = omega()
         return ("fourmanifold", lat.kind, lat.blowups, Fraction(pair(w, w), 2))

@@ -11,7 +11,6 @@ classes whose area vanishes at the level.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .errors import (
     InternalArithmeticError,
@@ -72,8 +71,10 @@ def initial_slice() -> SliceState:
     return SliceState(-1 * lat.basis_class(0), lat.zero(), (-3, 3))
 
 
-def dh(state: SliceState, t) -> Fraction:
-    """Duistermaat-Heckman value: the square of the reduced class at a rational level t."""
+def dh(state: SliceState, t):
+    """Duistermaat-Heckman value, a `Fraction`: the square of the reduced class at a
+    rational level t."""
+    from fractions import Fraction  # only --emit-dh samples rational levels
     t = Fraction(t)
     lo, hi = state.interval
     if not lo <= t <= hi:

@@ -10,13 +10,10 @@ rows, and computes the anticanonical degree from the normalized volume.
 from __future__ import annotations
 
 import itertools
-import json
-from fractions import Fraction
 from functools import partial
-from math import gcd
-from pathlib import Path
+from math import gcd, lcm
 
-from .errors import NoMatchingTFD, NotBalanced, NotDelzant, NotReflexive
+from .errors import InternalArithmeticError, NoMatchingTFD, NotBalanced, NotDelzant, NotReflexive
 from .classify6 import TFD, classify_all
 from .localization import chern_number
 from .record import record
@@ -24,12 +21,20 @@ from .record import record
 
 def _strict(x, kind=int):
     if type(x) is not kind:  # a JSON 0.5 or true is an error, not a coercion
+        import json
         raise ValueError(f"{json.dumps(x)} is not a JSON {kind.__name__}")
     return x
 
 
 def _ivec(v):
     return tuple(map(_strict, _strict(v, list)))
+
+
+def _normal(v):
+    n = _ivec(v)
+    if len(n) != 3:
+        raise ValueError(f"facet normal {list(n)} is not three integers")
+    return n
 
 
 def _sub(a, b):
@@ -99,6 +104,7 @@ def _combinatorics(name, facets):
                 break
         else:
             if d != 1:
+                from fractions import Fraction
                 point = ", ".join(str(Fraction(w, d)) for w in q)
                 raise NotDelzant(f"{name}: facet normals at ({point}) not unimodular")
             on.setdefault(q, set()).update((i, j, k))
@@ -146,7 +152,7 @@ class Polytope:
         try:
             return Polytope(
                 name=d["name"],
-                facets=tuple((_ivec(f["normal"]), _strict(f["offset"])) for f in d["facets"]),
+                facets=tuple((_normal(f["normal"]), _strict(f["offset"])) for f in d["facets"]),
                 reflexive=_strict(d.get("reflexive", True), bool),
             )
         except (KeyError, TypeError, IndexError) as err:
@@ -154,6 +160,7 @@ class Polytope:
 
     @staticmethod
     def load(path) -> Polytope:
+        import json
         with open(path, encoding="utf-8") as fh:
             return Polytope.from_dict(json.load(fh))
 
@@ -217,7 +224,12 @@ class Polytope:
         for (a, b), d in zip(self.edges, dirs):
             den[a] *= -_dot(c, d)
             den[b] *= _dot(c, d)
-        return int(sum(Fraction(_dot(c, v) ** 3, q) for v, q in zip(self.vertices, den)))
+        common = lcm(*den)  # the sum is over this denominator, and must be whole
+        total = sum(_dot(c, v) ** 3 * (common // q) for v, q in zip(self.vertices, den))
+        volume, rest = divmod(total, common)
+        if rest:
+            raise InternalArithmeticError(f"{self.name}: volume sum {total}/{common} not whole")
+        return volume
 
 
 def is_semifree(p: Polytope, d: CircleDirection) -> bool:
@@ -291,8 +303,9 @@ def _facet_cycle_of(p: Polytope, verts: tuple[int, ...]) -> list[int]:
     return p.facet_cycle(fi)
 
 
-def facet_lattice_area(p: Polytope, verts: tuple[int, ...]) -> Fraction:
-    """Lattice-normalized area of a fixed 2-face (a half-integer)."""
+def facet_lattice_area(p: Polytope, verts: tuple[int, ...]):
+    """Lattice-normalized area of a fixed 2-face (a half-integer `Fraction`)."""
+    from fractions import Fraction
     cycle = _facet_cycle_of(p, verts)
     v0 = p.vertices[cycle[0]]
     acc = (0, 0, 0)
@@ -407,7 +420,9 @@ def matched_degree(p: Polytope, match: TFD) -> int:
 # ---------------------------------------------------------------------------
 # corpus handling
 
-def corpus_dir() -> Path:
+def corpus_dir():
+    """The packaged corpus directory, a `pathlib.Path`."""
+    from pathlib import Path
     return Path(__file__).resolve().parent / "corpus"
 
 
@@ -417,6 +432,8 @@ def load_corpus(directory=None):
     The index is a list of objects with a string "file" and "row" and an
     integer list "xi"; anything else raises ValueError.
     """
+    import json
+    from pathlib import Path
     directory = Path(directory) if directory else corpus_dir()
     with open(directory / "index.json", encoding="utf-8") as fh:
         index = json.load(fh)

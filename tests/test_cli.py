@@ -106,9 +106,17 @@ def test_toric_verify_single(capsys):
 def test_toric_verify_prints_faces_by_sorted_vertex_index(capsys, name, xi, out):
     # the indices name the vertices in sorted order, as they are derived
     path = str(corpus_dir() / f"{name}.json")
-    # "--xi=" because argparse reads "-1,0,-1" after a space as an option
     assert run(["toric", "verify", "--polytope", path, f"--xi={xi}"]) == 0
     assert capture(capsys) == (out, "")
+
+
+def test_toric_verify_negative_direction_after_a_space(capsys):
+    # argparse alone reads "-1,0,-1" after a space as an option and exits 2
+    path = str(corpus_dir() / "p1xf1.json")
+    assert run(["toric", "verify", "--polytope", path, "--xi=-1,0,-1"]) == 0
+    out, _ = capture(capsys)
+    proc = hamfix("toric", "verify", "--xi", "-1,0,-1", "--polytope", path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
 
 
 @pytest.mark.parametrize(
@@ -225,13 +233,14 @@ def test_toric_verify_corpus_excludes_polytope():
     assert proc.stderr == "--corpus and --polytope exclude each other\n"
 
 
-def test_toric_verify_short_normal_exits_2(tmp_path):
-    # a facet normal with two coordinates is malformed input
-    path = p3_with(tmp_path, ("facets", 1, "normal"), [0, 1])
+@pytest.mark.parametrize("normal", [[0, 1], [0, 1, 0, 0]], ids=["two", "four"])
+def test_toric_verify_malformed_normal_exits_2(tmp_path, normal):
+    # a facet normal of another length than three is malformed input, named
+    # in the message
+    path = p3_with(tmp_path, ("facets", 1, "normal"), normal)
     proc = hamfix("toric", "verify", "--polytope", str(path), "--xi", "1,1,1")
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("invalid input: ")
-    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"invalid input: facet normal {normal} is not three integers\n"
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Frozen value records: the dataclass behaviour the package relies on."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -34,6 +35,46 @@ def test_equality_and_hash_are_by_value():
     assert len({a, b}) == 1
     # the dataclass hash: the hash of the tuple of field values
     assert hash(FixedFace("edge", (0, 1), 1)) == hash(("edge", (0, 1), 1))
+
+
+def test_hash_is_the_hash_of_the_field_tuple():
+    # as `dataclasses` hashes: a one-field record hashes as a 1-tuple
+    @record
+    class One:
+        value: int
+
+    assert hash(One(7)) == hash((7,)) != hash(7)
+    assert hash(CircleDirection((1, 0, -1))) == hash(((1, 0, -1),))
+    lattice = make_blowup_lattice(2)
+    assert hash(lattice) == hash((lattice.kind, lattice.blowups))
+    assert hash(CohClass(lattice, (3, -1, -1))) == hash((lattice, (3, -1, -1)))
+
+
+def _fraction_volume(p):
+    """Six times the volume as a `Fraction` sum of Brion's vertex terms."""
+
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    dirs = []
+    for a, b in p.edges:
+        d = tuple(x - y for x, y in zip(p.vertices[b], p.vertices[a]))
+        dirs.append(tuple(x // gcd(*d) for x in d))
+    m = 2 * max(abs(x) for d in dirs for x in d) + 1
+    c = (1, m, m * m)
+    den = [1] * len(p.vertices)
+    for (a, b), d in zip(p.edges, dirs):
+        den[a] *= -dot(c, d)
+        den[b] *= dot(c, d)
+    return sum(Fraction(dot(c, v) ** 3, q) for v, q in zip(p.vertices, den))
+
+
+def test_normalized_volume_is_the_fraction_sum():
+    # the volume is summed in ints over a common denominator
+    polytopes = [p for p, _, _ in load_corpus()]
+    assert len(polytopes) == 14
+    for p in polytopes:
+        assert p.degree == p.normalized_volume() == _fraction_volume(p), p.name
 
 
 def test_different_records_with_equal_fields_are_unequal():
