@@ -33,7 +33,7 @@ from .localization import (
     integrate,
 )
 from .reduction import SliceState, bmax_from_euler, dh, initial_slice
-from .classify6 import TFD, capacities, classify_all, enumerate_tfd, flip
+from .classify6 import TFD, capacities, classify_all, flip
 from .classify4 import TFD4, classify4, enumerate_case3_tuples
 from .toric import CircleDirection, Polytope, chern_number_from_volume, fixed_faces, is_semifree
 

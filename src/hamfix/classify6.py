@@ -108,7 +108,7 @@ def flip(t: TFD) -> TFD:
     Each slice is anchored at its old upper end, so omega_flip(t) = omega(-t):
     dh reflects and `chern_number` is unchanged.  The localization sums are
     the Laplace transform of dh / 2 (Atiyah and Bott 1984), so the flip's
-    integrals of 1 and c1 are those of `t` at -x, which `enumerate_tfd`
+    integrals of 1 and c1 are those of `t` at -x, which `classify_all`
     asserts vanish.
     """
     comps = sorted((fc.flipped() for fc in t.components), key=lambda fc: fc.level)
@@ -144,7 +144,7 @@ def capacities(t: TFD) -> tuple[int, int]:
 def _sweep_path(max_dim: int, k: int, total: CohClass | None, m: int):
     """The slice path for (k points, total surface class, m points).
 
-    Generation fixes the level-one blow-down count (`_counts_for`,
+    Generation fixes the level-one blow-down count (`_cells`,
     `_candidate_totals`), so a blow-down whose zero-area classes do not match
     the m points is a bug: VanishingCycleMismatch or NonDisjointBlowdown.
     """
@@ -236,7 +236,7 @@ def _candidate_totals(max_dim: int, k: int, m: int):
 
     - [-3, -1], or up to 0 or the top when k = 0: omega = (t+3)u on P2,
       which has no (-1)-classes.
-    - [-1, 0], or [-1, 1] without a level-0 surface (k <= 3, `_counts_for`):
+    - [-1, 0], or [-1, 1] without a level-0 surface (k <= 3, `_cells`):
       omega^2 = (t+3)^2 - k(t+1)^2 is concave for k >= 1 and is 4 at -1,
       9 - k at 0 and 16 - 4k at 1.  A (-1)-class (x; y) has x >= 0, so area
       2x at -1, and area c1.E = 1 at 0 by adjunction; at 1 the classes Ei and
@@ -283,7 +283,7 @@ def _closes(max_dim: int, ee: int, ce: int, m: int) -> bool:
     ee = e0.e0 and ce = c1.e0 for the Euler class e0 just above level 0
     (e0 = e- = (-1; 1, ..., 1) without a level-0 surface).  Past the m
     contracted classes the top slice has e+.e+ = ee + m and c1+.e+ = ce + m,
-    and reduced class omega(t) = c1+ - t e+ (`enumerate_tfd`).  Its lattice has
+    and reduced class omega(t) = c1+ - t e+ (`classify_all`).  Its lattice has
     rank k + 1 - m: P2 at a point maximum (m = k), rank 2 at a sphere
     maximum (m = k - 1).
 
@@ -367,8 +367,12 @@ def _sorted_tails(n, lo, budget, prev=None):
             yield (b,) + rest
 
 
-def _counts_for(max_dim: int, crit: frozenset[int]):
-    """Possible (k, m) point counts at levels -1 and +1.
+def _cells():
+    """The cells (max_dim, k, m, surface) of the search, by profile in table order.
+
+    A cell has k index-two points at level -1, a level-0 surface if `surface`
+    and m index-four points at level one, below a maximum of dimension
+    `max_dim`.  Each profile lists its cells with a surface first, by k.
 
     The counting identities tie m to k: m = k below a point maximum,
     m = k - 1 below a sphere maximum (so k >= 1), m = 0 below a 4-manifold
@@ -385,81 +389,44 @@ def _counts_for(max_dim: int, crit: frozenset[int]):
       maximum.  Then e0 = e-, so e0.e0 = 1 - k and c1.e0 = k - 3, and the
       path closes (`_closes`) at a point maximum only for k = 3 and at a
       sphere maximum only for k = 3, which C(3, 2) = 3 != 2 rules out.
+
+    Of the 17 cells, 14 have a surface, and six of those yield no candidate
+    from `_candidate_totals`, as follows.  Write T = (a; b) for the total,
+    e- = (-1; 1, ..., 1) and e0 = e- + T.
+
+    - Point maximum, k = 2, 3, 4.  The k contracted classes V are disjoint
+      (-1)-classes of zero area under omega(1) = c1 - e0, so e0.V = c1.V = 1,
+      and e0 + sum V is orthogonal to them and pushes forward to e+ = u
+      (`_closes`).  So e0 = u' - sum V for an exceptional basis (u'; V) of
+      P2#k (Manin, Cubic Forms, section 26, the source of the shapes).
+      - k = 2: {E1, E2} is the only disjoint pair; T = (2; -2, -2) has
+        T.T + c1.T = -2, below the genus budget.
+      - k = 3: V = {E1, E2, E3} gives T = (2; -2, -2, -2), of volume 0;
+        V = {u - Ei - Ej} has u' = 2u - E1 - E2 - E3, so T = 0: that is
+        I-2, the cell without a surface.
+      - k = 4: the ten (-1)-classes Ei and u - Ei - Ej hold five sets of
+        four disjoint ones: {E1, ..., E4}, and each Ei with the three
+        u - Ej - El off i.  They give T = (2; -2, -2, -2, -2) and T = -2Ei,
+        both of volume -2.
+    - Sphere maximum, k = 4 (m = 3).  `_leading_coefficients` leaves a >= 2,
+      and the volume 3a + sum b >= 1 with the level-one budget sum (bi+2)^2
+      <= (4-a)^2 - 1 leaves (3; -2, -2, -2, -2) and (2; -2, -1, -1, -1).
+      Their omega(1) is u and (2; 0, -1, -1, -1), and each has four zero-area
+      (-1)-classes: E1, ..., E4, and E1 with the u - Ei - Ej off 1.
+    - 4-manifold maximum, k = 3, 4 (m = 0).  Nothing vanishes at level one,
+      so every bi >= -1 and every u - Ei - Ej has area -a - bi - bj >= 1.
+      - k = 3: the three pairs sum to 3a + 2 sum b <= -3, and with the
+        volume 3a + sum b >= 1 that asks sum b <= -4, below the floor -3.
+      - k = 4: both totals of the sphere case have b1 = -2.
     """
-    want_minus = -1 in crit
-    want_plus = 1 in crit
-    if not want_minus:
-        ks = (0,)
-    elif 0 in crit:
-        ks = itertools.takewhile(_leading_coefficients, itertools.count(1))
-    else:
-        ks = itertools.takewhile(lambda k: math.comb(k, 2) <= k, itertools.count(1))
-    out = []
-    for k in ks:
-        m = {0: k, 2: k - 1, 4: 0}[max_dim]
-        if m < 0:
-            continue  # the counting identity |Z_1| + 1 = |Z_-1| needs k >= 1
-        if 0 not in crit and (math.comb(k, 2) != m or not _closes(max_dim, 1 - k, k - 3, m)):
-            continue
-        if (m >= 1) != want_plus:
-            continue
-        out.append((k, m))
-    return out
-
-
-def enumerate_tfd(max_dim: int, crit) -> list[TFD]:
-    """All topological fixed-point data above an isolated minimum.
-
-    The maximum has dimension `max_dim` (0, 2 or 4) and `crit` holds the
-    interior critical levels.  The level-0 totals are generated by
-    `_candidate_totals`, and each splits into disjoint embedded parts in the
-    closed form of `component_splittings`.  Distinct totals, and splittings
-    of one total with distinct least forms (`_canonicalize`), give distinct
-    rows.
-
-    Betti symmetry and the localization identities (the integrals of 1 and
-    c1 vanish) follow from the sweep, as the Laplace-transform side of
-    Duistermaat-Heckman (Duistermaat and Heckman 1982, Atiyah and Bott 1984),
-    so a failure raises InternalArithmeticError.  Write e- = (-1; 1, ..., 1),
-    T = sum ci for the level-0 total, e0 = e- + T, and e+, c1+ for the top
-    slice's Euler and anticanonical classes.
-
-    - Betti: each part adds 1 to b2 and to b4, so b2 - b4 is k - m at a
-      point maximum, k - m - 1 at a sphere and k + 1 - rank at a 4-manifold;
-      `_counts_for` makes each zero.
-    - Localization: a part has b+ = e0.ci and b- = -e-.ci, so
-      sum(b- - b+) = -2 e-.T - T.T, and sum vol(ci) = c1.T by adjunction.
-      With the point terms, ONE = 1 - k + m + 2 e-.T + T.T + t1 and
-      C1 = 3 - k - m - c1.T + t2, where (t1, t2) is (-1, 3), (b_max,
-      2 - b_max) and (-e+.e+, c1+.e+) at a point, sphere and 4-manifold
-      maximum.  As e-.e- = 1 - k and c1.e- = k - 3, ONE = e0.e0 + m + t1 and
-      C1 = t2 - m - c1.e0.  The m contracted classes E have c1.E = e0.E = 1,
-      so e+.e+ = e0.e0 + m and c1+.e+ = c1.e0 + m.  Closure at the maximum
-      (`_closes`) makes both vanish: e0.e0 + m = 1 and c1.e0 + m = 3 at a
-      point, c1.e0 - e0.e0 = 2 at a sphere; at a 4-manifold, m = 0, e+ = e0.
-    """
-    if max_dim not in (0, 2, 4):
-        raise ValueError(f"maximum dimension {max_dim} not in (0,2,4)")
-    crit = frozenset(crit)
-    if not crit <= {-1, 0, 1}:
-        raise ValueError(f"interior critical levels {sorted(crit)} outside -1..1")
-    if max_dim == 4 and 1 in crit:
-        return []  # level one is occupied by the maximum itself
-    rows = []
-    for k, m in _counts_for(max_dim, crit):
-        totals = _candidate_totals(max_dim, k, m) if 0 in crit else [None]
-        for total in totals:
-            slices = _sweep_path(max_dim, k, total, m)
-            top_data = _check_top(max_dim, slices[-1])
-            splittings = {()} if total is None else {
-                _canonicalize(total, s) for s in component_splittings(total.lattice, total)
-            }
-            for splitting in splittings:
-                tfd = _assemble(max_dim, k, m, splitting, slices, top_data)
-                if not (integrate(tfd, ONE).is_zero() and integrate(tfd, C1).is_zero()):
-                    raise InternalArithmeticError(f"localization fails on {tfd.components}")
-                rows.append(tfd)
-    return sorted(rows, key=sort_key)
+    for max_dim in TOP_LEVEL:
+        for surface in (True, False):
+            runs = _leading_coefficients if surface else lambda k: math.comb(k, 2) <= k
+            for k in itertools.takewhile(runs, itertools.count()):
+                m = {0: k, 2: k - 1, 4: 0}[max_dim]
+                closes = surface or math.comb(k, 2) == m and _closes(max_dim, 1 - k, k - 3, m)
+                if m >= 0 and closes:
+                    yield max_dim, k, m, surface
 
 
 def _canonicalize(total: CohClass, splitting):
@@ -492,7 +459,34 @@ def sort_key(tfd: TFD):
 
 
 def classify_all(strict: bool = True) -> list[TFD]:
-    """Classify over every profile and interior critical set, labeled and sorted.
+    """Classify over every cell of the search (`_cells`), labeled and sorted.
+
+    In each cell the level-0 totals are generated by `_candidate_totals`, and
+    each splits into disjoint embedded parts in the closed form of
+    `component_splittings`.  Distinct totals, and splittings of one total
+    with distinct least forms (`_canonicalize`), give distinct rows; rows of
+    different cells differ in max_dim, k or critical levels.
+
+    Betti symmetry and the localization identities (the integrals of 1 and
+    c1 vanish) follow from the sweep, as the Laplace-transform side of
+    Duistermaat-Heckman (Duistermaat and Heckman 1982, Atiyah and Bott 1984),
+    so a failure raises InternalArithmeticError.  Write e- = (-1; 1, ..., 1),
+    T = sum ci for the level-0 total, e0 = e- + T, and e+, c1+ for the top
+    slice's Euler and anticanonical classes.
+
+    - Betti: each part adds 1 to b2 and to b4, so b2 - b4 is k - m at a
+      point maximum, k - m - 1 at a sphere and k + 1 - rank at a 4-manifold;
+      the counting identities of `_cells` make each zero.
+    - Localization: a part has b+ = e0.ci and b- = -e-.ci, so
+      sum(b- - b+) = -2 e-.T - T.T, and sum vol(ci) = c1.T by adjunction.
+      With the point terms, ONE = 1 - k + m + 2 e-.T + T.T + t1 and
+      C1 = 3 - k - m - c1.T + t2, where (t1, t2) is (-1, 3), (b_max,
+      2 - b_max) and (-e+.e+, c1+.e+) at a point, sphere and 4-manifold
+      maximum.  As e-.e- = 1 - k and c1.e- = k - 3, ONE = e0.e0 + m + t1 and
+      C1 = t2 - m - c1.e0.  The m contracted classes E have c1.E = e0.E = 1,
+      so e+.e+ = e0.e0 + m and c1+.e+ = c1.e0 + m.  Closure at the maximum
+      (`_closes`) makes both vanish: e0.e0 + m = 1 and c1.e0 + m = 3 at a
+      point, c1.e0 - e0.e0 = 2 at a sphere; at a 4-manifold, m = 0, e+ = e0.
 
     With strict=True a discrepancy against the embedded golden table raises
     ClassificationMismatch; strict=False returns whatever the predicate suite
@@ -518,14 +512,19 @@ def classify_all(strict: bool = True) -> list[TFD]:
 
 @lru_cache(maxsize=None)
 def _classify_cached() -> tuple[TFD, ...]:
-    # rows of different cells differ in max_dim or critical levels, and
-    # enumerate_tfd gives each row of a cell once
     rows = []
-    for max_dim in (0, 2, 4):
-        levels = (-1, 0, 1) if max_dim != 4 else (-1, 0)
-        for r in range(len(levels) + 1):
-            for crit in itertools.combinations(levels, r):
-                rows += enumerate_tfd(max_dim, crit)
+    for max_dim, k, m, surface in _cells():
+        for total in _candidate_totals(max_dim, k, m) if surface else [None]:
+            slices = _sweep_path(max_dim, k, total, m)
+            top_data = _check_top(max_dim, slices[-1])
+            splittings = {()} if total is None else {
+                _canonicalize(total, s) for s in component_splittings(total.lattice, total)
+            }
+            for splitting in splittings:
+                tfd = _assemble(max_dim, k, m, splitting, slices, top_data)
+                if not (integrate(tfd, ONE).is_zero() and integrate(tfd, C1).is_zero()):
+                    raise InternalArithmeticError(f"localization fails on {tfd.components}")
+                rows.append(tfd)
     return tuple(_attach_labels(sorted(rows, key=sort_key)))
 
 

@@ -5,13 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from hamfix import golden, localization
+from hamfix import classify6, golden, localization
 from hamfix.classify6 import (
     _candidate_totals,
-    _counts_for,
     capacities,
     classify_all,
-    enumerate_tfd,
     flip,
 )
 from hamfix.errors import (
@@ -72,33 +70,38 @@ def interior_classes(tfd):
     )
 
 
-def test_point_max_single_conic():
-    rows = enumerate_tfd(0, {0})
-    assert len(rows) == 1
-    assert interior_classes(rows[0]) == [(2,)]
-    (fc,) = [f for f in rows[0].components if isinstance(f, InteriorSurface)]
+def cell_rows(rows, max_dim, crit):
+    """The rows below a maximum of dimension max_dim with these interior critical levels."""
+    return [t for t in rows if (t.max_dim, t.interior_crit) == (max_dim, crit)]
+
+
+def test_point_max_single_conic(rows):
+    found = cell_rows(rows, 0, (0,))
+    assert len(found) == 1
+    assert interior_classes(found[0]) == [(2,)]
+    (fc,) = [f for f in found[0].components if isinstance(f, InteriorSurface)]
     assert fc.genus == 0
 
 
-def test_sphere_max_nonexistence_cases():
-    assert enumerate_tfd(2, {-1}) == []
-    assert enumerate_tfd(2, {-1, 1}) == []
+def test_sphere_max_nonexistence_cases(rows):
+    assert cell_rows(rows, 2, (-1,)) == []
+    assert cell_rows(rows, 2, (-1, 1)) == []
 
 
-def test_sphere_max_three_solutions():
-    rows = enumerate_tfd(2, {-1, 0})
-    assert [interior_classes(t) for t in rows] == [[(0, 1)], [(1, 0)], [(2, -1)]]
+def test_sphere_max_three_solutions(rows):
+    found = cell_rows(rows, 2, (-1, 0))
+    assert [interior_classes(t) for t in found] == [[(0, 1)], [(1, 0)], [(2, -1)]]
 
 
-def test_four_dim_max_five_solutions():
-    rows = enumerate_tfd(4, {-1, 0})
-    assert [interior_classes(t) for t in rows] == [
+def test_four_dim_max_five_solutions(rows):
+    found = cell_rows(rows, 4, (-1, 0))
+    assert [interior_classes(t) for t in found] == [
         [(0, 1)], [(1, -1)], [(1, 0)], [(2, -1)], [(1, -1, -1)],
     ]
 
 
-def test_four_dim_max_rejects_level_one_interior():
-    assert enumerate_tfd(4, {1}) == []
+def test_four_dim_max_rejects_level_one_interior(rows):
+    assert cell_rows(rows, 4, (1,)) == []
 
 
 def test_classify_all_strict_reports_single_extra_row():
@@ -219,7 +222,7 @@ def test_dh_at_quarter_steps_is_the_exact_square(rows):
 
 
 def test_enumeration_requires_vanishing_identities(monkeypatch):
-    # enumerate_tfd asserts that the integrals of 1 and c1 vanish, so a
+    # the search asserts that the integrals of 1 and c1 vanish, so a
     # contribution that breaks the integral of 1 surfaces as a bug
     from hamfix.errors import InternalArithmeticError
 
@@ -230,7 +233,7 @@ def test_enumeration_requires_vanishing_identities(monkeypatch):
 
     monkeypatch.setattr(localization, "contribution", broken)
     with pytest.raises(InternalArithmeticError):
-        enumerate_tfd(0, {-1, 1})
+        classify6._classify_cached.__wrapped__()
 
 
 def test_betti_vectors(rows, by_label):
@@ -411,15 +414,44 @@ def _passes_level_one_count(k, total, m):
 CRIT_SETS = [frozenset(c) for r in range(4) for c in itertools.combinations((-1, 0, 1), r)]
 
 
-def _cells(counts_for, level_0):
-    """The (max_dim, k, m) cells over critical sets that do or do not hold level 0."""
+def _unpruned_cells(level_0):
+    """The (max_dim, k, m) cells of the unpruned search, over the critical
+    sets that do or do not hold level 0."""
     return {
         (max_dim, k, m)
         for max_dim in (0, 2, 4)
         for crit in CRIT_SETS
         if (0 in crit) == level_0
-        for k, m in counts_for(max_dim, crit)
+        for k, m in unpruned.counts_for(max_dim, crit)
     }
+
+
+def _cells(level_0):
+    """The (max_dim, k, m) cells of the search with or without a level-0 surface."""
+    return {(max_dim, k, m) for max_dim, k, m, surface in classify6._cells() if surface == level_0}
+
+
+# (max_dim, k, m, surface) -> candidates swept, in the order of `_cells`
+CELLS = {
+    (0, 0, 0, True): 1, (0, 1, 1, True): 1, (0, 2, 2, True): 0, (0, 3, 3, True): 0,
+    (0, 4, 4, True): 0, (0, 3, 3, False): 1,
+    (2, 1, 0, True): 3, (2, 2, 1, True): 2, (2, 3, 2, True): 1, (2, 4, 3, True): 0,
+    (4, 0, 0, True): 3, (4, 1, 0, True): 4, (4, 2, 0, True): 1, (4, 3, 0, True): 0,
+    (4, 4, 0, True): 0, (4, 0, 0, False): 1, (4, 1, 0, False): 1,
+}
+
+
+def test_cells_and_their_candidates():
+    # the cells come from the counting identities, and the six that yield
+    # nothing are derived empty in the `_cells` docstring; a cell without a
+    # surface sweeps one candidate, None for the level-0 total
+    assert list(classify6._cells()) == list(CELLS)
+    counts = [
+        len(list(_candidate_totals(max_dim, k, m))) if surface else 1
+        for max_dim, k, m, surface in CELLS
+    ]
+    assert counts == list(CELLS.values())
+    assert (sum(n > 0 for n in counts), sum(counts), counts.count(0)) == (11, 19, 6)
 
 
 def _survives(max_dim, k, total, m):
@@ -445,7 +477,7 @@ def test_candidate_totals_match_unpruned_box(k, has_blowdown):
     lat = make_blowup_lattice(k)
     box = list(_unpruned_totals(k, has_blowdown, _widened_box(k)))
     cells = sorted(
-        (max_dim, m) for max_dim, kk, m in _cells(unpruned.counts_for, True)
+        (max_dim, m) for max_dim, kk, m in _unpruned_cells(True)
         if kk == k and (m > 0) == has_blowdown
     )
     assert cells or (k, has_blowdown) == (0, True)  # nothing to blow down
@@ -467,7 +499,7 @@ def test_candidate_totals_cover_box_survivors():
     # survivors with no splitting (`test_generation_funnel`), and without
     # level 0 the derived point counts keep exactly the cells whose path
     # closes
-    unpruned_cells, kept = _cells(unpruned.counts_for, True), _cells(_counts_for, True)
+    unpruned_cells, kept = _unpruned_cells(True), _cells(True)
     assert (len(unpruned_cells), len(kept)) == (26, 14)
     assert kept <= unpruned_cells
     generated, survivors, checked = set(), set(), 0
@@ -491,24 +523,20 @@ def test_candidate_totals_cover_box_survivors():
         if _has_splitting(CohClass(make_blowup_lattice(k), t))
     }
     assert generated == split and len(generated) == 16
-    bare = {
-        (d, k, m) for d, k, m in _cells(unpruned.counts_for, False) if _survives(d, k, None, m)
-    }
-    assert bare == _cells(_counts_for, False) == {(0, 3, 3), (4, 0, 0), (4, 1, 0)}
+    bare = {(d, k, m) for d, k, m in _unpruned_cells(False) if _survives(d, k, None, m)}
+    assert bare == _cells(False) == {(0, 3, 3), (4, 0, 0), (4, 1, 0)}
 
 
 def test_generation_funnel(rows):
     # 19 candidates reach the sweep: 16 level-0 totals and the 3 cells without
     # level 0, and each ends in exactly one row
     candidates = 0
-    for max_dim in (0, 2, 4):
-        for crit in CRIT_SETS:
-            for k, m in _counts_for(max_dim, crit):
-                for total in _candidate_totals(max_dim, k, m) if 0 in crit else [None]:
-                    candidates += 1
-                    if total is not None:
-                        splittings = component_splittings(total.lattice, total)
-                        assert len(splittings) == 1, (max_dim, total)
+    for max_dim, k, m, surface in classify6._cells():
+        for total in _candidate_totals(max_dim, k, m) if surface else [None]:
+            candidates += 1
+            if total is not None:
+                splittings = component_splittings(total.lattice, total)
+                assert len(splittings) == 1, (max_dim, total)
     assert candidates == len(rows) == 19
     # rows of different cells differ in max_dim or critical levels, so the
     # rows need no de-duplication across cells
@@ -566,8 +594,6 @@ def test_search_matches_unpruned_reference(rows):
 
 
 def test_swept_candidates_pass_the_level_one_count(monkeypatch):
-    from hamfix import classify6
-
     swept = []
     sweep_path = classify6._sweep_path
 
@@ -576,10 +602,7 @@ def test_swept_candidates_pass_the_level_one_count(monkeypatch):
         return sweep_path(max_dim, k, total, m)
 
     monkeypatch.setattr(classify6, "_sweep_path", recording)
-    for max_dim in (0, 2, 4):
-        for r in range(4):
-            for crit in itertools.combinations((-1, 0, 1), r):
-                enumerate_tfd(max_dim, crit)
+    classify6._classify_cached.__wrapped__()
     assert len(swept) == 19  # one sweep per candidate, and canonicalization sweeps none
     for k, total, m in swept:
         assert _passes_level_one_count(k, total, m), (k, total, m)
@@ -596,9 +619,7 @@ def test_swept_candidates_pass_the_level_one_count(monkeypatch):
 )
 def test_level_one_mismatch_is_an_error(monkeypatch, k, coeffs, error):
     # generation settles the level-one count, so a total that breaks it is a
-    # bug: enumerate_tfd raises instead of skipping it as a rejection
-    from hamfix import classify6
-
+    # bug: the search raises instead of skipping it as a rejection
     lat = make_blowup_lattice(k)
     assert not _passes_level_one_count(k, CohClass(lat, coeffs), k)
 
@@ -607,7 +628,7 @@ def test_level_one_mismatch_is_an_error(monkeypatch, k, coeffs, error):
 
     monkeypatch.setattr(classify6, "_candidate_totals", wrong)
     with pytest.raises(error):
-        enumerate_tfd(0, {-1, 0, 1})
+        classify6._classify_cached.__wrapped__()
 
 
 def test_count_relations(rows):
@@ -691,13 +712,12 @@ def test_cross_replays_every_row(rows):
 def test_localization_failure_is_an_error(monkeypatch):
     # the localization identities are derived from the sweep, so a nonzero
     # sum is a bug and must not be skipped as a rejected candidate
-    from hamfix import classify6
     from hamfix.errors import InternalArithmeticError
     from hamfix.localization import LaurentPoly
 
     monkeypatch.setattr(classify6, "integrate", lambda tfd, alpha: LaurentPoly(((-3, 1),)))
     with pytest.raises(InternalArithmeticError):
-        enumerate_tfd(0, {-1, 1})
+        classify6._classify_cached.__wrapped__()
 
 
 def test_canonicalize_undoes_every_permutation_fixing_the_total(rows):
@@ -707,7 +727,7 @@ def test_canonicalize_undoes_every_permutation_fixing_the_total(rows):
     # permutation that moves the total keeps the total it was given
     from hamfix.classify6 import _canonicalize
 
-    for max_dim, k, m in _cells(_counts_for, True):
+    for max_dim, k, m in _cells(True):
         for total in _candidate_totals(max_dim, k, m):
             assert list(total.coeffs[1:]) == sorted(total.coeffs[1:]), total
 
@@ -753,4 +773,4 @@ def test_internal_arithmetic_errors_surface(monkeypatch):
 
     monkeypatch.setattr(reduction, "blowdown_lattice", broken)
     with pytest.raises(InternalArithmeticError):
-        enumerate_tfd(0, {-1, 1})
+        classify6._classify_cached.__wrapped__()
