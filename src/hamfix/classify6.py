@@ -90,13 +90,6 @@ class TFD:
         """The fixed surfaces at interior levels, whose classes are searched."""
         return tuple(fc for fc in self.components if (fc.dim, fc.index) == (2, 2))
 
-    def omega_at(self, level) -> CohClass:
-        """Reduced class at the level, from the first slice reaching it."""
-        for s in self.slices:
-            if s.interval[0] <= level <= s.interval[1]:
-                return s.omega(level)
-        raise InternalArithmeticError(f"no slice reaches {level}")
-
     def __repr__(self) -> str:
         name = self.label or "unlabeled"
         return f"TFD({name}, crit={self.crit_levels})"
@@ -105,25 +98,15 @@ class TFD:
 def flip(t: TFD) -> TFD:
     """Orientation reversal: levels negate, indices complement, Euler classes negate.
 
-    Each slice is anchored at its old upper end, so omega_flip(t) = omega(-t):
-    dh reflects and `chern_number` is unchanged.  The localization sums are
-    the Laplace transform of dh / 2 (Atiyah and Bott 1984), so the flip's
-    integrals of 1 and c1 are those of `t` at -x, which `classify_all`
-    asserts vanish.
+    The slices reverse their order and negate their intervals, and a slice's
+    reduced class c1 - t e becomes c1 + t e = omega(-t): dh reflects and
+    `chern_number` is unchanged.  The localization sums are the Laplace
+    transform of dh / 2 (Atiyah and Bott 1984), so the flip's integrals of 1
+    and c1 are those of `t` at -x, which `classify_all` asserts vanish.
     """
     comps = sorted((fc.flipped() for fc in t.components), key=lambda fc: fc.level)
     slices = tuple(
-        sorted(
-            (
-                SliceState(
-                    -1 * s.euler,
-                    s.omega(s.interval[1]),
-                    (-s.interval[1], -s.interval[0]),
-                )
-                for s in t.slices
-            ),
-            key=lambda s: s.interval,
-        )
+        SliceState(-1 * s.euler, (-s.interval[1], -s.interval[0])) for s in reversed(t.slices)
     )
     return TFD(t.label, tuple(comps), slices)
 
@@ -540,7 +523,7 @@ def _attach_labels(ordered: list[TFD]) -> list[TFD]:
         if label is None:
             extra_idx += 1
             base = prev_label if prev_label else "row"
-            label = f"{base}{'b' if extra_idx == 1 else chr(ord('b') + extra_idx - 1)}"
+            label = f"{base}{chr(ord('a') + extra_idx)}"
         else:
             prev_label = label
             extra_idx = 0

@@ -18,10 +18,10 @@ extremal sphere, extremal 4-manifold) each carry their balanced moment-map
 level as their first field, checked when the component is built, and their
 own behaviour: Morse-Bott index (twice the number of negative weights),
 dimension, Poincare terms, contribution, orientation reversal, the report
-column, and the key the toric matcher reads (`toric_descriptor(omega)` takes
-a callable giving the reduced class at the component's level, which points
-never call).  Other modules call these methods and never test a
-component's type.
+column, and the key the toric matcher reads (`toric_descriptor()`, whose
+areas come from the reduced class c1 - level e: c1 at an interior surface's
+level 0).  Other modules call these methods and never test a component's
+type.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from math import comb
 from .errors import InvalidFixedComponent
 from .lattice import PRODUCT, CohClass, SurfaceLattice, pair
 from .record import record
+from .reduction import dh_quadratic
 
 ONE = "one"
 C1 = "c1"
@@ -106,7 +107,7 @@ class IsolatedPoint:
     def column(self) -> str:
         return "pt"
 
-    def toric_descriptor(self, omega):
+    def toric_descriptor(self):
         return ("pt", tuple(sorted(self.weights)))
 
 
@@ -155,10 +156,11 @@ class InteriorSurface:
         head = {0: "S2", 1: "T2"}.get(self.genus, f"g{self.genus}")
         return f"{head}[{self.surface_class!r}]"
 
-    def toric_descriptor(self, omega):
+    def toric_descriptor(self):
         if self.genus != 0:
             return None  # toric fixed surfaces are rational
-        return ("sphere", pair(omega(), self.surface_class))
+        # at level 0 the reduced class is c1, so the area is the volume
+        return ("sphere", pair(self.surface_class.lattice.anticanonical, self.surface_class))
 
 
 @record
@@ -201,7 +203,7 @@ class ExtremalSurface:
     def column(self) -> str:
         return f"S2(vol {2 + self.normal_degree})"
 
-    def toric_descriptor(self, omega):
+    def toric_descriptor(self):
         return ("sphere", 2 + self.normal_degree)
 
 
@@ -217,6 +219,12 @@ class ExtremalFourManifold:
     @property
     def lattice(self) -> SurfaceLattice:
         return self.euler_at_boundary.lattice
+
+    @property
+    def reduced_class(self) -> CohClass:
+        """c1 - level e: the reduced class of the boundary slice at the
+        component's level, and the restriction of c1(M) less its x term."""
+        return self.lattice.anticanonical - self.level * self.euler_at_boundary
 
     def __post_init__(self):
         if self.level not in (-1, 1):
@@ -234,10 +242,8 @@ class ExtremalFourManifold:
         # c1(S) - x - e; the mirrored minimum at -1 carries x + e and
         # c1(S) + x + e, where e is the Euler class of the circle bundle on the
         # boundary slice.
-        e = self.euler_at_boundary
-        c1 = self.lattice.anticanonical
-        w = -1 if self.level > 0 else 1
-        a_class = c1 - e if self.level > 0 else c1 + e
+        e, a_class = self.euler_at_boundary, self.reduced_class
+        w = -self.level
         # the Euler class is w(x + e): max 1/(-x-e) = -x^-1 + e x^-2 - e^2 x^-3,
         # min 1/(x+e) = x^-1 - e x^-2 + e^2 x^-3; expand
         # (a + wx)^p = sum binom(p, j) a^j (wx)^(p-j) and keep the terms of
@@ -257,10 +263,9 @@ class ExtremalFourManifold:
             return "S2xS2"
         return "P2" if self.lattice.blowups == 0 else f"P2#{self.lattice.blowups}"
 
-    def toric_descriptor(self, omega):
+    def toric_descriptor(self):
         from fractions import Fraction  # only the toric matcher reads areas
-        lat = self.lattice
-        w = omega()
+        lat, w = self.lattice, self.reduced_class
         return ("fourmanifold", lat.kind, lat.blowups, Fraction(pair(w, w), 2))
 
 
@@ -285,14 +290,16 @@ def chern_number(tfd) -> int:
     """c1^3 of a classified row: 3 times the integral of omega(t)^2 over its slices.
 
     c1^3 = 6 vol(M), and vol(M) integrates omega(t)^2 / 2 (Duistermaat and
-    Heckman 1982).  A slice with omega(lo + u) = A - u e on [lo, lo + n]
-    adds 3(A.A)n - 3(A.e)n^2 + (e.e)n^3, an integer as slice ends are
-    integers.  The tests check it against `integrate(tfd, C1_CUBED)`.
+    Heckman 1982).  Over a slice [lo, hi] the quadratic q0 + q1 t + q2 t^2 of
+    `dh_quadratic` integrates exactly: q1 = -2 c1.e is even and the slice
+    ends are ints, so each term is an int.  The tests check it against
+    `integrate(tfd, C1_CUBED)`.
     """
     total = 0
     for s in tfd.slices:
-        n, big_a, e = s.interval[1] - s.interval[0], s.anchor_class, s.euler
-        total += 3 * pair(big_a, big_a) * n - 3 * pair(big_a, e) * n * n + pair(e, e) * n**3
+        lo, hi = s.interval
+        q0, q1, q2 = dh_quadratic(s)
+        total += 3 * q0 * (hi - lo) + 3 * q1 * (hi * hi - lo * lo) // 2 + q2 * (hi**3 - lo**3)
     return total
 
 

@@ -1,11 +1,14 @@
 """Reduced-space bookkeeping along the moment interval.
 
-A slice records the intersection lattice of the reduced space, the Euler
-class of the circle bundle, and an affine path of reduced symplectic classes
-omega(t) = anchor - (t - lo) * euler on its interval [lo, hi].  Crossing a
-critical level transforms the slice: index-two points blow up, interior
-surfaces shift the Euler class, index-four points blow down the exceptional
-classes whose area vanishes at the level.
+A slice is the Euler class of the circle bundle over the reduced space on
+an interval [lo, hi] of regular values; the Euler class carries the
+intersection lattice of the reduced space.  The action is monotone with a
+balanced moment map, so [omega] = c1(M) and the reduced class is
+omega(t) = c1 - t * euler on every slice, c1 the lattice's anticanonical
+class (Duistermaat and Heckman 1982; Guillemin and Sternberg 1989).
+Crossing a critical level transforms the slice: index-two points blow up,
+interior surfaces shift the Euler class, index-four points blow down the
+exceptional classes whose area vanishes at the level.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .errors import (
 from .lattice import (
     CohClass,
     SurfaceLattice,
-    _check_same,
     make_blowup_lattice,
     pair,
     product_lattice,
@@ -32,43 +34,39 @@ from .record import record
 
 @record
 class SliceState:
-    """Reduced space data on an interval of regular values; its ends are
-    critical levels, so ints, and omega is integral at every integer level."""
+    """The Euler class of the circle bundle on an interval of regular values;
+    its ends are critical levels, so ints, and omega is integral at every
+    integer level."""
 
     euler: CohClass
-    anchor_class: CohClass  # omega at interval[0]
     interval: tuple[int, int]
 
     def __post_init__(self):
         lo, hi = self.interval
         if type(lo) is not int or type(hi) is not int:
             raise InternalArithmeticError(f"slice {self.interval} has non-integral ends")
-        _check_same(self.anchor_class, self.euler)
 
     @property
     def lattice(self) -> SurfaceLattice:
         return self.euler.lattice
 
     def omega(self, t: int) -> CohClass:
+        """The reduced class c1 - t * euler at an integer level."""
         if type(t) is not int:
             raise InternalArithmeticError(f"reduced class at non-integral level {t!r}")
-        n = t - self.interval[0]
-        pairs = zip(self.anchor_class.coeffs, self.euler.coeffs)
-        return CohClass(self.lattice, tuple(a - n * e for a, e in pairs))
+        return self.lattice.anticanonical - t * self.euler
 
     def with_interval(self, lo: int, hi: int) -> SliceState:
-        """The same path on [lo, hi], anchored at lo."""
-        return SliceState(self.euler, self.omega(lo), (lo, hi))
+        """The same slice on [lo, hi]."""
+        return SliceState(self.euler, (lo, hi))
 
 
 def initial_slice() -> SliceState:
-    """Slice just above the isolated minimum at level -3.
+    """Slice just above the isolated minimum at level -3: the plane, Euler class -u.
 
-    The reduced class path is pinned by monotonicity: omega(t) equals the
-    anticanonical class minus t times the Euler class on every slice.
+    Its reduced class c1 - t * euler = (t + 3)u vanishes at the minimum.
     """
-    lat = make_blowup_lattice(0)
-    return SliceState(-1 * lat.basis_class(0), lat.zero(), (-3, 3))
+    return SliceState(-1 * make_blowup_lattice(0).basis_class(0), (-3, 3))
 
 
 def dh(state: SliceState, t):
@@ -84,10 +82,9 @@ def dh(state: SliceState, t):
 
 
 def dh_quadratic(state: SliceState):
-    """Coefficients (c0, c1, c2) of dh(t) as an exact quadratic in t."""
-    w0 = state.omega(0)
-    e = state.euler
-    return (pair(w0, w0), -2 * pair(w0, e), pair(e, e))
+    """Coefficients (q0, q1, q2) of dh(t) = (c1 - t e)^2 as an exact quadratic in t."""
+    c, e = state.lattice.anticanonical, state.euler
+    return (pair(c, c), -2 * pair(c, e), pair(e, e))
 
 
 def vanishing_classes(state: SliceState, level, exceptional) -> tuple[CohClass, ...]:
@@ -104,19 +101,16 @@ def blow_up(state: SliceState, level, k: int) -> SliceState:
     """
     old = state.lattice.blowups
     new_lat = make_blowup_lattice(old + k)
-
-    def extend(cls: CohClass) -> CohClass:
-        return CohClass(new_lat, cls.coeffs + (0,) * k)
-
-    euler = sum((new_lat.basis_class(old + 1 + i) for i in range(k)), extend(state.euler))
-    # the new exceptional classes have zero area at the crossing
-    omega = extend(state.omega(level))
-    return SliceState(euler, omega, (level, state.interval[1]))
+    euler = sum(
+        (new_lat.basis_class(old + 1 + i) for i in range(k)),
+        CohClass(new_lat, state.euler.coeffs + (0,) * k),
+    )
+    return SliceState(euler, (level, state.interval[1]))
 
 
 def shift(state: SliceState, level, total: CohClass) -> SliceState:
     """Cross fixed surfaces of total class `total`: the Euler class shifts by it."""
-    return SliceState(state.euler + total, state.omega(level), (level, state.interval[1]))
+    return SliceState(state.euler + total, (level, state.interval[1]))
 
 
 def blow_down(state: SliceState, level, m: int, exceptional):
@@ -135,9 +129,7 @@ def blow_down(state: SliceState, level, m: int, exceptional):
         if pair(a, b) != 0:
             raise NonDisjointBlowdown(f"{a!r}.{b!r} = {pair(a, b)}")
     new_lat, push = blowdown_lattice(state.lattice, vanishing, exceptional)
-    euler = push(sum(vanishing, state.euler))
-    omega = push(state.omega(level))
-    return SliceState(euler, omega, (level, state.interval[1]))
+    return SliceState(push(sum(vanishing, state.euler)), (level, state.interval[1]))
 
 
 def blowdown_lattice(lattice: SurfaceLattice, vanishing, exceptional):
@@ -147,7 +139,7 @@ def blowdown_lattice(lattice: SurfaceLattice, vanishing, exceptional):
 
     Returns the standard lattice of the blown-down space together with the
     pushforward map on classes orthogonal to every contracted class (the
-    Euler and reduced classes at the crossing level are).
+    Euler class plus the contracted classes is one, and so is c1 + sum V).
 
     The contracted classes V span a diagonal unimodular sublattice, so their
     orthogonal complement L' is unimodular of rank r = rank - |V|, with
@@ -160,6 +152,8 @@ def blowdown_lattice(lattice: SurfaceLattice, vanishing, exceptional):
     With none, L' is the product, and its two square-zero degree-two classes
     are e + v for the two (-1)-classes e meeting the first contracted class v
     once and the others not at all.  Coordinates pair with the dual basis.
+    The slices above read their reduced class off the new lattice's
+    anticanonical class, so c1' must push to it.
     """
     c1 = sum(vanishing, lattice.anticanonical)
     r = lattice.rank - len(vanishing)
@@ -190,6 +184,8 @@ def blowdown_lattice(lattice: SurfaceLattice, vanishing, exceptional):
                 raise InternalArithmeticError(f"{cls!r} does not descend")
         return CohClass(new_lat, tuple(pair(cls, d) for d in dual))
 
+    if push(c1) != new_lat.anticanonical:
+        raise InternalArithmeticError(f"c1' = {c1!r} does not push to the anticanonical class")
     return new_lat, push
 
 

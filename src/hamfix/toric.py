@@ -10,7 +10,6 @@ rows, and computes the anticanonical degree from the normalized volume.
 from __future__ import annotations
 
 import itertools
-from functools import partial
 from math import gcd, lcm
 
 from .errors import InternalArithmeticError, NoMatchingTFD, NotBalanced, NotDelzant, NotReflexive
@@ -366,8 +365,7 @@ def _tfd_profile(tfd: TFD):
     """The same summary computed from a classified row."""
     levels: dict[int, list] = {}
     for fc in tfd.components:
-        # points never read the reduced class, so it is built on demand
-        desc = fc.toric_descriptor(partial(tfd.omega_at, fc.level))
+        desc = fc.toric_descriptor()
         if desc is None:
             return None
         levels.setdefault(fc.level, []).append(desc)

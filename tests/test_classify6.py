@@ -43,6 +43,7 @@ from hamfix.reduction import (
     shift,
     vanishing_classes,
 )
+from row_cases import CASE_IDS, LABELS, rows_and_flips
 from tfd_slices import contracted_classes, dh_jump, slice_above, slice_below
 import unpruned
 
@@ -55,6 +56,11 @@ def rows():
 @pytest.fixture(scope="module")
 def by_label(rows):
     return {t.label: t for t in rows}
+
+
+@pytest.fixture(scope="module")
+def cases(rows):
+    return rows_and_flips(rows)
 
 
 def blowdown_levels(tfd):
@@ -119,13 +125,7 @@ def test_all_golden_rows_emitted(rows):
 
 def test_emitted_count_and_labels(rows):
     assert len(rows) == 19
-    labels = [t.label for t in rows]
-    assert labels == [
-        "I-1", "I-2", "I-3",
-        "II-3.1", "II-3.2", "II-3.3", "II-4.1", "II-4.1b", "II-4.2",
-        "III-1", "III-2", "III-3.1", "III-3.2", "III-3.3",
-        "III-4.1", "III-4.2", "III-4.3", "III-4.4", "III-4.5",
-    ]
+    assert tuple(t.label for t in rows) == LABELS
 
 
 def test_deterministic(rows):
@@ -140,36 +140,55 @@ def test_chern_numbers(by_label):
     assert chern_number(by_label["II-4.1b"]) == 48
 
 
-def test_localization_identities(rows):
-    for t in rows:
-        for u, name in ((t, t.label), (flip(t), f"{t.label}-flip")):
-            assert integrate(u, ONE).is_zero(), name
-            assert integrate(u, C1).is_zero(), name
+def test_localization_identities(cases):
+    for name, u in cases.items():
+        assert integrate(u, ONE).is_zero(), name
+        assert integrate(u, C1).is_zero(), name
 
 
-def _rows_and_flips():
-    for row in classify_all(strict=False):
-        yield pytest.param(row, id=row.label)
-        yield pytest.param(flip(row), id=f"{row.label}-flip")
+@pytest.mark.parametrize("case", CASE_IDS)
+def test_dh_chern_number_matches_localization(cases, case):
+    tfd = cases[case]
+    assert chern_number(tfd) == integrate(tfd, C1_CUBED).coeff(0), case
 
 
-@pytest.mark.parametrize("tfd", list(_rows_and_flips()))
-def test_dh_chern_number_matches_localization(tfd):
-    assert chern_number(tfd) == integrate(tfd, C1_CUBED).coeff(0)
+def test_collection_runs_no_search():
+    # the tests over rows are parametrized by label, so a search that raises
+    # fails those tests and leaves collection whole
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    script = "\n".join([
+        "import sys, pytest",
+        "import hamfix.classify6 as c",
+        "def refuse():",
+        "    raise RuntimeError('search run during collection')",
+        "c._classify_cached = refuse",
+        "sys.exit(pytest.main(['--collect-only', '-qq', '-p', 'no:cacheprovider', sys.argv[1]]))",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(root / "tests")],
+        cwd=root,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
 
 
-def test_chern_number_runs_no_localization_sum(rows, monkeypatch):
+def test_chern_number_runs_no_localization_sum(cases, monkeypatch):
     # c1^3 is read off the slices, so rendering a row or matching a polytope
     # makes no localization sum
-    cases = [u for t in rows for u in (t, flip(t))]
-
     def refuse(*_args):
         raise AssertionError("localization sum on the chern_number path")
 
     monkeypatch.setattr(localization, "integrate", refuse)
     monkeypatch.setattr(localization, "contribution", refuse)
-    for u in cases:
-        assert type(chern_number(u)) is int, u.label
+    for name, u in cases.items():
+        assert type(chern_number(u)) is int, name
 
 
 def test_chern_number_needs_integral_slice_ends(by_label):
@@ -180,7 +199,7 @@ def test_chern_number_needs_integral_slice_ends(by_label):
     with pytest.raises(InternalArithmeticError, match="non-integral ends"):
         s.with_interval(-3, Fraction(1, 2))
     with pytest.raises(InternalArithmeticError, match="non-integral ends"):
-        type(s)(s.euler, s.anchor_class, (Fraction(-3), -1))
+        type(s)(s.euler, (Fraction(-3), -1))
     with pytest.raises(InternalArithmeticError, match="non-integral level"):
         s.omega(Fraction(-2))
 
@@ -190,7 +209,7 @@ def _int_pins(t):
     for u in (t, flip(t)):
         for s in u.slices:
             yield from s.interval
-            for c in (s.euler, s.anchor_class, s.omega(s.interval[1])):
+            for c in (s.euler, *map(s.omega, s.interval)):
                 yield from c.coeffs
         for fc in u.components:
             for c in (getattr(fc, "surface_class", None),
@@ -207,13 +226,13 @@ def test_slice_path_is_integral(rows):
 
 
 def test_dh_at_quarter_steps_is_the_exact_square(rows):
-    # the --emit-dh grid, against (A - (t - lo) e)^2 in Fractions
+    # the --emit-dh grid, against (c1 - t e)^2 in Fractions
     for t in rows:
         for s in t.slices + flip(t).slices:
             lo, hi = s.interval
             for j in range(4 * (hi - lo) + 1):
                 x = lo + Fraction(j, 4)
-                w = [a - (x - lo) * e for a, e in zip(s.anchor_class.coeffs, s.euler.coeffs)]
+                w = [c - x * e for c, e in zip(s.lattice.anticanonical.coeffs, s.euler.coeffs)]
                 if s.lattice.kind == "product":
                     want = 2 * w[0] * w[1]
                 else:

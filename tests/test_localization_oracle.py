@@ -13,7 +13,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from hamfix.classify6 import classify_all, flip  # noqa: E402
+from hamfix.classify6 import classify_all  # noqa: E402
 from hamfix.lattice import pair  # noqa: E402
 from hamfix.localization import (  # noqa: E402
     C1,
@@ -23,6 +23,7 @@ from hamfix.localization import (  # noqa: E402
     contribution,
     integrate,
 )
+from row_cases import CASE_IDS, rows_and_flips  # noqa: E402
 
 x, t, a, n = sympy.symbols("x t a n")
 POWER = {ONE: 0, C1: 1, C1_CUBED: 3}
@@ -81,28 +82,29 @@ def oracle(tfd, alpha):
     return sympy.simplify(sum(INTEGRAL[fc.dim](fc, p) for fc in tfd.components))
 
 
-def _cases():
-    for row in classify_all(strict=False):
-        yield pytest.param(row, id=row.label)
-        yield pytest.param(flip(row), id=f"{row.label}-flip")
+@pytest.fixture(scope="module")
+def cases():
+    return rows_and_flips(classify_all(strict=False))
 
 
-@pytest.mark.parametrize("tfd", list(_cases()))
-def test_integrals_match_sympy_oracle(tfd):
+@pytest.mark.parametrize("case", CASE_IDS)
+def test_integrals_match_sympy_oracle(cases, case):
+    tfd = cases[case]
     for alpha in INTEGRANDS:
         p = POWER[alpha]
         value = integrate(tfd, alpha)
-        assert value.terms in ((), ((p - 3, value.coeff(p - 3)),)), alpha
-        assert sympy.simplify(oracle(tfd, alpha) - value.coeff(p - 3) * x ** (p - 3)) == 0, alpha
+        assert value.terms in ((), ((p - 3, value.coeff(p - 3)),)), (case, alpha)
+        exact = oracle(tfd, alpha)
+        assert sympy.simplify(exact - value.coeff(p - 3) * x ** (p - 3)) == 0, (case, alpha)
 
 
-@pytest.mark.parametrize("tfd", list(_cases()))
-def test_contributions_match_sympy_oracle(tfd):
+@pytest.mark.parametrize("case", CASE_IDS)
+def test_contributions_match_sympy_oracle(cases, case):
     # each component's integral is one int times x^(p-3), by degree counting
-    for fc in tfd.components:
+    for fc in cases[case].components:
         for alpha in INTEGRANDS:
             p = POWER[alpha]
             value = contribution(fc, alpha)
-            assert type(value) is int, (fc, alpha)
+            assert type(value) is int, (case, fc, alpha)
             exact = INTEGRAL[fc.dim](fc, p)
-            assert sympy.simplify(exact - value * x ** (p - 3)) == 0, (fc, alpha)
+            assert sympy.simplify(exact - value * x ** (p - 3)) == 0, (case, fc, alpha)

@@ -6,7 +6,6 @@ import pytest
 
 from hamfix.errors import (
     InternalArithmeticError,
-    LatticeMismatch,
     NonDisjointBlowdown,
     NotASphereMaximum,
     OutOfInterval,
@@ -123,7 +122,7 @@ def test_blowdown_count_mismatch():
 def test_blowdown_disjointness():
     two = make_blowup_lattice(2)
     # Euler class 2u - E1 kills both E1 and u - E1 - E2, which meet
-    state = SliceState(CohClass(two, (2, -1, 0)), two.anticanonical, (0, 1))
+    state = SliceState(CohClass(two, (2, -1, 0)), (0, 1))
     assert {v.coeffs for v in vanishing_classes(state, 1, exceptional_classes(two))} == {
         (0, 1, 0), (1, -1, -1)
     }
@@ -131,17 +130,11 @@ def test_blowdown_disjointness():
         blow_down_at_one(state, 2)
 
 
-def test_slice_classes_share_one_lattice():
-    one = make_blowup_lattice(1)
-    with pytest.raises(LatticeMismatch):
-        SliceState(CohClass(P2, (-1,)), one.anticanonical, (0, 1))
-
-
 def test_bmax_examples():
     two = make_blowup_lattice(2)
 
     def top_state(euler_coeffs, lattice):
-        return SliceState(CohClass(lattice, euler_coeffs), lattice.anticanonical, (0, 2))
+        return SliceState(CohClass(lattice, euler_coeffs), (0, 2))
 
     assert bmax_from_euler(top_state((2, -1), make_blowup_lattice(1))) == -3
     s = top_state((1, -1), make_blowup_lattice(1))
@@ -169,7 +162,7 @@ def test_positive_square_vertex_detection():
     from unpruned import positive_square_throughout
 
     # reduced class (3 - 5t) u dies at t = 3/5 inside the interval
-    state = SliceState(CohClass(P2, (5,)), CohClass(P2, (3,)), (0, 1))
+    state = SliceState(CohClass(P2, (5,)), (0, 1))
     assert not positive_square_throughout(state)
     good = initial_slice()
     assert positive_square_throughout(good, allow_zero_ends={Fraction(-3), Fraction(3)})
@@ -222,4 +215,15 @@ def test_blowdown_lattice_needs_c1_plus_basis_divisible_by_3():
     two = make_blowup_lattice(2)
     e1, fake = CohClass(two, (0, 1, 0)), CohClass(two, (1, 0, 1))
     with pytest.raises(InternalArithmeticError, match="not divisible by 3"):
+        blowdown_lattice(two, (e1,), (e1, fake))
+
+
+def test_blowdown_lattice_pushes_c1_prime_to_the_anticanonical_class():
+    # the slices above a blow-down read their reduced class off the new
+    # lattice's anticanonical class; E' = (3; 0, 1) orthogonal to E1 passes
+    # the divisibility check, (c1' + E')/3 = 2u, but c1' = (3; 0, -1) pushes
+    # to (6; -10)
+    two = make_blowup_lattice(2)
+    e1, fake = CohClass(two, (0, 1, 0)), CohClass(two, (3, 0, 1))
+    with pytest.raises(InternalArithmeticError, match="does not push to the anticanonical class"):
         blowdown_lattice(two, (e1,), (e1, fake))
