@@ -62,9 +62,5 @@ class NotReflexive(HamfixError):
     """Polytope is not reflexive around its interior lattice point."""
 
 
-class NotBalanced(HamfixError):
-    """Fixed faces admit no common balancing shift."""
-
-
 class NoMatchingTFD(HamfixError):
     """Polytope fixed-point data matches no classified row."""

@@ -27,15 +27,14 @@ class SurfaceLattice:
     kind: str
     blowups: int = 0
 
+    def __post_init__(self):
+        # derived, not a field, so `==` and hash ignore it
+        c1 = (2, 2) if self.kind == PRODUCT else (3,) + (-1,) * self.blowups
+        object.__setattr__(self, "anticanonical", CohClass(self, c1))
+
     @property
     def rank(self) -> int:
         return 2 if self.kind == PRODUCT else self.blowups + 1
-
-    @property
-    def anticanonical(self) -> CohClass:
-        if self.kind == PRODUCT:
-            return CohClass(self, (2, 2))
-        return CohClass(self, (3,) + (-1,) * self.blowups)
 
     def basis_names(self) -> tuple[str, ...]:
         if self.kind == PRODUCT:

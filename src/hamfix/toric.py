@@ -1,9 +1,11 @@
 """Lattice polytopes with a circle direction: verification of toric candidates.
 
 A polytope is given by its inward facet normals and offsets, and derives its
-vertices and edges.  Given a primitive direction, the module checks
-semifreeness, extracts the fixed faces with their balanced levels, assembles
-the data into a fixed-point-data shape and matches it against the classified
+vertices and edges, which checks it Delzant, and its interior point, which
+checks it reflexive: the toric manifold is monotone with [omega] = c1.  Given
+a primitive direction, the module checks semifreeness, extracts the fixed
+faces with their balanced levels, read from the interior point, assembles the
+data into a fixed-point-data shape and matches it against the classified
 rows, and computes the anticanonical degree from the normalized volume.
 """
 
@@ -12,7 +14,7 @@ from __future__ import annotations
 import itertools
 from math import gcd, lcm
 
-from .errors import InternalArithmeticError, NoMatchingTFD, NotBalanced, NotDelzant, NotReflexive
+from .errors import InternalArithmeticError, NoMatchingTFD, NotDelzant, NotReflexive
 from .classify6 import TFD, classify_all
 from .localization import chern_number
 from .record import record
@@ -127,23 +129,28 @@ def _combinatorics(name, facets):
 
 @record
 class Polytope:
-    """Delzant lattice 3-polytope, given by its facets.
+    """Reflexive Delzant lattice 3-polytope, given by its facets.
 
-    Its `vertices` and `edges` are derived, which checks it Delzant, when it is
-    built; then it is checked reflexive if flagged and its `degree` computed.
+    When it is built it derives its `vertices` and `edges`, which checks it
+    Delzant, then its `interior_point` c, the point at lattice distance 1
+    from the facets at vertex 0 (a lattice basis), and checks that every
+    facet lies at lattice distance 1 from c; then it computes its `degree`.
     """
 
     name: str
     facets: tuple[tuple[tuple[int, int, int], int], ...]  # (inward normal, offset)
-    reflexive: bool = True
 
     def __post_init__(self):
         # derived, not fields, so `==` and hash ignore them
         vertices, edges = _combinatorics(self.name, self.facets)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
-        if self.reflexive:
-            self.check_reflexive()
+        v = vertices[0]
+        c = _meet(*((n, o + 1) for n, o in self.facets if _dot(n, v) == o))[1]
+        for n, o in self.facets:
+            if (distance := _dot(n, c) - o) != 1:
+                raise NotReflexive(f"{self.name}: facet {n} at lattice distance {distance}")
+        object.__setattr__(self, "interior_point", c)
         object.__setattr__(self, "degree", self.normalized_volume())
 
     @staticmethod
@@ -152,7 +159,6 @@ class Polytope:
             return Polytope(
                 name=d["name"],
                 facets=tuple((_normal(f["normal"]), _strict(f["offset"])) for f in d["facets"]),
-                reflexive=_strict(d.get("reflexive", True), bool),
             )
         except (KeyError, TypeError, IndexError) as err:
             raise ValueError(f"not a polytope record (name/facets): {err}") from err
@@ -196,18 +202,6 @@ class Polytope:
             cycle.append(nxt[0])
         return cycle
 
-    def interior_point(self) -> tuple[int, int, int]:
-        """The point at lattice distance 1 from the facets at vertex 0 (a lattice basis)."""
-        v = self.vertices[0]
-        return _meet(*((n, o + 1) for n, o in self.facets if _dot(n, v) == o))[1]
-
-    def check_reflexive(self) -> None:
-        center = self.interior_point()
-        for n, o in self.facets:
-            distance = _dot(n, center) - o
-            if distance != 1:
-                raise NotReflexive(f"{self.name}: facet {n} at lattice distance {distance}")
-
     def normalized_volume(self) -> int:
         """Six times the Euclidean volume, by localization at the vertices.
 
@@ -248,13 +242,15 @@ class FixedFace:
 
 
 def fixed_faces(p: Polytope, d: CircleDirection) -> list[FixedFace]:
-    """Fixed faces with balanced levels.
+    """Fixed faces with balanced levels, read from the interior point c.
 
-    The balancing shift is the unique constant making every fixed face sit at
-    minus the sum of its transverse edge pairings; inconsistent shifts mean
-    the direction does not act with the balanced normalization.
+    A face through the vertex v sits at <xi, v - c>.  That is the balanced
+    level -sum_j <xi, w_j>, w_j the primitive edge directions at v: they are
+    the basis dual to the three facet normals n_i at v, and <n_i, v - c> = -1
+    for each, as the polytope is reflexive, so v - c = -sum_j w_j.
     """
     xi = d.xi
+    base = _dot(p.interior_point, xi)
     # vertex -> [(neighbour, pairing of the primitive edge direction toward it)]
     at: list[list[tuple[int, int]]] = [[] for _ in p.vertices]
     for a, b in p.edges:
@@ -262,12 +258,12 @@ def fixed_faces(p: Polytope, d: CircleDirection) -> list[FixedFace]:
         at[a].append((b, s))
         at[b].append((a, -s))
     zeros = [[j for j, s in nbrs if s == 0] for nbrs in at]
-    # (kind, vertices, vertex whose level and transverse weights place the face)
+    # (kind, vertices, a vertex whose level places the face)
     found = [("vertex", (i,), i) for i in range(len(at)) if not zeros[i]]
     # an edge of a fixed facet has a second fixed edge at each end, so it
     # fails this test and only isolated fixed spheres are listed
     found += [
-        ("edge", tuple(sorted((a, b))), a)
+        ("edge", (a, b), a)  # a < b, as in `edges`
         for a, b in p.edges
         if zeros[a] == [b] and zeros[b] == [a]
     ]
@@ -281,15 +277,7 @@ def fixed_faces(p: Polytope, d: CircleDirection) -> list[FixedFace]:
         tangent = [s for i in members for j, s in at[i] if j in members]
         if tangent and not any(tangent):
             found.append(("facet", tuple(sorted(members)), min(members)))
-    raw = [  # kind, verts, raw level, transverse weight sum
-        (kind, verts, _dot(p.vertices[v], xi), sum(s for _, s in at[v]))
-        for kind, verts, v in found
-    ]
-    shifts = {-w - r for _, _, r, w in raw}
-    if len(shifts) != 1:
-        raise NotBalanced(f"{p.name}: inconsistent balancing shifts {sorted(shifts)}")
-    shift = shifts.pop()
-    faces = [FixedFace(kind, verts, r + shift) for kind, verts, r, _ in raw]
+    faces = [FixedFace(kind, verts, _dot(p.vertices[v], xi) - base) for kind, verts, v in found]
     faces.sort(key=lambda f: (f.level, f.kind, f.vertices))
     return faces
 
@@ -352,8 +340,7 @@ def observed_profile(p: Polytope, d: CircleDirection):
             )
             desc = ("pt", weights)
         elif f.kind == "edge":
-            e = next(e for e in p.edges if tuple(sorted(e)) == f.vertices)
-            desc = ("sphere", p.edge_length(e))
+            desc = ("sphere", p.edge_length(f.vertices))
         else:
             kind, blowups = _facet_shape(p, f.vertices)
             desc = ("fourmanifold", kind, blowups, facet_lattice_area(p, f.vertices))
@@ -402,8 +389,6 @@ def tfd_from_polytope(p: Polytope, d: CircleDirection, rows: list[TFD] | None = 
 
 def chern_number_from_volume(p: Polytope) -> int:
     """Anticanonical degree of the toric 3-fold: six times the volume."""
-    if not p.reflexive:
-        raise NotReflexive(f"{p.name}: not flagged reflexive")
     return p.degree
 
 

@@ -252,13 +252,11 @@ def test_toric_verify_malformed_normal_exits_2(tmp_path, normal):
         (("facets", 3, "offset"), True),
         (("facets", 0, "normal", 0), -1.0),
         (("facets", 0, "offset"), -4.0),
-        (("reflexive",), "false"),
-        (("reflexive",), 1),
     ],
 )
 def test_toric_verify_non_integer_record_exits_2(tmp_path, keys, value):
     # JSON values are checked, not coerced: int() read 0.5 as 0 and true as
-    # 1, and bool() read "false" as true, so most of these records verified
+    # 1, so most of these records verified
     path = p3_with(tmp_path, keys, value)
     proc = hamfix("toric", "verify", "--polytope", str(path), "--xi", "1,1,1")
     assert (proc.returncode, proc.stdout) == (2, "")
@@ -318,13 +316,24 @@ def test_toric_verify_not_reflexive_exits_1(tmp_path):
             {"normal": list(n), "offset": o}
             for n, o in (((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, -1), -2))
         ],
-        "reflexive": True,
     }
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(record), encoding="utf-8")
     proc = hamfix("toric", "verify", "--polytope", str(path), "--xi", "1,1,1")
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == "verification failed: bad: facet (-1, -1, -1) at lattice distance -1\n"
+
+
+def test_toric_verify_ignores_a_reflexive_flag(tmp_path, capsys):
+    # reflexivity is read from the facets, so a stale "reflexive": false key
+    # verifies like the packaged record
+    flagged = p3_with(tmp_path, ("reflexive",), False)
+    outcomes = []
+    for path in (corpus_dir() / "p3.json", flagged):
+        code = run(["toric", "verify", "--polytope", str(path), "--xi", "1,1,1"])
+        outcomes.append((code, *capture(capsys)))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == 0 and outcomes[0][1].endswith("p3: matches III-1, anticanonical degree 64\n")
 
 
 def test_tables_diff_shows_known_discrepancies(capsys):

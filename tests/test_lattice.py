@@ -9,6 +9,7 @@ from hamfix.errors import InvalidBlowupCount, LatticeMismatch, NoExceptionalBasi
 from hamfix.lattice import (
     PRODUCT,
     CohClass,
+    SurfaceLattice,
     adjunction_genus,
     component_splittings,
     exceptional_classes,
@@ -53,6 +54,14 @@ def test_blowup_lattice_construction():
 def test_blowup_count_range(k):
     with pytest.raises(InvalidBlowupCount):
         make_blowup_lattice(k)
+
+
+def test_anticanonical_class_is_built_once():
+    # read on every reduced class, so it is derived with the lattice; it is
+    # no field, so equality and hashing read only the kind and blow-up count
+    for lat in (make_blowup_lattice(0), make_blowup_lattice(3), product_lattice()):
+        assert lat.anticanonical is lat.anticanonical
+    assert SurfaceLattice.__record_fields__ == ("kind", "blowups")
 
 
 def test_product_lattice():

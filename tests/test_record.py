@@ -97,14 +97,14 @@ def test_different_records_with_equal_fields_are_unequal():
 def test_class_level_defaults(p3):
     assert SurfaceLattice("blowup") == SurfaceLattice("blowup", 0)
     assert SurfaceLattice("blowup").rank == 1
-    built = Polytope(p3.name, p3.facets)
-    assert built.reflexive is True
-    assert built == p3
+    assert SurfaceLattice("blowup").blowups == 0
+    assert Polytope(p3.name, p3.facets) == p3
 
 
 def test_keyword_construction(p3):
-    built = Polytope(facets=p3.facets, name=p3.name, reflexive=False)
-    assert (built.name, built.reflexive) == ("p3", False)
+    built = SurfaceLattice(blowups=2, kind="blowup")
+    assert (built.kind, built.blowups, built.rank) == ("blowup", 2, 3)
+    assert Polytope(facets=p3.facets, name=p3.name) == p3
     with pytest.raises(TypeError):
         FixedFace(kind="vertex", vertices=(0,))
 

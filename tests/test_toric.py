@@ -2,11 +2,12 @@
 
 import itertools
 import json
+import math
 
 import pytest
 
 from hamfix.classify6 import classify_all, flip
-from hamfix.errors import HamfixError, NoMatchingTFD, NotBalanced, NotDelzant, NotReflexive
+from hamfix.errors import HamfixError, NoMatchingTFD, NotDelzant, NotReflexive
 from hamfix.localization import (
     ExtremalFourManifold,
     ExtremalSurface,
@@ -109,10 +110,9 @@ def test_degree_is_twice_the_facet_areas(corpus):
         assert p.degree == 2 * sum(areas), name
 
 
-def test_degree_of_polytopes_that_are_not_reflexive():
-    # the size-3 simplex has 6 vol = 27; the hexagon of area 3 times [0, 1], 18
-    assert _size3_simplex().degree == 27
-    assert _hexagonal_prism().degree == 18
+def test_degree_of_the_hexagonal_prism():
+    # the hexagon of lattice area 3 times [-1, 1]: 6 vol = 6 * 3 * 2
+    assert _hexagonal_prism().degree == 36
 
 
 def test_degree_is_not_a_record_field(corpus):
@@ -120,9 +120,9 @@ def test_degree_is_not_a_record_field(corpus):
     stored = json.loads((corpus_dir() / "p3.json").read_text(encoding="utf-8"))
     again = Polytope.from_dict(stored)
     assert again == p and hash(again) == hash(p) and again.degree == p.degree == 64
-    assert Polytope.__record_fields__ == ("name", "facets", "reflexive")
-    # a file's other keys are ignored, stale vertex lists included
-    assert Polytope.from_dict(dict(stored, vertices=[[9, 9, 9]], degree=1)) == p
+    assert Polytope.__record_fields__ == ("name", "facets")
+    # a file's other keys are ignored, stale vertex lists and flags included
+    assert Polytope.from_dict(dict(stored, vertices=[[9, 9, 9]], degree=1, reflexive=False)) == p
 
 
 # the hand-written vertex lists the corpus was made from, in no order
@@ -173,7 +173,7 @@ OCTANT = (((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0))
 )
 def test_facets_that_bound_no_delzant_polytope(facets, message):
     with pytest.raises(NotDelzant, match=message):
-        Polytope("bad", facets, reflexive=False)
+        Polytope("bad", facets)
 
 
 def test_built_polytopes_read_their_degree_without_a_walk(corpus, rows, monkeypatch):
@@ -232,7 +232,6 @@ def test_semifreeness_invariant_under_lattice_automorphisms(corpus):
         moved = Polytope(
             name="moved",
             facets=tuple((_solve_normal(mat, n), o) for (n, o) in p3.facets),
-            reflexive=True,
         )
         assert moved.vertices == tuple(sorted(apply(mat, v) for v in p3.vertices))
         xi = _solve_normal(mat, d.xi)
@@ -296,13 +295,13 @@ def test_interior_point_is_the_only_interior_lattice_point(corpus):
             q for q in itertools.product(*box)
             if all(sum(a * b for a, b in zip(n, q)) > o for n, o in p.facets)
         ]
-        assert inside == [p.interior_point()], name
+        assert inside == [p.interior_point], name
 
 
 def test_reflexive_check_needs_a_basis_of_facet_normals():
     # a repeated facet puts four facets through vertex 0
     unit = (((1, 0, 0), -1), ((0, 1, 0), -1), ((0, 0, 1), -1), ((-1, -1, -1), -1))
-    assert Polytope("twice", unit).interior_point() == (0, 0, 0)
+    assert Polytope("twice", unit).interior_point == (0, 0, 0)
     with pytest.raises(NotDelzant, match=r"4 facets meet at vertex \(-1, -1, -1\)"):
         Polytope("twice", unit + unit[:1])
 
@@ -310,15 +309,13 @@ def test_reflexive_check_needs_a_basis_of_facet_normals():
 def test_not_delzant_detected():
     # vertex (2,0,0) has edge directions (-1,0,0), (-1,1,0), (-1,0,1): fine,
     # but the size-2 simplex is not reflexive (no interior lattice point lies
-    # at distance one from all facets), and a polytope flagged reflexive is
-    # checked for it when it is built
+    # at distance one from all facets), which is checked when it is built
     with pytest.raises(NotReflexive):
         Polytope(
             name="bad",
             facets=(
                 ((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, -1), -2),
             ),
-            reflexive=True,
         )
     # the tetrahedron on (0,0,0), (2,0,0), (0,2,0), (1,1,2) has vertex cones
     # of index 4
@@ -328,7 +325,6 @@ def test_not_delzant_detected():
             facets=(
                 ((0, 0, 1), 0), ((2, 0, -1), 0), ((0, 2, -1), 0), ((-2, -2, -1), -4),
             ),
-            reflexive=False,
         )
 
 
@@ -346,20 +342,13 @@ def test_facet_must_be_a_two_face(corpus, plane):
         Polytope(p3.name, p3.facets + (plane,))
 
 
-def _size3_simplex():
-    return Polytope(
-        name="simplex3",
-        facets=(
-            ((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, -1), -3),
-        ),
-        reflexive=False,
-    )
-
-
-def test_unbalanced_direction_detected():
-    # the size-3 simplex is not monotone: its fixed faces need different shifts
-    with pytest.raises(NotBalanced):
-        fixed_faces(_size3_simplex(), CircleDirection((1, 1, 1)))
+def test_size3_simplex_is_not_reflexive():
+    # the size-3 simplex is not monotone: the point at distance 1 from the
+    # facets at the origin is (1, 1, 1), at distance 0 from the far facet
+    facets = (((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, -1), -3))
+    with pytest.raises(NotReflexive) as err:
+        Polytope("simplex3", facets)
+    assert str(err.value) == "simplex3: facet (-1, -1, -1) at lattice distance 0"
 
 
 def test_unnormalized_orientation_matches_no_row(corpus, rows):
@@ -382,19 +371,19 @@ def _facet_index(p, normal):
 
 
 def _hexagonal_prism():
-    """P^2#3 x interval: the reflexive hexagon times [0, 1]."""
+    """P^1 x (P^2#3): the reflexive hexagon times [-1, 1]."""
     sides = [(-1, 0), (0, -1), (1, -1), (1, 0), (0, 1), (-1, 1)]
     facets = tuple(((nx, ny, 0), -1) for nx, ny in sides) + (
-        ((0, 0, 1), 0), ((0, 0, -1), -1),
+        ((0, 0, 1), -1), ((0, 0, -1), -1),
     )
-    return Polytope("hexprism", facets, reflexive=False)
+    return Polytope("hexprism", facets)
 
 
 def test_facet_shape_from_edge_count_and_parity(corpus):
     p_oo2, p1xf1 = corpus["p_oo2"][0], corpus["p1xf1"][0]
     prism = _hexagonal_prism()
     hexagon = {(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)}
-    assert set(prism.vertices) == {(x, y, z) for x, y in hexagon for z in (0, 1)}
+    assert set(prism.vertices) == {(x, y, z) for x, y in hexagon for z in (-1, 1)}
 
     def shape(p, fi):
         return _facet_shape(p, tuple(p.facet_vertices(fi)))
@@ -452,14 +441,18 @@ def test_fixed_faces_are_the_maximal_level_faces(corpus):
             d = CircleDirection(xi)
             if not is_semifree(p, d):
                 continue
-            try:
-                listed = fixed_faces(p, d)
-            except NotBalanced:
-                continue
+            listed = fixed_faces(p, d)
             checked += 1
 
             def height(i):
                 return sum(a * b for a, b in zip(p.vertices[i], xi))
+
+            def pairings(i):
+                # xi against the primitive edge directions at vertex i
+                for e in p.edges:
+                    if i in e:
+                        w = [b - a for a, b in zip(p.vertices[i], p.vertices[sum(e) - i])]
+                        yield sum(a * b for a, b in zip(w, xi)) // math.gcd(*w)
 
             level_faces = [f for f in faces if len({height(i) for i in f}) == 1]
             maximal = [f for f in level_faces if not any(f < g for g in level_faces)]
@@ -472,8 +465,11 @@ def test_fixed_faces_are_the_maximal_level_faces(corpus):
                         if end in members and other not in members:
                             assert height(other) != height(end), (p.name, xi, f)
                 shifts |= {f.level - height(i) for i in members}
+                # the balanced level, read without the interior point
+                for i in members:
+                    assert f.level == -sum(pairings(i)), (p.name, xi, f, i)
             assert len(shifts) == 1, (p.name, xi)
-    assert checked > 0
+    assert checked == 214
 
 
 @pytest.mark.parametrize("xi", [(True, 0, 0), (1, 0, 0.0), (1, 0)])

@@ -101,7 +101,7 @@ def test_dh_is_twice_the_area_of_the_polytope_slice():
     rows = classify_all(strict=False)
     directions = levels = 0
     for p, _d, _row in load_corpus():
-        c = p.interior_point()
+        c = p.interior_point
         for xi in SWEEP:
             try:
                 row = tfd_from_polytope(p, CircleDirection(xi), rows)
