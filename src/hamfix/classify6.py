@@ -151,33 +151,25 @@ def _sweep_path(max_dim: int, k: int, total: CohClass | None, m: int):
 
 
 def _check_top(max_dim: int, top_slice: SliceState):
-    """Data of the top component; generation makes the path close (`_closes`)."""
+    """The top component, which the maximum's dimension fixes; generation
+    makes the path close there (`_closes`)."""
     if max_dim == 0:
-        return None
+        return IsolatedPoint(3, MAX_WEIGHTS)
     if max_dim == 2:
-        return bmax_from_euler(top_slice)
-    return top_slice.euler
+        return ExtremalSurface(2, bmax_from_euler(top_slice))
+    return ExtremalFourManifold(1, top_slice.euler)
 
 
-def _interior_components(slices, level, splitting) -> tuple:
-    above = next(s for s in slices if s.interval[0] == level)
-    return tuple(
-        InteriorSurface(level, cls, genus, pair(above.euler, cls)) for cls, genus in splitting
-    )
-
-
-def _assemble(max_dim, k, m, splitting, slices, top_data):
+def _assemble(k, m, splitting, slices, top):
+    """The components by level up to `top`; a level-0 part C has b+ = e0.C for
+    the Euler class e0 of the slice from 0."""
     comps = [IsolatedPoint(-3, MIN_WEIGHTS)]
     comps += [IsolatedPoint(-1, INDEX2_WEIGHTS) for _ in range(k)]
     if splitting:
-        comps += list(_interior_components(slices, 0, splitting))
+        e0 = next(s for s in slices if s.interval[0] == 0).euler
+        comps += [InteriorSurface(0, cls, genus, pair(e0, cls)) for cls, genus in splitting]
     comps += [IsolatedPoint(1, INDEX4_WEIGHTS) for _ in range(m)]
-    if max_dim == 0:
-        comps.append(IsolatedPoint(3, MAX_WEIGHTS))
-    elif max_dim == 2:
-        comps.append(ExtremalSurface(2, top_data))
-    else:
-        comps.append(ExtremalFourManifold(1, top_data))
+    comps.append(top)
     return TFD(None, tuple(comps), tuple(slices))
 
 
@@ -499,12 +491,12 @@ def _classify_cached() -> tuple[TFD, ...]:
     for max_dim, k, m, surface in _cells():
         for total in _candidate_totals(max_dim, k, m) if surface else [None]:
             slices = _sweep_path(max_dim, k, total, m)
-            top_data = _check_top(max_dim, slices[-1])
+            top = _check_top(max_dim, slices[-1])
             splittings = {()} if total is None else {
                 _canonicalize(total, s) for s in component_splittings(total.lattice, total)
             }
             for splitting in splittings:
-                tfd = _assemble(max_dim, k, m, splitting, slices, top_data)
+                tfd = _assemble(k, m, splitting, slices, top)
                 if not (integrate(tfd, ONE).is_zero() and integrate(tfd, C1).is_zero()):
                     raise InternalArithmeticError(f"localization fails on {tfd.components}")
                 rows.append(tfd)

@@ -28,6 +28,11 @@ class SurfaceLattice:
     blowups: int = 0
 
     def __post_init__(self):
+        top = {BLOWUP: 8, PRODUCT: 0}.get(self.kind)
+        if top is None:
+            raise ValueError(f"unknown lattice kind {self.kind!r}")
+        if not 0 <= self.blowups <= top:  # P2#9 has infinitely many (-1)-classes
+            raise InvalidBlowupCount(f"blow-up count {self.blowups} outside 0..{top}")
         # derived, not a field, so `==` and hash ignore it
         c1 = (2, 2) if self.kind == PRODUCT else (3,) + (-1,) * self.blowups
         object.__setattr__(self, "anticanonical", CohClass(self, c1))
@@ -55,8 +60,6 @@ class SurfaceLattice:
 
 def make_blowup_lattice(k: int) -> SurfaceLattice:
     """Lattice of the k-fold blow-up of the plane, 0 <= k <= 8."""
-    if not 0 <= k <= 8:
-        raise InvalidBlowupCount(f"blow-up count {k} outside 0..8")
     return SurfaceLattice(BLOWUP, k)
 
 

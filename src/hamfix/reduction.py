@@ -128,12 +128,12 @@ def blow_down(state: SliceState, level, m: int, exceptional):
     for a, b in itertools.combinations(vanishing, 2):
         if pair(a, b) != 0:
             raise NonDisjointBlowdown(f"{a!r}.{b!r} = {pair(a, b)}")
-    new_lat, push = blowdown_lattice(state.lattice, vanishing, exceptional)
+    _, push = blowdown_lattice(state.lattice, vanishing, exceptional)
     return SliceState(push(sum(vanishing, state.euler)), (level, state.interval[1]))
 
 
 def blowdown_lattice(lattice: SurfaceLattice, vanishing, exceptional):
-    """Contract pairwise-orthogonal exceptional classes.
+    """Contract pairwise-orthogonal exceptional classes to a lattice of rank 1 or 2.
 
     `exceptional` holds the (-1)-classes of the lattice.
 
@@ -141,27 +141,30 @@ def blowdown_lattice(lattice: SurfaceLattice, vanishing, exceptional):
     pushforward map on classes orthogonal to every contracted class (the
     Euler class plus the contracted classes is one, and so is c1 + sum V).
 
-    The contracted classes V span a diagonal unimodular sublattice, so their
-    orthogonal complement L' is unimodular of rank r = rank - |V|, with
-    anticanonical class c1' = c1 + sum V and c1'.c1' = 10 - r.  By the
-    reduced-form argument of B.-H. Li and T.-J. Li ("Symplectic genus,
-    minimal genus and diffeomorphisms", 2002), (L', c1') is the plane blown
-    up r - 1 times, or the product of spheres when r = 2 and L' is even.  The
-    (-1)-classes of L' are those of the lattice orthogonal to V; any r - 1
-    pairwise disjoint ones E' complete to the basis u = (c1' + sum E')/3.
-    With none, L' is the product, and its two square-zero degree-two classes
-    are e + v for the two (-1)-classes e meeting the first contracted class v
-    once and the others not at all.  Coordinates pair with the dual basis.
-    The slices above read their reduced class off the new lattice's
-    anticanonical class, so c1' must push to it.
+    The sweep blows down only at level one, on P2#k, below a point maximum
+    (m = k) or a sphere maximum (m = k - 1), so the contracted classes V leave
+    rank r = k + 1 - m = 1 or 2; another r raises InternalArithmeticError.
+    V spans a diagonal unimodular sublattice, so its orthogonal complement L'
+    is unimodular of rank r, with anticanonical class c1' = c1 + sum V.  By
+    the reduced-form argument of B.-H. Li and T.-J. Li ("Symplectic genus,
+    minimal genus and diffeomorphisms", 2002) for the blow-down of Guillemin
+    and Sternberg (1989), (L', c1') is the plane, the plane blown up once, or,
+    when L' is even, the product of spheres.  The (-1)-classes of L' are those
+    of the lattice orthogonal to V; r - 1 of them (none, or the first)
+    complete to the basis u = (c1' + sum E')/3.  With none at r = 2, L' is the
+    product, and its two square-zero degree-two classes are e + v for the two
+    (-1)-classes e meeting the first contracted class v once and the others
+    not at all.  Coordinates pair with the dual basis.  The slices above read
+    their reduced class off the new lattice's anticanonical class, so c1' must
+    push to it.
     """
     c1 = sum(vanishing, lattice.anticanonical)
     r = lattice.rank - len(vanishing)
+    if not 1 <= r <= 2:
+        raise InternalArithmeticError(f"blow-down to rank {r}: level one leaves rank 1 or 2")
     free = [e for e in exceptional if all(pair(e, v) == 0 for v in vanishing)]
     if r == 1 or free:
-        chosen = _disjoint(free, r - 1, ())
-        if chosen is None:
-            raise InternalArithmeticError("complement has no disjoint exceptional basis")
+        chosen = tuple(free[: r - 1])
         new_lat = make_blowup_lattice(r - 1)
         triple_u = sum(chosen, c1)
         if any(c % 3 for c in triple_u.coeffs):
@@ -174,7 +177,7 @@ def blowdown_lattice(lattice: SurfaceLattice, vanishing, exceptional):
             e + v for e in exceptional
             if pair(e, v) == 1 and all(pair(e, w) == 0 for w in rest)
         ]
-        if r != 2 or len(fibers) != 2:
+        if len(fibers) != 2:
             raise InternalArithmeticError("complement lattice not recognized")
         new_lat, dual = product_lattice(), fibers[::-1]
 
@@ -187,18 +190,6 @@ def blowdown_lattice(lattice: SurfaceLattice, vanishing, exceptional):
     if push(c1) != new_lat.anticanonical:
         raise InternalArithmeticError(f"c1' = {c1!r} does not push to the anticanonical class")
     return new_lat, push
-
-
-def _disjoint(classes, n, chosen):
-    """The first n pairwise orthogonal members of `classes`, depth first, or None."""
-    if len(chosen) == n:
-        return chosen
-    for i, e in enumerate(classes):
-        if all(pair(e, c) == 0 for c in chosen):
-            found = _disjoint(classes[i + 1:], n, chosen + (e,))
-            if found is not None:
-                return found
-    return None
 
 
 def bmax_from_euler(state: SliceState) -> int:

@@ -157,7 +157,7 @@ class Polytope:
     def from_dict(d) -> Polytope:
         try:
             return Polytope(
-                name=d["name"],
+                name=_strict(d["name"], str),
                 facets=tuple((_normal(f["normal"]), _strict(f["offset"])) for f in d["facets"]),
             )
         except (KeyError, TypeError, IndexError) as err:
@@ -431,14 +431,13 @@ def load_corpus(directory=None):
     return out
 
 
-def verify_corpus(directory=None, rows=None):
+def verify_corpus(directory=None):
     """Run the full verification on every corpus polytope.
 
     Returns a list of (name, row label, normalized volume) on success; raises
     the first failure otherwise.
     """
-    if rows is None:
-        rows = classify_all(strict=False)
+    rows = classify_all(strict=False)
     results = []
     for poly, direction, expected in load_corpus(directory):
         match = tfd_from_polytope(poly, direction, rows)

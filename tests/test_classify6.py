@@ -365,6 +365,16 @@ def test_blowdown_replay(rows):
     assert replayed == 5  # the rows with index-four points
 
 
+def test_blowdown_leaves_rank_one_or_two(rows):
+    # the level-one blow-down contracts P2#k to the top slice's lattice: the
+    # plane below a point maximum, rank 2 below a sphere maximum
+    ranks = {}
+    for t in rows:
+        if blowdown_levels(t):
+            ranks.setdefault(t.max_dim, set()).add(t.slices[-1].lattice.rank)
+    assert ranks == {0: {1}, 2: {2}}
+
+
 def test_omega_positive_on_all_slices(rows):
     for t in rows:
         for s in t.slices:

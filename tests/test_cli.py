@@ -252,11 +252,15 @@ def test_toric_verify_malformed_normal_exits_2(tmp_path, normal):
         (("facets", 3, "offset"), True),
         (("facets", 0, "normal", 0), -1.0),
         (("facets", 0, "offset"), -4.0),
+        (("name",), ["x"]),
+        (("name",), None),
+        (("name",), 5),
     ],
 )
 def test_toric_verify_non_integer_record_exits_2(tmp_path, keys, value):
     # JSON values are checked, not coerced: int() read 0.5 as 0 and true as
-    # 1, so most of these records verified
+    # 1, so most of these records verified, and a name that is no string
+    # was printed as it was
     path = p3_with(tmp_path, keys, value)
     proc = hamfix("toric", "verify", "--polytope", str(path), "--xi", "1,1,1")
     assert (proc.returncode, proc.stdout) == (2, "")

@@ -1,6 +1,7 @@
 """Lattice arithmetic, exceptional classes, adjunction, splittings."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -54,6 +55,23 @@ def test_blowup_lattice_construction():
 def test_blowup_count_range(k):
     with pytest.raises(InvalidBlowupCount):
         make_blowup_lattice(k)
+
+
+@pytest.mark.parametrize(
+    "kind,blowups,error,message",
+    [
+        ("blowup", 9, InvalidBlowupCount, "blow-up count 9 outside 0..8"),
+        ("blowup", -1, InvalidBlowupCount, "blow-up count -1 outside 0..8"),
+        ("product", 3, InvalidBlowupCount, "blow-up count 3 outside 0..0"),
+        ("foo", 1, ValueError, "unknown lattice kind 'foo'"),
+    ],
+)
+def test_lattice_checks_kind_and_count_when_built(kind, blowups, error, message):
+    # the seven shapes of (-1)-classes hold only up to P2#8, an unknown kind
+    # would act as a blow-up, and a product with blow-ups as an unequal
+    # copy of product_lattice()
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        SurfaceLattice(kind, blowups)
 
 
 def test_anticanonical_class_is_built_once():

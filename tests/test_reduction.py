@@ -181,19 +181,24 @@ def _disjoint_families(lat):
 
 
 def test_blowdown_lattice_oracle():
-    # contractions whose complement has rank 1, 2 (plane blown up once or the
-    # product of spheres) and >= 3, the last never reached by the search
+    # contractions whose complement has rank 1 or 2 (the plane, the plane
+    # blown up once or the product of spheres); a level-one blow-down leaves
+    # no other rank, so rank >= 3 raises
     seen = set()
     for k in range(1, 9):
         lat = make_blowup_lattice(k)
         exc = exceptional_classes(lat)
         for vanishing in _disjoint_families(lat):
-            new_lat, push = blowdown_lattice(lat, vanishing, exc)
             r = lat.rank - len(vanishing)
+            if r >= 3:
+                with pytest.raises(InternalArithmeticError, match=f"rank {r}"):
+                    blowdown_lattice(lat, vanishing, exc)
+                continue
+            new_lat, push = blowdown_lattice(lat, vanishing, exc)
             assert new_lat.rank == r
             free = [e for e in exc if all(pair(e, v) == 0 for v in vanishing)]
             assert (new_lat.kind == "product") == (r == 2 and not free)
-            seen.add((min(r, 3), new_lat.kind))
+            seen.add((r, new_lat.kind))
             # the projections of the basis classes span the complement of V
             span = [
                 b + sum((pair(b, v) * v for v in vanishing), lat.zero())
@@ -206,7 +211,27 @@ def test_blowdown_lattice_oracle():
             for v in vanishing:
                 with pytest.raises(InternalArithmeticError):
                     push(v)
-    assert seen == {(1, "blowup"), (2, "blowup"), (2, "product"), (3, "blowup")}
+    assert seen == {(1, "blowup"), (2, "blowup"), (2, "product")}
+
+
+def test_blowdown_lattice_contracts_only_to_rank_one_or_two():
+    # E1 on P2#3 leaves P2#2, of rank 3, which no level-one blow-down reaches
+    three = make_blowup_lattice(3)
+    exc = exceptional_classes(three)
+    with pytest.raises(InternalArithmeticError, match="rank 3"):
+        blowdown_lattice(three, (three.basis_class(1),), exc)
+
+
+def test_blowdown_lattice_reads_r_minus_1_free_classes():
+    # a genuine complement of rank 1 holds no (-1)-class and one of rank 2
+    # at most one, so the basis takes none or the first; at rank 1 a further
+    # class orthogonal to the contracted E1, here u, is not read, as
+    # c1' + u = 4u is not divisible by 3
+    one = make_blowup_lattice(1)
+    u, e1 = one.basis_class(0), one.basis_class(1)
+    new_lat, push = blowdown_lattice(one, (e1,), (e1, u))
+    assert new_lat == P2
+    assert push(u) == P2.basis_class(0)
 
 
 def test_blowdown_lattice_needs_c1_plus_basis_divisible_by_3():

@@ -201,7 +201,7 @@ def test_verify_corpus_end_to_end():
     assert ("p1xf1", "II-4.1b", 48) in results
 
 
-def test_verify_corpus_non_semifree_direction(tmp_path, rows):
+def test_verify_corpus_non_semifree_direction(tmp_path):
     # the corpus path leaves the semifree check to tfd_from_polytope
     import json
     import shutil
@@ -211,7 +211,7 @@ def test_verify_corpus_non_semifree_direction(tmp_path, rows):
     index = [{"file": "p3.json", "xi": [2, 1, 1], "row": "III-1"}]
     (tmp_path / "index.json").write_text(json.dumps(index), encoding="utf-8")
     with pytest.raises(NoMatchingTFD, match=r"^p3: direction \(2, 1, 1\) is not semifree$"):
-        verify_corpus(tmp_path, rows)
+        verify_corpus(tmp_path)
 
 
 def test_semifreeness_invariant_under_lattice_automorphisms(corpus):

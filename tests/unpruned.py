@@ -17,6 +17,7 @@ import math
 from fractions import Fraction
 
 from hamfix.classify6 import (
+    MAX_WEIGHTS,
     TOP_LEVEL,
     _assemble,
     _attach_labels,
@@ -35,7 +36,15 @@ from hamfix.lattice import (
     make_blowup_lattice,
     pair,
 )
-from hamfix.localization import C1, ONE, betti, integrate
+from hamfix.localization import (
+    C1,
+    ONE,
+    ExtremalFourManifold,
+    ExtremalSurface,
+    IsolatedPoint,
+    betti,
+    integrate,
+)
 from hamfix.reduction import bmax_from_euler, dh, dh_quadratic, vanishing_classes
 
 
@@ -60,11 +69,11 @@ def fiber_classes_of(lat):
 
 
 def check_top(max_dim, top_slice, exceptional):
-    """Extremum-side predicates; returns data needed to build the top component."""
+    """Extremum-side predicates; returns the top component."""
     if max_dim == 0:
         if top_slice.lattice.rank != 1 or not top_slice.omega(3).is_zero():
             raise Reject("path does not close up at an isolated maximum")
-        return None
+        return IsolatedPoint(3, MAX_WEIGHTS)
     if max_dim == 2:
         if top_slice.lattice.rank != 2:
             raise Reject("sphere maximum needs a rank-2 slice")
@@ -79,12 +88,12 @@ def check_top(max_dim, top_slice, exceptional):
         b_max = bmax_from_euler(top_slice)
         if 2 + b_max < 1:
             raise Reject("sphere maximum would have nonpositive area")
-        return b_max
+        return ExtremalSurface(2, b_max)
     if vanishing_classes(top_slice, 1, exceptional):
         raise Reject("exceptional class collapses at the 4-dimensional maximum")
     if dh(top_slice, 1) <= 0:
         raise Reject("reduced volume vanishes at the 4-dimensional maximum")
-    return top_slice.euler
+    return ExtremalFourManifold(1, top_slice.euler)
 
 
 def positive_square_throughout(state, allow_zero_ends=()) -> bool:
@@ -172,12 +181,12 @@ def candidate_totals(k, has_blowdown):
 
 
 def sweep(max_dim, k, total, m):
-    """Slices and top data, or one of REJECTIONS."""
+    """Slices and top component, or one of REJECTIONS."""
     slices = _sweep_path(max_dim, k, total, m)
     exceptional = slice_exceptional(slices)
-    top_data = check_top(max_dim, slices[-1], exceptional[-1])
+    top = check_top(max_dim, slices[-1], exceptional[-1])
     check_slices(slices, max_dim, exceptional)
-    return slices, top_data
+    return slices, top
 
 
 def enumerate_tfd(max_dim, crit):
@@ -189,12 +198,12 @@ def enumerate_tfd(max_dim, crit):
         totals = list(candidate_totals(k, m > 0)) if 0 in crit else [None]
         for total in totals:
             try:
-                slices, top_data = sweep(max_dim, k, total, m)
+                slices, top = sweep(max_dim, k, total, m)
             except REJECTIONS:
                 continue
             splittings = search_splittings(total.lattice, total) if total is not None else [()]
             for splitting in splittings:
-                tfd = _assemble(max_dim, k, m, splitting, slices, top_data)
+                tfd = _assemble(k, m, splitting, slices, top)
                 if not integrate(tfd, ONE).is_zero() or not integrate(tfd, C1).is_zero():
                     continue
                 b = betti(tfd)
@@ -235,10 +244,10 @@ def canonicalize(tfd, k):
             total = total + c
         split.sort(key=lambda t: t[0].coeffs)
         try:
-            slices, top_data = sweep(tfd.max_dim, k, total if interior else None, m)
+            slices, top = sweep(tfd.max_dim, k, total if interior else None, m)
         except REJECTIONS:
             continue
-        cand = _assemble(tfd.max_dim, k, m, tuple(split), slices, top_data)
+        cand = _assemble(k, m, tuple(split), slices, top)
         if best is None or row_key(cand) < row_key(best):
             best = cand
     return best
