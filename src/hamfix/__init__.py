@@ -4,8 +4,11 @@ The package imports every module eagerly, not on first attribute access
 (PEP 562): the benchmark's layer tracer wraps the functions of the modules
 that are loaded after a bare `import hamfix`, so a lazy package would leave
 every per-layer span empty without an error (`tests/test_stdlib_only.py`
-checks this).  The modules themselves defer what few commands use (`json`,
-`fractions`, `pathlib`) to the functions that use it.
+checks this).  The modules themselves defer what few commands use (`json`
+for polytope files and --format json, `fractions` for --emit-dh and one
+error message, `pathlib`)
+to the functions that use it, and the command line is read by the CLI's own
+command table, not `argparse`.
 """
 
 from .lattice import (

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from . import golden
 from .classify4 import classify4, enumerate_case3_tuples
@@ -150,65 +150,145 @@ def cmd_tuples(_args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hamfix",
-        description="Classification data for semifree Hamiltonian circle actions "
-        "on monotone symplectic manifolds",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+DESCRIPTION = (
+    "Classification data for semifree Hamiltonian circle actions "
+    "on monotone symplectic manifolds."
+)
+HELP = (
+    "An option's value is the next word, even one that starts with '-', or\n"
+    "follows '=' (--dim=6).  A unique prefix names an option (--fo json), and\n"
+    "the last value given wins.  `hamfix COMMAND -h` prints one command's usage.\n"
+)
 
-    p_classify = sub.add_parser("classify", help="enumerate fixed-point data rows")
-    p_classify.add_argument("--dim", type=int, choices=(4, 6), required=True)
-    p_classify.add_argument("--case", choices=("I", "II", "III", "all"), default="all")
-    p_classify.add_argument("--format", choices=("json", "tsv"), default="tsv")
-    p_classify.add_argument("--emit-dh", metavar="DIR", default=None,
-                            help="write per-row (t, DH(t)) sample tables")
-    p_classify.set_defaults(func=cmd_classify)
-
-    p_chern = sub.add_parser("chern", help="anticanonical degree of one row")
-    p_chern.add_argument("--row", required=True)
-    p_chern.set_defaults(func=cmd_chern)
-
-    p_cap = sub.add_parser("capacities", help="ball and oscillation capacities")
-    p_cap.set_defaults(func=cmd_capacities)
-
-    p_toric = sub.add_parser("toric", help="verify toric candidates")
-    p_toric.add_argument("action", choices=("verify",))
-    p_toric.add_argument("--polytope", default=None)
-    p_toric.add_argument("--xi", default=None)
-    p_toric.add_argument("--corpus", default=None)
-    p_toric.set_defaults(func=cmd_toric)
-
-    p_tables = sub.add_parser("tables", help="diff recomputed tables against golden")
-    p_tables.add_argument("action", choices=("diff",))
-    p_tables.set_defaults(func=cmd_tables)
-
-    p_tuples = sub.add_parser("case3-tuples", help="dimension-four case III data")
-    p_tuples.set_defaults(func=cmd_tuples)
-
-    return parser
+# command -> (handler, summary, action choices, options, required options,
+# defaults).  An option maps to its choices, or to the metavar of a free
+# value; int choices read the value as an int.  An option neither given nor
+# defaulted is None.
+COMMANDS = {
+    "classify": (
+        cmd_classify, "enumerate fixed-point data rows", (),
+        {"dim": (4, 6), "case": ("I", "II", "III", "all"), "format": ("json", "tsv"),
+         "emit-dh": "DIR"},
+        ("dim",), {"case": "all", "format": "tsv"},
+    ),
+    "chern": (cmd_chern, "anticanonical degree of one row", (), {"row": "LABEL"}, ("row",), {}),
+    "capacities": (cmd_capacities, "ball and oscillation capacities", (), {}, (), {}),
+    "toric": (
+        cmd_toric, "verify toric candidates", ("verify",),
+        {"polytope": "FILE", "xi": "A,B,C", "corpus": "DIR"}, (), {},
+    ),
+    "tables": (cmd_tables, "diff recomputed tables against golden", ("diff",), {}, (), {}),
+    "case3-tuples": (cmd_tuples, "dimension-four case III data", (), {}, (), {}),
+}
 
 
-def _bind_xi(argv: list[str]) -> list[str]:
-    """`--xi V` as `--xi=V`: argparse reads a V such as -1,0,-1 as an option."""
-    out = []
-    for token in argv:
-        if out and out[-1] == "--xi":
-            out[-1] += "=" + token
+class UsageError(Exception):
+    """A command line the table does not accept: (command or None, reason)."""
+
+
+def _choices(values) -> str:
+    return "{" + ",".join(map(str, values)) + "}"
+
+
+def _usage(command=None) -> str:
+    """The synopsis of one command, or of every command, with its summary."""
+    lines = []
+    for name in [command] if command else COMMANDS:
+        _, summary, actions, options, required, _ = COMMANDS[name]
+        words = ["hamfix", name] + [_choices(actions)] * bool(actions)
+        for opt, spec in options.items():
+            word = f"--{opt} {spec if isinstance(spec, str) else _choices(spec)}"
+            words.append(word if opt in required else f"[{word}]")
+        lines += [" ".join(words), f"    {summary}"]
+    return "usage:\n" + "".join(f"  {line}\n" for line in lines)
+
+
+def _parse(argv):
+    """(command, options) read from argv by COMMANDS; options is None for -h.
+
+    An option is `--name VALUE` or `--name=VALUE`, named by any unique prefix;
+    the token after it is always its value, so a value may start with `-`,
+    and the last value given wins.  The action may stand anywhere after the
+    command, and after `--` every token is positional.
+    """
+    if not argv:
+        raise UsageError(None, "no command given")
+    command, tokens = argv[0], iter(argv[1:])
+    if command == "-h" or len(command) > 2 and "--help".startswith(command):
+        return None, None
+    if command not in COMMANDS:
+        what = "option" if command.startswith("-") else "command"
+        raise UsageError(None, f"unknown {what} {command!r}")
+    _, _, actions, options, required, defaults = COMMANDS[command]
+    values = {opt: defaults.get(opt) for opt in options}
+    positional, unknown = [], []  # an unknown option fails after a later -h
+    for token in tokens:
+        if token == "--":
+            positional += tokens
+        elif not token.startswith("-") or token == "-":
+            positional.append(token)
+        elif token == "-h":
+            return command, None
         else:
-            out.append(token)
-    return out
+            key, eq, value = token.partition("=")
+            found = [o for o in ("help", *options) if key[2:] and f"--{o}".startswith(key)]
+            if found == ["help"]:
+                return command, None
+            if len(found) != 1:
+                unknown.append(key)
+                continue
+            opt, spec = found[0], options[found[0]]
+            if not eq and (value := next(tokens, None)) is None:
+                raise UsageError(command, f"--{opt} needs a value")
+            if not isinstance(spec, str):
+                try:
+                    value = type(spec[0])(value)  # int choices read 06 as 6
+                except ValueError:
+                    pass
+                if value not in spec:
+                    raise UsageError(command, f"--{opt}: invalid choice {value!r} "
+                                     f"(choose from {', '.join(map(str, spec))})")
+            values[opt] = value
+    if unknown:
+        raise UsageError(command, f"unknown option {unknown[0]!r}")
+    if actions:
+        if not positional:
+            raise UsageError(command, f"no action given (choose from {', '.join(actions)})")
+        if (action := positional.pop(0)) not in actions:
+            raise UsageError(command, f"invalid action {action!r} "
+                             f"(choose from {', '.join(actions)})")
+    if positional:
+        raise UsageError(command, f"unexpected argument {positional[0]!r}")
+    for opt in required:
+        if values[opt] is None:
+            raise UsageError(command, f"--{opt} is required")
+    return command, SimpleNamespace(**{o.replace("-", "_"): v for o, v in values.items()})
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(_bind_xi(sys.argv[1:] if argv is None else argv))
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+        command, args = _parse(sys.argv[1:] if argv is None else argv)
+    except UsageError as err:
+        command, reason = err.args
+        where = f"hamfix {command}" if command else "hamfix"
+        sys.stderr.write(f"{where}: {reason}\n{_usage(command)}")
+        return 2
     try:
-        return args.func(args)
+        if args is None:
+            sys.stdout.write(f"{DESCRIPTION}\n\n{_usage(command)}\n{HELP}")
+            status = 0
+        else:
+            status = COMMANDS[command][0](args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader left: point stdout at devnull so that the flush at exit
+        # fails no more, and exit 1, as the `signal` module's docs advise
+        import os
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except HamfixError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

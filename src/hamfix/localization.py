@@ -19,9 +19,10 @@ level as their first field, checked when the component is built, and their
 own behaviour: Morse-Bott index (twice the number of negative weights),
 dimension, Poincare terms, contribution, orientation reversal, the report
 column, and the key the toric matcher reads (`toric_descriptor()`, whose
-areas come from the reduced class c1 - level e: c1 at an interior surface's
-level 0).  Other modules call these methods and never test a component's
-type.
+areas are ints read from the reduced class w = c1 - level e: an interior
+sphere's area c1.C, as w = c1 at level 0, and twice an extremal
+4-manifold's area, w.w).  Other modules call these methods and never test a
+component's type.
 """
 
 from __future__ import annotations
@@ -264,9 +265,10 @@ class ExtremalFourManifold:
         return "P2" if self.lattice.blowups == 0 else f"P2#{self.lattice.blowups}"
 
     def toric_descriptor(self):
-        from fractions import Fraction  # only the toric matcher reads areas
+        # the symplectic area of the reduced class w is w.w / 2, so w.w is
+        # twice the lattice area of the fixed facet (`toric.twice_facet_area`)
         lat, w = self.lattice, self.reduced_class
-        return ("fourmanifold", lat.kind, lat.blowups, Fraction(pair(w, w), 2))
+        return ("fourmanifold", lat.kind, lat.blowups, pair(w, w))
 
 
 def contribution(fc, alpha: str) -> int:

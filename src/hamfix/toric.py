@@ -290,17 +290,20 @@ def _facet_cycle_of(p: Polytope, verts: tuple[int, ...]) -> list[int]:
     return p.facet_cycle(fi)
 
 
-def facet_lattice_area(p: Polytope, verts: tuple[int, ...]):
-    """Lattice-normalized area of a fixed 2-face (a half-integer `Fraction`)."""
-    from fractions import Fraction
+def twice_facet_area(p: Polytope, verts: tuple[int, ...]) -> int:
+    """Twice the lattice-normalized area of a fixed 2-face, an int.
+
+    The cross products of a fan triangulation from the first vertex sum to
+    m n for the face's primitive normal n, and m is twice the area in units
+    of the fundamental parallelogram, as a unimodular triangle has area 1/2.
+    """
     cycle = _facet_cycle_of(p, verts)
     v0 = p.vertices[cycle[0]]
     acc = (0, 0, 0)
     for a, b in zip(cycle[1:], cycle[2:]):
         c = _cross(_sub(p.vertices[a], v0), _sub(p.vertices[b], v0))
         acc = tuple(x + y for x, y in zip(acc, c))
-    _, m = _primitive(acc)
-    return Fraction(m, 2)
+    return _primitive(acc)[1]
 
 
 def _facet_shape(p: Polytope, verts: tuple[int, ...]):
@@ -343,7 +346,7 @@ def observed_profile(p: Polytope, d: CircleDirection):
             desc = ("sphere", p.edge_length(f.vertices))
         else:
             kind, blowups = _facet_shape(p, f.vertices)
-            desc = ("fourmanifold", kind, blowups, facet_lattice_area(p, f.vertices))
+            desc = ("fourmanifold", kind, blowups, twice_facet_area(p, f.vertices))
         levels.setdefault(f.level, []).append(desc)
     return {lvl: tuple(sorted(ds)) for lvl, ds in sorted(levels.items())}
 
@@ -357,6 +360,14 @@ def _tfd_profile(tfd: TFD):
             return None
         levels.setdefault(fc.level, []).append(desc)
     return {lvl: tuple(sorted(ds)) for lvl, ds in sorted(levels.items())}
+
+
+def _profile_text(desc) -> str:
+    """A descriptor as words; a 4-manifold's twice-area prints as its area, 4 or 7/2."""
+    if desc[0] == "fourmanifold":
+        *desc, twice = desc
+        desc.append(twice // 2 if twice % 2 == 0 else f"{twice}/2")
+    return " ".join(map(str, desc))
 
 
 def tfd_from_polytope(p: Polytope, d: CircleDirection, rows: list[TFD] | None = None) -> TFD:
@@ -380,8 +391,7 @@ def tfd_from_polytope(p: Polytope, d: CircleDirection, rows: list[TFD] | None = 
     ]
     if len(matches) != 1:
         text = "; ".join(
-            f"{lvl}: " + ", ".join(" ".join(map(str, desc)) for desc in descs)
-            for lvl, descs in observed.items()
+            f"{lvl}: " + ", ".join(map(_profile_text, descs)) for lvl, descs in observed.items()
         )
         raise NoMatchingTFD(f"{p.name}: {len(matches)} classified rows match profile {text}")
     return matches[0]

@@ -111,7 +111,8 @@ def test_toric_verify_prints_faces_by_sorted_vertex_index(capsys, name, xi, out)
 
 
 def test_toric_verify_negative_direction_after_a_space(capsys):
-    # argparse alone reads "-1,0,-1" after a space as an option and exits 2
+    # the token after an option is its value, even one that starts with a
+    # minus sign, so a space and an `=` read the same direction
     path = str(corpus_dir() / "p1xf1.json")
     assert run(["toric", "verify", "--polytope", path, "--xi=-1,0,-1"]) == 0
     out, _ = capture(capsys)
@@ -390,6 +391,71 @@ def test_unknown_flag_exits_2(capsys):
     for argv in (["--dim", "5"], ["--dim", "6", "--bound", "5"], ["--dim", "6", "-v"]):
         assert run(["classify", *argv]) == 2, argv
     capture(capsys)
+
+
+P3 = str(corpus_dir() / "p3.json")
+
+
+@pytest.mark.parametrize(
+    "kind,argv,want",
+    [
+        # a usage error: exit 2, no stdout, and `hamfix[ command]: reason` then the usage
+        ("usage", [], "hamfix: "),
+        ("usage", ["bogus"], "hamfix: "),
+        ("usage", ["--dim", "6"], "hamfix: "),
+        ("usage", ["classify", "--dim", "6", "-v"], "hamfix classify: "),
+        ("usage", ["classify", "--dim"], "hamfix classify: "),
+        ("usage", ["classify", "--dim", "5"], "hamfix classify: "),
+        ("usage", ["classify", "--dim", "six"], "hamfix classify: "),
+        ("usage", ["classify", "--dim", "6", "--case", "IV"], "hamfix classify: "),
+        ("usage", ["classify", "--case", "I"], "hamfix classify: "),
+        ("usage", ["toric", "--polytope", P3, "--xi", "1,1,1"], "hamfix toric: "),
+        ("usage", ["toric", "check"], "hamfix toric: "),
+        ("usage", ["tables", "diff", "diff"], "hamfix tables: "),
+        ("usage", ["capacities", "x"], "hamfix capacities: "),
+        # a form argparse accepted: the canonical form's status and stdout
+        ("same", ["classify", "--dim=6"], ["classify", "--dim", "6"]),
+        ("same", ["classify", "--dim", "6", "--fo", "json", "--ca", "I"],
+         ["classify", "--dim", "6", "--format", "json", "--case", "I"]),
+        ("same", ["classify", "--dim", "4", "--dim", "6"], ["classify", "--dim", "6"]),
+        ("same", ["classify", "--dim", "06"], ["classify", "--dim", "6"]),
+        ("same", ["toric", "--polytope", P3, "--xi", "1,1,1", "verify"],
+         ["toric", "verify", "--polytope", P3, "--xi", "1,1,1"]),
+        ("same", ["tables", "--", "diff"], ["tables", "diff"]),
+        # help: exit 0, naming every command or option
+        ("help", ["--help"], ["classify", "chern", "capacities", "toric", "tables", "case3-tuples"]),
+        ("help", ["classify", "-h"], ["--dim", "--case", "--format", "--emit-dh"]),
+        ("help", ["toric", "-h"], ["verify", "--polytope", "--xi", "--corpus"]),
+        ("help", ["classify", "-v", "-h"], ["--dim", "--case", "--format", "--emit-dh"]),
+    ],
+)
+def test_parser_contract(capsys, kind, argv, want):
+    status = run(argv)
+    out, err = capture(capsys)
+    if kind == "usage":
+        assert (status, out) == (2, "")
+        assert err.startswith(want) and "\nusage:\n" in err, err
+        assert "Traceback" not in err
+    elif kind == "same":
+        assert (status, out) == (run(want), capture(capsys)[0])
+    else:
+        assert (status, err) == (0, "")
+        assert all(name in out for name in want), out
+
+
+@pytest.mark.parametrize("buffering", [1, -1], ids=["on-write", "at-flush"])
+def test_closed_stdout_exits_1_without_a_message(monkeypatch, capsys, buffering):
+    # `hamfix tables diff | head -c 1`: the reader closes the pipe, and the
+    # write raises BrokenPipeError, an OSError that is no invalid input
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w", buffering=buffering) as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        status = run(["tables", "diff"])
+        stdout.write("at exit\n")
+        stdout.flush()  # stdout now writes to devnull
+        monkeypatch.undo()
+    assert (status, capture(capsys)) == (1, ("", ""))
 
 
 def test_reference_tables_round_trip():

@@ -58,6 +58,8 @@ COMMANDS = [
       "--corpus", "{corpus}"], 2),
     (["tables", "diff"], 1),
     (["case3-tuples"], 0),
+    (["--help"], 0),
+    (["toric", "-h"], 0),
 ]
 
 SCAN = r"""

@@ -50,20 +50,29 @@ def _child(code):
 
 
 def test_commands_skip_json_and_fractions():
-    # a TSV table and a table diff are ints and text; `json` serves --format
-    # json and polytope files, `fractions` (with `decimal` and `numbers`) the
-    # toric areas and --emit-dh, and `pathlib` files
+    # the command table reads argv, so no command loads argparse (or the
+    # gettext and locale it loads for its messages); a TSV table and a table
+    # diff are ints and text, and toric areas are twice-ints: `json` serves
+    # --format json and polytope files, `fractions` (with `decimal` and
+    # `numbers`) --emit-dh, and `pathlib` files; `toric verify` runs last, as
+    # it loads `json` and `pathlib`
     code = (
         "import io; from hamfix import cli; real = sys.stdout; seen = []\n"
-        "for argv in (['classify', '--dim', '6'], ['tables', 'diff']):\n"
+        "parser = {'argparse', 'gettext', 'locale'}\n"
+        "numbers = {'fractions', 'decimal', 'numbers'}\n"
+        "for argv, unused in (\n"
+        "    (['classify', '--dim', '6'], parser | numbers | {'json', 'pathlib'}),\n"
+        "    (['classify', '--dim', '4'], parser | numbers | {'json', 'pathlib'}),\n"
+        "    (['tables', 'diff'], parser | numbers | {'json', 'pathlib'}),\n"
+        "    (['toric', 'verify'], parser | numbers),\n"
+        "):\n"
         "    sys.stdout = sys.stderr = io.StringIO()\n"
         "    status = cli.run(argv)\n"
         "    sys.stdout, sys.stderr = real, sys.__stderr__\n"
-        "    unused = {'json', 'fractions', 'decimal', 'numbers', 'pathlib'}\n"
         "    seen.append((status, sorted(unused & set(sys.modules))))\n"
         "print(seen)"
     )
-    assert _child(code) == "[(1, []), (1, [])]\n"
+    assert _child(code) == "[(1, []), (0, []), (1, []), (0, [])]\n"
 
 
 def test_package_import_loads_the_traced_modules():

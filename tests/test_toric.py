@@ -8,6 +8,7 @@ import pytest
 
 from hamfix.classify6 import classify_all, flip
 from hamfix.errors import HamfixError, NoMatchingTFD, NotDelzant, NotReflexive
+from hamfix.lattice import pair
 from hamfix.localization import (
     ExtremalFourManifold,
     ExtremalSurface,
@@ -20,7 +21,6 @@ from hamfix.toric import (
     Polytope,
     chern_number_from_volume,
     corpus_dir,
-    facet_lattice_area,
     fixed_faces,
     is_semifree,
     _facet_shape,
@@ -29,6 +29,7 @@ from hamfix.toric import (
     matched_degree,
     observed_profile,
     tfd_from_polytope,
+    twice_facet_area,
     verify_corpus,
 )
 
@@ -106,8 +107,26 @@ def test_degree_is_twice_the_facet_areas(corpus):
     # a reflexive polytope is the union of the cones from its interior point
     # over its facets, each at lattice distance 1, so 6 vol = sum 2 area
     for name, (p, _d, _row) in corpus.items():
-        areas = [facet_lattice_area(p, tuple(p.facet_vertices(fi))) for fi in range(len(p.facets))]
-        assert p.degree == 2 * sum(areas), name
+        twice_areas = [twice_facet_area(p, tuple(p.facet_vertices(fi))) for fi in range(len(p.facets))]
+        assert all(type(a) is int for a in twice_areas), name
+        assert p.degree == sum(twice_areas), name
+
+
+def test_fourmanifold_descriptors_hold_twice_the_area():
+    # the toric key of an extremal 4-manifold is the int w.w, w its reduced
+    # class, on every row and its flip; a Fraction area would equal it
+    # only if halved
+    seen = 0
+    for row in classify_all(strict=False):
+        for tfd in (row, flip(row)):
+            for fc in tfd.components:
+                if isinstance(fc, ExtremalFourManifold):
+                    w, lat = fc.reduced_class, fc.lattice
+                    desc = fc.toric_descriptor()
+                    assert desc == ("fourmanifold", lat.kind, lat.blowups, pair(w, w)), tfd.label
+                    assert type(desc[3]) is int, tfd.label
+                    seen += 1
+    assert seen == 20  # over the 19 rows and their flips
 
 
 def test_degree_of_the_hexagonal_prism():
