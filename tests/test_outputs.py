@@ -1,0 +1,122 @@
+"""Byte-identity of every command's output against a checked-in digest table.
+
+Each command runs in process through `cli.run`.  Its exit code, stdout and
+stderr, with the corpus directory written as CORPUS, hash to a short sha256
+that `outputs.tsv` records; each file that `--emit-dh` writes is hashed too.
+A change that claims identical output leaves the table untouched.  A change
+that moves an output re-records the table on purpose:
+
+    PYTHONPATH=src python tests/test_outputs.py --record
+
+pytest only compares, and never writes the table.
+"""
+
+import contextlib
+import hashlib
+import io
+import itertools
+import sys
+import tempfile
+from pathlib import Path
+
+from hamfix import golden
+from hamfix.cli import run
+from hamfix.toric import corpus_dir
+
+TABLE = Path(__file__).with_name("outputs.tsv")
+CORPUS = "CORPUS"
+
+
+def _corpus_files():
+    return sorted(p.name for p in corpus_dir().glob("*.json") if p.name != "index.json")
+
+
+def commands():
+    """Every command line the table covers, with the corpus written as CORPUS."""
+    out = [
+        ["classify", "--dim", dim, "--format", fmt, "--case", case]
+        for dim in ("6", "4") for fmt in ("tsv", "json") for case in ("I", "II", "III", "all")
+    ]
+    out += [["tables", "diff"], ["capacities"], ["case3-tuples"]]
+    out += [["toric", "verify"], ["toric", "verify", "--corpus", CORPUS]]
+    labels = [row["label"] for row in golden.GOLDEN6] + ["II-4.1b", "IX-7"]
+    out += [["chern", "--row", label] for label in labels]
+    for name in _corpus_files():
+        for xi in itertools.product((-1, 0, 1), repeat=3):
+            if any(xi):
+                out.append(["toric", "verify", "--polytope", f"{CORPUS}/{name}",
+                            "--xi=" + ",".join(map(str, xi))])
+    p3 = f"{CORPUS}/p3.json"
+    # the usage errors and help forms of tests/test_cli.py::test_parser_contract
+    out += [
+        [], ["bogus"], ["--dim", "6"], ["classify", "--dim", "6", "-v"],
+        ["classify", "--dim"], ["classify", "--dim", "5"], ["classify", "--dim", "six"],
+        ["classify", "--dim", "6", "--case", "IV"], ["classify", "--case", "I"],
+        ["toric", "--polytope", p3, "--xi", "1,1,1"], ["toric", "check"],
+        ["tables", "diff", "diff"], ["capacities", "x"],
+        ["--help"], ["classify", "-h"], ["toric", "-h"], ["classify", "-v", "-h"],
+    ]
+    return out
+
+
+def _digest(*parts) -> str:
+    return hashlib.sha256("\0".join(map(str, parts)).encode("utf-8")).hexdigest()[:16]
+
+
+def _run(argv, corpus):
+    """(status, stdout, stderr) of one in-process command, corpus as CORPUS."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = run([a.replace(CORPUS, corpus) for a in argv])
+    return status, out.getvalue().replace(corpus, CORPUS), err.getvalue().replace(corpus, CORPUS)
+
+
+def compute(directory):
+    """{command: (digest, status, stdout, stderr)}, the `--emit-dh` files
+    written under `directory`."""
+    corpus = str(corpus_dir())
+    got = {}
+    for argv in commands():
+        result = _run(argv, corpus)
+        got[" ".join(argv) or "(no arguments)"] = (_digest(*result), *result)
+    emit = ["classify", "--dim", "6", "--emit-dh", str(directory)]
+    result = _run(emit, corpus)
+    got["classify --dim 6 --emit-dh DIR"] = (_digest(*result), *result)
+    for path in sorted(Path(directory).glob("*.tsv")):
+        body = path.read_text(encoding="utf-8")
+        got[f"classify --dim 6 --emit-dh DIR: {path.name}"] = (_digest(body), 0, body, "")
+    return got
+
+
+def read_table():
+    rows = (line.split("\t", 1) for line in TABLE.read_text(encoding="utf-8").splitlines())
+    return {command: digest for digest, command in rows}
+
+
+def test_outputs_match_recorded_digests(tmp_path):
+    want = read_table()
+    got = compute(tmp_path)
+    moved = [c for c in got if c in want and got[c][0] != want[c]]
+    missing = sorted(set(want) - set(got))
+    new = [c for c in got if c not in want]
+    if moved or missing or new:
+        lines = [f"{len(moved)} outputs moved:"] + [f"  {c}" for c in moved]
+        lines += [f"not run: {c}" for c in missing] + [f"not recorded: {c}" for c in new]
+        if moved:
+            _, status, out, err = got[moved[0]]
+            lines += [f"new output of {moved[0]!r}: exit {status}",
+                      "stdout:", out, "stderr:", err]
+        raise AssertionError("\n".join(lines))
+
+
+def record():
+    with tempfile.TemporaryDirectory() as directory:
+        got = compute(directory)
+    TABLE.write_text("".join(f"{d}\t{c}\n" for c, (d, *_) in got.items()), encoding="utf-8")
+    print(f"recorded {len(got)} digests in {TABLE}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: python tests/test_outputs.py --record")
+    record()
