@@ -197,7 +197,7 @@ def _candidate_totals(max_dim: int, k: int, m: int):
     - the path closes at the maximum, a closed form in e0.e0 =
       (a-1)^2 - sum (bi+1)^2, c1.e0 = 3(a-1) + sum (bi+1) and m (`_closes`);
     - exactly m (-1)-classes have zero area under omega(1), pairwise
-      disjoint: the classes the m points contract (`blow_down`).
+      disjoint: the classes the m points contract (`blow_down`, `_contracts`).
 
     Tails are nondecreasing: an index permutation is an isometry of P2#k
     fixing c1 and e-, so it maps paths to paths, and one total per orbit is
@@ -218,7 +218,7 @@ def _candidate_totals(max_dim: int, k: int, m: int):
       u - Ei - Ej have areas 2 and 0.
     - [0, 1]: omega(0) = c1, and omega(1)^2 >= 1 by the level-one budget.
       The bi+2 are >= 0, so by Cauchy-Schwarz sum (bi+2) <= sqrt(k((4-a)^2
-      - 1)) < 3(4-a) for k <= 8, that is c1.omega(1) = 3(4-a) - sum (bi+2)
+      - 1)) < 3(4-a) for k <= 4, that is c1.omega(1) = 3(4-a) - sum (bi+2)
       > 0.  Both ends lie in the forward cone, so the whole segment does.
       Each (-1)-class has area 1 at 0 and >= 0 at 1 (above).
     - Above level one: `_closes`.
@@ -233,7 +233,6 @@ def _candidate_totals(max_dim: int, k: int, m: int):
     - The level-one budget alone stops the tails (`_sorted_tails`).
     """
     lat = make_blowup_lattice(k)
-    exc = exceptional_classes(lat)
     b_floor = -2 if m else -1
     for a in _leading_coefficients(k):
         for tail in _sorted_tails(k, b_floor, (4 - a) ** 2 - 1):
@@ -245,11 +244,20 @@ def _candidate_totals(max_dim: int, k: int, m: int):
             ee = (a - 1) ** 2 - sum((b + 1) ** 2 for b in tail)
             if not _closes(max_dim, ee, 3 * (a - 1) + sum(tail) + k, m):
                 continue
-            omega1 = CohClass(lat, (4 - a,) + tuple(-(b + 2) for b in tail))
-            zero = [e for e in exc if pair(omega1, e) == 0]
-            if len(zero) != m or any(pair(e, f) for e, f in itertools.combinations(zero, 2)):
+            if not _contracts(a, tail, m):
                 continue
             yield CohClass(lat, (a,) + tail)
+
+
+def _contracts(a: int, tail: tuple[int, ...], m: int) -> bool:
+    """Whether exactly m of the Ei and u - Ei - Ej vanish under omega(1), pairwise
+    disjoint, from the areas bi+2 and -a-bi-bj: Ei.Ej = 0, Ei meets u - Ej - El
+    once if i is j or l, and two line classes meet 1 - (shared indices) times."""
+    points = {i for i, b in enumerate(tail) if b == -2}
+    lines = [(i, j) for i, j in itertools.combinations(range(len(tail)), 2)
+             if a + tail[i] + tail[j] == 0]
+    return (len(points) + len(lines) == m and not any(points.intersection(p) for p in lines)
+            and all(len(set(p + q)) == 3 for p, q in itertools.combinations(lines, 2)))
 
 
 def _closes(max_dim: int, ee: int, ce: int, m: int) -> bool:
@@ -355,15 +363,15 @@ def _cells():
 
     - With a level-0 surface, k runs while some leading coefficient passes
       (`_leading_coefficients`), that is k <= 4.
-    - Without one, omega(1) = 4u - 2 sum Ei on P2#k.  The seven shapes of
-      `exceptional_classes` pair with it to 2, 0, -2, -4, -6, -8 and -10, so
-      the zero-area classes are exactly the C(k, 2) classes u - Ei - Ej.
-      Their count must be m <= k, so k <= 3, where any two of them share an
-      index and so are disjoint.  C(k, 2) = m leaves k = 0 or 3 at a point
-      maximum, k <= 2 at a sphere maximum and k <= 1 at a 4-manifold
-      maximum.  Then e0 = e-, so e0.e0 = 1 - k and c1.e0 = k - 3, and the
-      path closes (`_closes`) at a point maximum only for k = 3 and at a
-      sphere maximum only for k = 3, which C(3, 2) = 3 != 2 rules out.
+    - Without one, omega(1) = 4u - 2 sum Ei on P2#k pairs with each Ei to 2
+      and with each u - Ei - Ej to 0.  So the zero-area classes include the
+      C(k, 2) lines, all of them for k <= 4 (`exceptional_classes`); their
+      count must be m <= k, so k <= 3, where any two share an index and so
+      are disjoint.  C(k, 2) = m leaves k = 0 or 3 at a point maximum,
+      k <= 2 at a sphere maximum and k <= 1 at a 4-manifold maximum.  Then
+      e0 = e-, so e0.e0 = 1 - k and c1.e0 = k - 3, and the path closes
+      (`_closes`) at a point maximum only for k = 3 and at a sphere maximum
+      only for k = 3, which C(3, 2) = 3 != 2 rules out.
 
     Of the 17 cells, 14 have a surface, and six of those yield no candidate
     from `_candidate_totals`, as follows.  Write T = (a; b) for the total,
@@ -373,7 +381,7 @@ def _cells():
       (-1)-classes of zero area under omega(1) = c1 - e0, so e0.V = c1.V = 1,
       and e0 + sum V is orthogonal to them and pushes forward to e+ = u
       (`_closes`).  So e0 = u' - sum V for an exceptional basis (u'; V) of
-      P2#k (Manin, Cubic Forms, section 26, the source of the shapes).
+      P2#k (Manin, Cubic Forms, section 26).
       - k = 2: {E1, E2} is the only disjoint pair; T = (2; -2, -2) has
         T.T + c1.T = -2, below the genus budget.
       - k = 3: V = {E1, E2, E3} gives T = (2; -2, -2, -2), of volume 0;

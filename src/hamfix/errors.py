@@ -6,7 +6,7 @@ class HamfixError(Exception):
 
 
 class InvalidBlowupCount(HamfixError):
-    """Blow-up count outside the supported range 0..8."""
+    """Blow-up count outside 0..8, or outside 0..4 where (-1)-classes are asked for."""
 
 
 class LatticeMismatch(HamfixError):

@@ -4,8 +4,8 @@ Two lattice presentations cover every reduced space that can occur: the
 blow-up basis (u, E1, ..., Ek) of a k-fold blow-up of the plane with
 intersection form diag(1, -1, ..., -1), and the product basis (x, y) of a
 product of spheres with form [[0,1],[1,0]].  Class coefficients are ints,
-so all arithmetic is exact.  The (-1)-classes and the splittings of a class
-into disjoint embedded surfaces are closed forms, not searches.
+so all arithmetic is exact.  The (-1)-classes, Ei and u - Ei - Ej, and the
+splittings of a class into disjoint embedded surfaces are closed forms.
 """
 
 from __future__ import annotations
@@ -130,44 +130,28 @@ def pair(a: CohClass, b: CohClass) -> int:
     return 2 * x[0] * y[0] - sum(map(operator.mul, x, y))  # x0 y0 minus the E-terms
 
 
-# (-1)-classes of the k-fold blow-up of the plane, k <= 8, as the leading
-# coefficient u and up to two (value, multiplicity) groups of E-coefficients.
-_EXCEPTIONAL_SHAPES = (
-    (0, (1, 1), (0, 0)),
-    (1, (-1, 2), (0, 0)),
-    (2, (-1, 5), (0, 0)),
-    (3, (-2, 1), (-1, 6)),
-    (4, (-2, 3), (-1, 5)),
-    (5, (-2, 6), (-1, 2)),
-    (6, (-3, 1), (-2, 7)),
-)
-
-
 def exceptional_classes(lattice: SurfaceLattice) -> tuple[CohClass, ...]:
     """All integral classes C with C.C = -1 and anticanonical pairing 1, sorted.
 
-    On the k-fold blow-up of the plane, k <= 8, these are exactly the index
-    permutations of seven shapes (u; E1, ..., Ek): (0; 1), (1; -1^2),
-    (2; -1^5), (3; -2, -1^6), (4; -2^3, -1^5), (5; -2^6, -1^2) and
-    (6; -3, -2^7), with zeros in the unused places (Manin, Cubic Forms,
-    section 26).  Each shape is placed by choosing the positions of its two
-    coefficient groups, so no permutation is built twice.
+    The search builds P2#k only for k <= 4: `blow_up` runs only at level -1,
+    on the plane, `_leading_coefficients` admits no level-0 total for k >= 5
+    and `_cells` keeps k <= 3 without one.  There these are the k classes Ei
+    and the C(k, 2) classes u - Ei - Ej: a class (a; b) has sum b^2 = a^2 + 1
+    and sum b = 1 - 3a, and Cauchy-Schwarz, (1 - 3a)^2 <= k(a^2 + 1), leaves
+    a = 0 (one Ei) and a = 1 (two entries -1).  The other shapes, (2; -1^5)
+    to (6; -3, -2^7), need five blow-ups or more (Manin, Cubic Forms, section
+    26), so P2#5..8 raise InvalidBlowupCount rather than return a short list.
     """
     if lattice.kind == PRODUCT:
         raise NoExceptionalBasis("product lattice has no square -1 classes")
     k = lattice.blowups
-    found = []
-    for a, (v1, n1), (v2, n2) in _EXCEPTIONAL_SHAPES:
-        for first in itertools.combinations(range(k), n1):
-            rest = [i for i in range(k) if i not in first]
-            for second in itertools.combinations(rest, n2):
-                tail = [0] * k
-                for i in first:
-                    tail[i] = v1
-                for i in second:
-                    tail[i] = v2
-                found.append((a, *tail))
-    found.sort()
+    if k > 4:
+        raise InvalidBlowupCount(f"(-1)-classes of P2#{k}: the search blows up 0..4 times")
+    found = sorted(
+        (a,) + tuple(v if i in chosen else 0 for i in range(k))
+        for a, v, n in ((0, 1, 1), (1, -1, 2))  # Ei and u - Ei - Ej
+        for chosen in itertools.combinations(range(k), n)
+    )
     return tuple(CohClass(lattice, coeffs) for coeffs in found)
 
 

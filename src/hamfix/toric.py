@@ -27,6 +27,15 @@ def _strict(x, kind=int):
     return x
 
 
+def _read_json(path):
+    import json
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError as err:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from err
+
+
 def _ivec(v):
     return tuple(map(_strict, _strict(v, list)))
 
@@ -165,9 +174,7 @@ class Polytope:
 
     @staticmethod
     def load(path) -> Polytope:
-        import json
-        with open(path, encoding="utf-8") as fh:
-            return Polytope.from_dict(json.load(fh))
+        return Polytope.from_dict(_read_json(path))
 
     def vertex_edges(self, i: int) -> list[tuple[int, int]]:
         return [e for e in self.edges if i in e]
@@ -428,8 +435,7 @@ def load_corpus(directory=None):
     import json
     from pathlib import Path
     directory = Path(directory) if directory else corpus_dir()
-    with open(directory / "index.json", encoding="utf-8") as fh:
-        index = json.load(fh)
+    index = _read_json(directory / "index.json")
     out = []
     for entry in _strict(index, list):
         try:

@@ -406,6 +406,43 @@ def test_no_candidate_on_box_boundary(rows):
                 assert max(abs(x) for x in c.coeffs) < 6
 
 
+def _pairing_count(a, tail, m):
+    """The level-one count as generation made it: pair omega(1) with every
+    (-1)-class of the reference."""
+    lat = make_blowup_lattice(len(tail))
+    omega1 = CohClass(lat, (4 - a,) + tuple(-(b + 2) for b in tail))
+    zero = [e for e in unpruned.exceptional_classes(lat) if pair(omega1, e) == 0]
+    return len(zero) == m and not any(pair(e, f) for e, f in itertools.combinations(zero, 2))
+
+
+def test_level_one_count_reads_the_total_ints(monkeypatch):
+    # `_contracts` counts the zero-area classes at level one from the total's
+    # ints, so generation builds no (-1)-class; on every tail of every surface
+    # cell it agrees with pairing omega(1) against the reference's classes,
+    # and on a box of tails, where zero-area classes also meet
+    from hamfix import lattice
+
+    def refuse(*_args):
+        raise AssertionError("generation built the (-1)-classes")
+
+    for module in (classify6, lattice):
+        monkeypatch.setattr(module, "exceptional_classes", refuse)
+    tails = 0
+    for max_dim, k, m, surface in classify6._cells():
+        if not surface:
+            continue
+        list(_candidate_totals(max_dim, k, m))
+        for a in classify6._leading_coefficients(k):
+            for tail in classify6._sorted_tails(k, -2 if m else -1, (4 - a) ** 2 - 1):
+                assert classify6._contracts(a, tail, m) == _pairing_count(a, tail, m)
+                tails += 1
+    assert tails == 114
+    box = [(a, tail, m) for k in range(5) for a in range(-2, 4)
+           for tail in itertools.product(range(-2, 2), repeat=k) for m in range(k + 1)]
+    for case in box:
+        assert classify6._contracts(*case) == _pairing_count(*case), case
+
+
 def _unpruned_totals(k, has_blowdown, box):
     """Reference: every nondecreasing tail in the box, then the three filters."""
     b_floor = -2 if has_blowdown else -1
@@ -431,7 +468,7 @@ def _level_one_vanishing(k, total):
     state = blow_up(initial_slice(), -1, k)
     if total is not None:
         state = shift(state, 0, total)
-    return vanishing_classes(state, 1, exceptional_classes(state.lattice))
+    return vanishing_classes(state, 1, unpruned.exceptional_classes(state.lattice))
 
 
 def _passes_level_one_count(k, total, m):

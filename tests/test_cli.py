@@ -269,6 +269,25 @@ def test_toric_verify_non_integer_record_exits_2(tmp_path, keys, value):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("where", ["polytope", "corpus"])
+def test_toric_verify_deeply_nested_json_exits_2(tmp_path, capsys, where):
+    # the JSON parser recurses once per level, so 100,000 nested brackets
+    # raised a RecursionError traceback with exit 1
+    deep = "[" * 100_000
+    if where == "polytope":
+        path = tmp_path / "deep.json"
+        argv = ["toric", "verify", "--polytope", str(path), "--xi", "1,1,1"]
+    else:
+        path = tmp_path / "index.json"
+        argv = ["toric", "verify", "--corpus", str(tmp_path)]
+    path.write_text(deep, encoding="utf-8")
+    assert run(argv) == 2
+    out, err = capture(capsys)
+    assert out == ""
+    assert err == f"invalid input: {path}: JSON nested too deeply to read\n"
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("xi", [[1, 1, 1.0], [True, 1, 1]])
 def test_toric_verify_non_integer_index_direction_exits_2(tmp_path, xi):
     corpus = tmp_path / "corpus"

@@ -164,8 +164,9 @@ def _brute_force_exceptional(k, bound):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_exceptional_brute_force_oracle(k):
-    # every shape with k <= 5 blow-ups, (2; -1^5) included, fits the box 3
-    got = [c.coeffs for c in exceptional_classes(make_blowup_lattice(k))]
+    # every shape of the reference with k <= 5 blow-ups, (2; -1^5) included,
+    # fits the box 3
+    got = [c.coeffs for c in unpruned.exceptional_classes(make_blowup_lattice(k))]
     assert got == sorted(got)
     assert set(got) == _brute_force_exceptional(k, 3)
 
@@ -190,16 +191,33 @@ def test_exceptional_permutation_invariance():
 
 
 def test_exceptional_counts_are_del_pezzo_lines():
-    # (-1)-curves on the k-fold blow-up of the plane, k = 1..8
-    counts = [len(exceptional_classes(make_blowup_lattice(k))) for k in range(1, 9)]
+    # (-1)-curves on the k-fold blow-up of the plane, k = 1..8, in the reference
+    counts = [len(unpruned.exceptional_classes(make_blowup_lattice(k))) for k in range(1, 9)]
     assert counts == [1, 3, 6, 10, 16, 27, 56, 240]
 
 
 def test_exceptional_all_genus_zero():
     for k in (1, 2, 3, 5):
         lat = make_blowup_lattice(k)
-        for c in exceptional_classes(lat):
+        for c in unpruned.exceptional_classes(lat):
             assert adjunction_genus(lat, c) == 0
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_exceptional_closed_form_is_the_reference_list(k):
+    # on the P2#k the search builds, the classes Ei and u - Ei - Ej are all
+    # of the reference's seven shapes, in the same order
+    lat = make_blowup_lattice(k)
+    assert exceptional_classes(lat) == unpruned.exceptional_classes(lat)
+    assert len(exceptional_classes(lat)) == k + k * (k - 1) // 2
+
+
+@pytest.mark.parametrize("k", range(5, 9))
+def test_exceptional_classes_refuse_more_than_four_blowups(k):
+    # (2; -1^5) first places at k = 5, so a list of Ei and u - Ei - Ej there
+    # would be silently short
+    with pytest.raises(InvalidBlowupCount, match="0..4"):
+        exceptional_classes(make_blowup_lattice(k))
 
 
 def test_exceptional_product_raises():

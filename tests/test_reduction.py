@@ -30,6 +30,7 @@ from hamfix.reduction import (
     vanishing_classes,
 )
 from tfd_slices import dh_jump
+import unpruned
 
 P2 = make_blowup_lattice(0)
 
@@ -169,8 +170,9 @@ def test_positive_square_vertex_detection():
 
 
 def _disjoint_families(lat):
-    """Prefixes of greedy disjoint families of (-1)-classes from spread-out starts."""
-    exc = exceptional_classes(lat)
+    """Prefixes of greedy disjoint families of the reference's (-1)-classes
+    from spread-out starts."""
+    exc = unpruned.exceptional_classes(lat)
     for start in exc[:: max(1, len(exc) // 12)]:
         chosen = [start]
         yield tuple(chosen)
@@ -187,7 +189,7 @@ def test_blowdown_lattice_oracle():
     seen = set()
     for k in range(1, 9):
         lat = make_blowup_lattice(k)
-        exc = exceptional_classes(lat)
+        exc = unpruned.exceptional_classes(lat)
         for vanishing in _disjoint_families(lat):
             r = lat.rank - len(vanishing)
             if r >= 3:

@@ -5,11 +5,14 @@ maximum moved into generation: k runs over 1..8 at level -1, level-0 totals
 are filtered by area and volume only, a blow-down whose zero-area classes do
 not match is a rejection, the predicates below reject a candidate whose path
 does not close at the maximum or loses positivity, and canonicalization
-sweeps all k! index permutations.  The slice path (`_sweep_path`) is shared
-with the package; the predicates are the package's former ones, which the
-pruned search derives instead.  The level-0 class is split by the former
-backtracking search over every admissible part (`search_splittings`), which
-`component_splittings` replaces with a closed form.
+sweeps all k! index permutations.  The reference keeps its own (-1)-classes,
+the seven shapes of P2#k for k <= 8 (`exceptional_classes`), where the
+package has the closed form for the k <= 4 it builds, and its own slice path
+(`sweep_path`) from the package's crossing rules.  The predicates are the
+package's former ones, which the pruned search derives instead.  The level-0
+class is split by the former backtracking search over every admissible part
+(`search_splittings`), which `component_splittings` replaces with a closed
+form.
 """
 
 import itertools
@@ -22,16 +25,19 @@ from hamfix.classify6 import (
     _assemble,
     _attach_labels,
     _sorted_tails,
-    _sweep_path,
     sort_key,
 )
-from hamfix.errors import NonDisjointBlowdown, NotASphereMaximum, VanishingCycleMismatch
+from hamfix.errors import (
+    NoExceptionalBasis,
+    NonDisjointBlowdown,
+    NotASphereMaximum,
+    VanishingCycleMismatch,
+)
 from hamfix.lattice import (
     BLOWUP,
     PRODUCT,
     CohClass,
     adjunction_genus,
-    exceptional_classes,
     li_positive,
     make_blowup_lattice,
     pair,
@@ -45,7 +51,57 @@ from hamfix.localization import (
     betti,
     integrate,
 )
-from hamfix.reduction import bmax_from_euler, dh, dh_quadratic, vanishing_classes
+from hamfix.reduction import (
+    blow_down,
+    blow_up,
+    bmax_from_euler,
+    dh,
+    dh_quadratic,
+    initial_slice,
+    shift,
+    vanishing_classes,
+)
+
+
+# (-1)-classes of the k-fold blow-up of the plane, k <= 8, as the leading
+# coefficient u and up to two (value, multiplicity) groups of E-coefficients.
+_EXCEPTIONAL_SHAPES = (
+    (0, (1, 1), (0, 0)),
+    (1, (-1, 2), (0, 0)),
+    (2, (-1, 5), (0, 0)),
+    (3, (-2, 1), (-1, 6)),
+    (4, (-2, 3), (-1, 5)),
+    (5, (-2, 6), (-1, 2)),
+    (6, (-3, 1), (-2, 7)),
+)
+
+
+def exceptional_classes(lattice):
+    """All integral classes C with C.C = -1 and anticanonical pairing 1, sorted.
+
+    On the k-fold blow-up of the plane, k <= 8, these are exactly the index
+    permutations of seven shapes (u; E1, ..., Ek): (0; 1), (1; -1^2),
+    (2; -1^5), (3; -2, -1^6), (4; -2^3, -1^5), (5; -2^6, -1^2) and
+    (6; -3, -2^7), with zeros in the unused places (Manin, Cubic Forms,
+    section 26).  Each shape is placed by choosing the positions of its two
+    coefficient groups, so no permutation is built twice.
+    """
+    if lattice.kind == PRODUCT:
+        raise NoExceptionalBasis("product lattice has no square -1 classes")
+    k = lattice.blowups
+    found = []
+    for a, (v1, n1), (v2, n2) in _EXCEPTIONAL_SHAPES:
+        for first in itertools.combinations(range(k), n1):
+            rest = [i for i in range(k) if i not in first]
+            for second in itertools.combinations(rest, n2):
+                tail = [0] * k
+                for i in first:
+                    tail[i] = v1
+                for i in second:
+                    tail[i] = v2
+                found.append((a, *tail))
+    found.sort()
+    return tuple(CohClass(lattice, coeffs) for coeffs in found)
 
 
 class Reject(Exception):
@@ -180,9 +236,31 @@ def candidate_totals(k, has_blowdown):
             yield CohClass(lat, (a,) + tail)
 
 
+def sweep_path(max_dim, k, total, m):
+    """The slice path for (k points, total surface class, m points), the
+    blow-down contracting among this reference's (-1)-classes."""
+    state = initial_slice()
+    slices = []
+
+    def close(level):
+        slices.append(state.with_interval(state.interval[0], level))
+
+    if k:
+        close(-1)
+        state = blow_up(state, -1, k)
+    if total is not None:
+        close(0)
+        state = shift(state, 0, total)
+    if m:
+        close(1)
+        state = blow_down(state, 1, m, exceptional_classes(state.lattice))
+    close(TOP_LEVEL[max_dim])
+    return slices
+
+
 def sweep(max_dim, k, total, m):
     """Slices and top component, or one of REJECTIONS."""
-    slices = _sweep_path(max_dim, k, total, m)
+    slices = sweep_path(max_dim, k, total, m)
     exceptional = slice_exceptional(slices)
     top = check_top(max_dim, slices[-1], exceptional[-1])
     check_slices(slices, max_dim, exceptional)
