@@ -8,7 +8,9 @@ that moves an output re-records the table on purpose:
 
     PYTHONPATH=src python tests/test_outputs.py --record
 
-pytest only compares, and never writes the table.
+which first names each command whose digest moved, was dropped or was
+added, so that the change can list them.  pytest only compares, and never
+writes the table.
 """
 
 import contextlib
@@ -56,6 +58,13 @@ def commands():
         ["tables", "diff", "diff"], ["capacities", "x"],
         ["--help"], ["classify", "-h"], ["toric", "-h"], ["classify", "-v", "-h"],
     ]
+    # the option conflicts, and an option given an empty value
+    out += [
+        ["toric", "verify", "--polytope", p3], ["toric", "verify", "--xi", "1,1,1"],
+        ["toric", "verify", "--polytope", p3, "--xi", "1,1,1", "--corpus", CORPUS],
+        ["toric", "verify", "--corpus="], ["toric", "verify", "--polytope=", "--xi", "1,1,1"],
+        ["classify", "--dim", "6", "--emit-dh="],
+    ]
     return out
 
 
@@ -79,9 +88,9 @@ def compute(directory):
     for argv in commands():
         result = _run(argv, corpus)
         got[" ".join(argv) or "(no arguments)"] = (_digest(*result), *result)
-    emit = ["classify", "--dim", "6", "--emit-dh", str(directory)]
-    result = _run(emit, corpus)
-    got["classify --dim 6 --emit-dh DIR"] = (_digest(*result), *result)
+    for dim in ("4", "6"):
+        result = _run(["classify", "--dim", dim, "--emit-dh", str(directory)], corpus)
+        got[f"classify --dim {dim} --emit-dh DIR"] = (_digest(*result), *result)
     for path in sorted(Path(directory).glob("*.tsv")):
         body = path.read_text(encoding="utf-8")
         got[f"classify --dim 6 --emit-dh DIR: {path.name}"] = (_digest(body), 0, body, "")
@@ -93,12 +102,16 @@ def read_table():
     return {command: digest for digest, command in rows}
 
 
-def test_outputs_match_recorded_digests(tmp_path):
-    want = read_table()
-    got = compute(tmp_path)
+def changes(want, got):
+    """(moved, dropped, added): the commands whose digest in `got` differs
+    from `want`, that `got` no longer runs, and that `want` does not record."""
     moved = [c for c in got if c in want and got[c][0] != want[c]]
-    missing = sorted(set(want) - set(got))
-    new = [c for c in got if c not in want]
+    return moved, [c for c in want if c not in got], [c for c in got if c not in want]
+
+
+def test_outputs_match_recorded_digests(tmp_path):
+    got = compute(tmp_path)
+    moved, missing, new = changes(read_table(), got)
     if moved or missing or new:
         lines = [f"{len(moved)} outputs moved:"] + [f"  {c}" for c in moved]
         lines += [f"not run: {c}" for c in missing] + [f"not recorded: {c}" for c in new]
@@ -110,8 +123,13 @@ def test_outputs_match_recorded_digests(tmp_path):
 
 
 def record():
+    """Write the table anew, first naming each command whose digest moved,
+    was dropped or was added."""
     with tempfile.TemporaryDirectory() as directory:
         got = compute(directory)
+    for verb, names in zip(("moved", "dropped", "added"), changes(read_table(), got)):
+        for command in names:
+            print(f"{verb}: {command}")
     TABLE.write_text("".join(f"{d}\t{c}\n" for c, (d, *_) in got.items()), encoding="utf-8")
     print(f"recorded {len(got)} digests in {TABLE}")
 
