@@ -21,6 +21,10 @@ from .toric import (
 )
 
 
+class UsageError(Exception):
+    """A command line that `_parse` or a handler rejects: (command or None, reason)."""
+
+
 def render_json(rows: list[dict]) -> str:
     import json  # only --format json needs it; most runs skip its import
     return json.dumps(rows, indent=2, sort_keys=True) + "\n"
@@ -50,8 +54,7 @@ def _emit_dh(rows, directory):
 
 def cmd_classify(args) -> int:
     if args.emit_dh and args.dim != 6:
-        print("--emit-dh needs --dim 6", file=sys.stderr)
-        return 2
+        raise UsageError("classify", "--emit-dh needs --dim 6")
     if args.dim == 6:
         rows = [
             t for t in classify_all(strict=False) if _in_case(t.label, args.case)
@@ -77,13 +80,11 @@ def cmd_classify(args) -> int:
 
 
 def cmd_chern(args) -> int:
-    rows = classify_all(strict=False)
-    for t in rows:
+    for t in classify_all(strict=False):
         if t.label == args.row:
             print(chern_number(t))
             return 0
-    print(f"unknown row {args.row!r}", file=sys.stderr)
-    return 2
+    raise UsageError("chern", f"unknown row {args.row!r}")
 
 
 def cmd_capacities(_args) -> int:
@@ -94,14 +95,11 @@ def cmd_capacities(_args) -> int:
 
 def cmd_toric(args) -> int:
     if args.polytope and not args.xi:
-        print("--polytope needs --xi a,b,c", file=sys.stderr)
-        return 2
+        raise UsageError("toric", "--polytope needs --xi a,b,c")
     if args.xi and not args.polytope:
-        print("--xi needs --polytope FILE", file=sys.stderr)
-        return 2
+        raise UsageError("toric", "--xi needs --polytope FILE")
     if args.polytope and args.corpus:
-        print("--corpus and --polytope exclude each other", file=sys.stderr)
-        return 2
+        raise UsageError("toric", "--corpus and --polytope exclude each other")
     try:
         if args.polytope:
             xi = CircleDirection(tuple(int(x) for x in args.xi.split(",")))
@@ -182,10 +180,6 @@ COMMANDS = {
 }
 
 
-class UsageError(Exception):
-    """A command line the table does not accept: (command or None, reason)."""
-
-
 def _choices(values) -> str:
     return "{" + ",".join(map(str, values)) + "}"
 
@@ -238,7 +232,7 @@ def _parse(argv):
                 unknown.append(key)
                 continue
             opt, spec = found[0], options[found[0]]
-            if not eq and (value := next(tokens, None)) is None:
+            if not (value := value if eq else next(tokens, "")):  # `--opt=` gives none
                 raise UsageError(command, f"--{opt} needs a value")
             if not isinstance(spec, str):
                 try:
@@ -268,12 +262,6 @@ def _parse(argv):
 def run(argv=None) -> int:
     try:
         command, args = _parse(sys.argv[1:] if argv is None else argv)
-    except UsageError as err:
-        command, reason = err.args
-        where = f"hamfix {command}" if command else "hamfix"
-        sys.stderr.write(f"{where}: {reason}\n{_usage(command)}")
-        return 2
-    try:
         if args is None:
             sys.stdout.write(f"{DESCRIPTION}\n\n{_usage(command)}\n{HELP}")
             status = 0
@@ -281,6 +269,11 @@ def run(argv=None) -> int:
             status = COMMANDS[command][0](args)
         sys.stdout.flush()  # a closed stdout raises here, not at exit
         return status
+    except UsageError as err:  # from _parse or a handler
+        command, reason = err.args
+        where = f"hamfix {command}" if command else "hamfix"
+        sys.stderr.write(f"{where}: {reason}\n{_usage(command)}")
+        return 2
     except BrokenPipeError:
         # the reader left: point stdout at devnull so that the flush at exit
         # fails no more, and exit 1, as the `signal` module's docs advise

@@ -221,7 +221,7 @@ def test_toric_verify_direction_needs_polytope():
     # --xi alone would be ignored and the corpus verified
     proc = hamfix("toric", "verify", "--xi", "1,1,1")
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == "--xi needs --polytope FILE\n"
+    assert proc.stderr.startswith("hamfix toric: --xi needs --polytope FILE\nusage:\n")
 
 
 def test_toric_verify_corpus_excludes_polytope():
@@ -231,7 +231,9 @@ def test_toric_verify_corpus_excludes_polytope():
         "toric", "verify", "--polytope", path, "--xi", "1,1,1", "--corpus", str(corpus_dir())
     )
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == "--corpus and --polytope exclude each other\n"
+    assert proc.stderr.startswith(
+        "hamfix toric: --corpus and --polytope exclude each other\nusage:\n"
+    )
 
 
 @pytest.mark.parametrize("normal", [[0, 1], [0, 1, 0, 0]], ids=["two", "four"])
@@ -401,7 +403,7 @@ def test_emit_dh_needs_dim_6(tmp_path):
     target = tmp_path / "dh"
     proc = hamfix("classify", "--dim", "4", "--emit-dh", str(target))
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == "--emit-dh needs --dim 6\n"
+    assert proc.stderr.startswith("hamfix classify: --emit-dh needs --dim 6\nusage:\n")
     assert not target.exists()
 
 
@@ -446,6 +448,26 @@ P3 = str(corpus_dir() / "p3.json")
         ("help", ["classify", "-h"], ["--dim", "--case", "--format", "--emit-dh"]),
         ("help", ["toric", "-h"], ["verify", "--polytope", "--xi", "--corpus"]),
         ("help", ["classify", "-v", "-h"], ["--dim", "--case", "--format", "--emit-dh"]),
+        # a handler's usage error: an option conflict, or a row the search lacks
+        ("usage", ["toric", "verify", "--polytope", P3],
+         "hamfix toric: --polytope needs --xi a,b,c\n"),
+        ("usage", ["toric", "verify", "--xi", "1,1,1"],
+         "hamfix toric: --xi needs --polytope FILE\n"),
+        ("usage",
+         ["toric", "verify", "--polytope", P3, "--xi", "1,1,1", "--corpus", str(corpus_dir())],
+         "hamfix toric: --corpus and --polytope exclude each other\n"),
+        ("usage", ["classify", "--dim", "4", "--emit-dh", "dh"],
+         "hamfix classify: --emit-dh needs --dim 6\n"),
+        ("usage", ["chern", "--row", "IX-7"], "hamfix chern: unknown row 'IX-7'\n"),
+        # an empty value is no value: it verified the packaged corpus, skipped
+        # the conflict check or wrote no DH tables without a word
+        ("usage", ["toric", "verify", "--corpus="], "hamfix toric: --corpus needs a value\n"),
+        ("usage", ["toric", "verify", "--polytope=", "--xi", "1,1,1"],
+         "hamfix toric: --polytope needs a value\n"),
+        ("usage", ["classify", "--dim", "6", "--emit-dh="],
+         "hamfix classify: --emit-dh needs a value\n"),
+        ("usage", ["classify", "--dim", "6", "--emit-dh", ""],
+         "hamfix classify: --emit-dh needs a value\n"),
     ],
 )
 def test_parser_contract(capsys, kind, argv, want):
@@ -460,6 +482,30 @@ def test_parser_contract(capsys, kind, argv, want):
     else:
         assert (status, err) == (0, "")
         assert all(name in out for name in want), out
+
+
+def test_usage_errors_have_one_path():
+    # a handler raises UsageError, and `run` prints it in the one usage form;
+    # a bare `return 2` prints no `hamfix COMMAND:` prefix and no usage
+    import ast
+
+    from hamfix import cli
+
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    handlers = [
+        f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name.startswith("cmd_")
+    ]
+    returns_2 = [
+        f.name for f in handlers for node in ast.walk(f)
+        if isinstance(node, ast.Return) and isinstance(node.value, ast.Constant)
+        and node.value.value == 2
+    ]
+    catches = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler) and isinstance(node.type, ast.Name)
+        and node.type.id == "UsageError"
+    ]
+    assert len(handlers) == 6 and returns_2 == [] and len(catches) == 1
 
 
 @pytest.mark.parametrize("buffering", [1, -1], ids=["on-write", "at-flush"])
