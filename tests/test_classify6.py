@@ -674,6 +674,57 @@ def test_swept_candidates_pass_the_level_one_count(monkeypatch):
         assert _passes_level_one_count(k, total, m), (k, total, m)
 
 
+def test_search_call_counts(monkeypatch):
+    # the counts a traced run reads off one uncached search: each function is
+    # wrapped wherever a hamfix module binds it, as the tracer does
+    import sys
+    from collections import Counter
+
+    from hamfix import lattice, reduction
+
+    counts = Counter()
+
+    def counting(fn, found=None):
+        def wrapper(*args):
+            counts[fn.__name__] += 1
+            result = fn(*args)
+            if found:
+                counts[found] += len(result)
+            return result
+        return wrapper
+
+    def yielding(fn):
+        def wrapper(*args):
+            for item in fn(*args):
+                counts[fn.__name__ + " yielded"] += 1
+                yield item
+        return wrapper
+
+    wrappers = {
+        classify6._candidate_totals: yielding(classify6._candidate_totals),
+        classify6._sweep_path: counting(classify6._sweep_path),
+        lattice.component_splittings: counting(lattice.component_splittings, "splittings found"),
+        lattice.exceptional_classes: counting(lattice.exceptional_classes),
+        reduction.vanishing_classes: counting(reduction.vanishing_classes),
+        reduction.blowdown_lattice: counting(reduction.blowdown_lattice),
+    }
+    for name, module in list(sys.modules.items()):
+        if name == "hamfix" or name.startswith("hamfix."):
+            for key, value in list(vars(module).items()):
+                if callable(value) and value in wrappers:
+                    monkeypatch.setattr(module, key, wrappers[value])
+    classify6._classify_cached.__wrapped__()
+    assert counts == {
+        "_candidate_totals yielded": 16,
+        "_sweep_path": 19,
+        "component_splittings": 16,
+        "splittings found": 16,
+        "exceptional_classes": 21,
+        "vanishing_classes": 5,
+        "blowdown_lattice": 5,
+    }
+
+
 @pytest.mark.parametrize(
     "k,coeffs,error",
     [
