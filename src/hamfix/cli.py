@@ -100,9 +100,15 @@ def cmd_toric(args) -> int:
         raise UsageError("toric", "--xi needs --polytope FILE")
     if args.polytope and args.corpus:
         raise UsageError("toric", "--corpus and --polytope exclude each other")
+    if args.polytope:
+        try:
+            xi = CircleDirection(tuple(int(x) for x in args.xi.split(",")))
+        except ValueError:
+            raise UsageError(
+                "toric", f"--xi: {args.xi!r} is not a primitive direction a,b,c"
+            ) from None
     try:
         if args.polytope:
-            xi = CircleDirection(tuple(int(x) for x in args.xi.split(",")))
             poly = Polytope.load(args.polytope)
             match = tfd_from_polytope(poly, xi)
             degree = matched_degree(poly, match)

@@ -206,14 +206,14 @@ def p3_with(tmp_path, keys, value):
 
 
 @pytest.mark.parametrize(
-    "polytope,xi",
-    [("p3.json", "1,0"), ("index.json", "1,0,0")],
+    "polytope,xi,prefix",
+    [("p3.json", "1,0", "hamfix toric: --xi: "), ("index.json", "1,0,0", "invalid input: ")],
 )
-def test_toric_verify_bad_input_exits_2(polytope, xi):
+def test_toric_verify_bad_input_exits_2(polytope, xi, prefix):
     # a short direction, and a JSON file that is not a polytope record
     proc = hamfix("toric", "verify", "--polytope", str(corpus_dir() / polytope), "--xi", xi)
     assert proc.returncode == 2
-    assert proc.stderr.startswith("invalid input: ")
+    assert proc.stderr.startswith(prefix)
     assert "Traceback" not in proc.stderr
 
 
@@ -467,6 +467,15 @@ P3 = str(corpus_dir() / "p3.json")
          "hamfix classify: --emit-dh needs a value\n"),
         ("usage", ["classify", "--dim", "6", "--emit-dh", ""],
          "hamfix classify: --emit-dh needs a value\n"),
+        # a direction that is not three ints, or not primitive
+        ("usage", ["toric", "verify", "--polytope", P3, "--xi", "1,x,1"],
+         "hamfix toric: --xi: '1,x,1' is not a primitive direction a,b,c\n"),
+        ("usage", ["toric", "verify", "--polytope", P3, "--xi", "1,0"],
+         "hamfix toric: --xi: '1,0' is not a primitive direction a,b,c\n"),
+        ("usage", ["toric", "verify", "--polytope", P3, "--xi", "2,0,0"],
+         "hamfix toric: --xi: '2,0,0' is not a primitive direction a,b,c\n"),
+        ("usage", ["toric", "verify", "--polytope", P3, "--xi", "0,0,0"],
+         "hamfix toric: --xi: '0,0,0' is not a primitive direction a,b,c\n"),
     ],
 )
 def test_parser_contract(capsys, kind, argv, want):
