@@ -104,9 +104,7 @@ def cmd_toric(args) -> int:
         try:
             xi = CircleDirection(tuple(int(x) for x in args.xi.split(",")))
         except ValueError:
-            raise UsageError(
-                "toric", f"--xi: {args.xi!r} is not a primitive direction a,b,c"
-            ) from None
+            raise UsageError("toric", f"--xi: {args.xi!r} is not a primitive direction a,b,c")
     try:
         if args.polytope:
             poly = Polytope.load(args.polytope)
