@@ -18,7 +18,6 @@ components.
 from __future__ import annotations
 
 import itertools
-import math
 from functools import lru_cache
 
 from .errors import (
@@ -124,9 +123,10 @@ def capacities(t: TFD) -> tuple[int, int]:
 # candidate sweep
 
 
-def _sweep_path(max_dim: int, k: int, total: CohClass | None, m: int):
+def _sweep_path(max_dim: int, k: int, total: CohClass, m: int):
     """The slice path for (k points, total surface class, m points).
 
+    A zero total holds no surface, and its path crosses level 0 in one slice.
     Generation fixes the level-one blow-down count (`_cells`,
     `_candidate_totals`), so a blow-down whose zero-area classes do not match
     the m points is a bug: VanishingCycleMismatch or NonDisjointBlowdown.
@@ -140,7 +140,7 @@ def _sweep_path(max_dim: int, k: int, total: CohClass | None, m: int):
     if k:
         close(-1)
         state = blow_up(state, -1, k)
-    if total is not None:
+    if not total.is_zero():
         close(0)
         state = shift(state, 0, total)
     if m:
@@ -174,7 +174,7 @@ def _assemble(k, m, splitting, slices, top):
 
 
 def _candidate_totals(max_dim: int, k: int, m: int):
-    """Integral class candidates T = (a; b1, ..., bk) for the level-0 fixed surface.
+    """Integral class candidates T = (a; b1, ..., bk) for the level-0 fixed surfaces.
 
     m index-four points sit at level one, below a maximum of dimension
     `max_dim`.  Above the minimum the reduced class is (t+3)u and the Euler
@@ -184,7 +184,10 @@ def _candidate_totals(max_dim: int, k: int, m: int):
 
         omega(1) = omega(0) - e0 = (4-a; -(b1+2), ..., -(bk+2)).
 
-    A total is yielded only if:
+    The zero total, of a path with no level-0 surface, has e0 = e- and comes
+    first, when it closes and contracts: a tail of zeros gives `_contracts`
+    the areas 2 of each Ei and 0 of each u - Ei - Ej (`_cells`).  A nonzero
+    total is yielded only if:
 
     - its volume c1.T = 3a + sum b, the surface's area, is >= 1;
     - it keeps the genus budget T.T + c1.T = a^2 - sum b^2 + 3a + sum b >= 0.
@@ -211,7 +214,7 @@ def _candidate_totals(max_dim: int, k: int, m: int):
 
     - [-3, -1], or up to 0 or the top when k = 0: omega = (t+3)u on P2,
       which has no (-1)-classes.
-    - [-1, 0], or [-1, 1] without a level-0 surface (k <= 3, `_cells`):
+    - [-1, 0], or [-1, 1] for the zero total (k <= 3, `_cells`):
       omega^2 = (t+3)^2 - k(t+1)^2 is concave for k >= 1 and is 4 at -1,
       9 - k at 0 and 16 - 4k at 1.  A (-1)-class (x; y) has x >= 0, so area
       2x at -1, and area c1.E = 1 at 0 by adjunction; at 1 the classes Ei and
@@ -233,6 +236,8 @@ def _candidate_totals(max_dim: int, k: int, m: int):
     - The level-one budget alone stops the tails (`_sorted_tails`).
     """
     lat = make_blowup_lattice(k)
+    if _closes(max_dim, 1 - k, k - 3, m) and _contracts(0, (0,) * k, m):
+        yield lat.zero()
     b_floor = -2 if m else -1
     for a in _leading_coefficients(k):
         for tail in _sorted_tails(k, b_floor, (4 - a) ** 2 - 1):
@@ -264,7 +269,7 @@ def _closes(max_dim: int, ee: int, ce: int, m: int) -> bool:
     """Whether the slice path closes at the maximum, by Duistermaat-Heckman.
 
     ee = e0.e0 and ce = c1.e0 for the Euler class e0 just above level 0
-    (e0 = e- = (-1; 1, ..., 1) without a level-0 surface).  Past the m
+    (e0 = e- = (-1; 1, ..., 1) for the zero total).  Past the m
     contracted classes the top slice has e+.e+ = ee + m and c1+.e+ = ce + m,
     and reduced class omega(t) = c1+ - t e+ (`classify_all`).  Its lattice has
     rank k + 1 - m: P2 at a point maximum (m = k), rank 2 at a sphere
@@ -290,7 +295,7 @@ def _closes(max_dim: int, ee: int, ce: int, m: int) -> bool:
       would leave omega(2) = x u, of square x^2 = 0.
     - 4-manifold: the top slice is the maximum itself, of volume
       omega(1)^2 >= 1 by the level-one budget (`_sorted_tails`), or
-      16 - 4k for k <= 1 without a level-0 surface.  No condition.
+      16 - 4k for k <= 1 for the zero total.  No condition.
 
     Above level one the slices stay positive (`_candidate_totals` covers the
     rest of the path).  omega(1) lies in the forward cone {x.x > 0,
@@ -351,31 +356,30 @@ def _sorted_tails(n, lo, budget, prev=None):
 
 
 def _cells():
-    """The cells (max_dim, k, m, surface) of the search, by profile in table order.
+    """The cells (max_dim, k, m) of the search, by profile in table order.
 
-    A cell has k index-two points at level -1, a level-0 surface if `surface`
-    and m index-four points at level one, below a maximum of dimension
-    `max_dim`.  Each profile lists its cells with a surface first, by k.
+    A cell has k index-two points at level -1, a level-0 total, zero when
+    level 0 holds no surface, and m index-four points at level one, below a
+    maximum of dimension `max_dim`.  Each profile lists its cells by k.
 
     The counting identities tie m to k: m = k below a point maximum,
     m = k - 1 below a sphere maximum (so k >= 1), m = 0 below a 4-manifold
-    maximum.  The level-one blow-down count bounds k:
+    maximum.  k runs while some leading coefficient passes
+    (`_leading_coefficients`), that is k <= 4.  That range holds the zero
+    total too: omega(1) = 4u - 2 sum Ei on P2#k pairs with each Ei to 2 and
+    with each u - Ei - Ej to 0.  So the zero-area classes include the C(k, 2)
+    lines, all of them for k <= 4 (`exceptional_classes`); their count must
+    be m <= k, so k <= 3, where any two share an index and so are disjoint.
+    C(k, 2) = m leaves k = 0 or 3 at a point maximum, k <= 2 at a sphere
+    maximum and k <= 1 at a 4-manifold maximum.  Then e0 = e-, so e0.e0 =
+    1 - k and c1.e0 = k - 3, and the path closes (`_closes`) at a point
+    maximum only for k = 3 and at a sphere maximum only for k = 3, which
+    C(3, 2) = 3 != 2 rules out.  So the zero total is yielded in three cells:
+    (0, 3, 3), (4, 0, 0) and (4, 1, 0).
 
-    - With a level-0 surface, k runs while some leading coefficient passes
-      (`_leading_coefficients`), that is k <= 4.
-    - Without one, omega(1) = 4u - 2 sum Ei on P2#k pairs with each Ei to 2
-      and with each u - Ei - Ej to 0.  So the zero-area classes include the
-      C(k, 2) lines, all of them for k <= 4 (`exceptional_classes`); their
-      count must be m <= k, so k <= 3, where any two share an index and so
-      are disjoint.  C(k, 2) = m leaves k = 0 or 3 at a point maximum,
-      k <= 2 at a sphere maximum and k <= 1 at a 4-manifold maximum.  Then
-      e0 = e-, so e0.e0 = 1 - k and c1.e0 = k - 3, and the path closes
-      (`_closes`) at a point maximum only for k = 3 and at a sphere maximum
-      only for k = 3, which C(3, 2) = 3 != 2 rules out.
-
-    Of the 17 cells, 14 have a surface, and six of those yield no candidate
-    from `_candidate_totals`, as follows.  Write T = (a; b) for the total,
-    e- = (-1; 1, ..., 1) and e0 = e- + T.
+    Of the 14 cells, five yield no candidate from `_candidate_totals`, as
+    follows.  Write T = (a; b) for the total, e- = (-1; 1, ..., 1) and
+    e0 = e- + T.
 
     - Point maximum, k = 2, 3, 4.  The k contracted classes V are disjoint
       (-1)-classes of zero area under omega(1) = c1 - e0, so e0.V = c1.V = 1,
@@ -386,7 +390,7 @@ def _cells():
         T.T + c1.T = -2, below the genus budget.
       - k = 3: V = {E1, E2, E3} gives T = (2; -2, -2, -2), of volume 0;
         V = {u - Ei - Ej} has u' = 2u - E1 - E2 - E3, so T = 0: that is
-        I-2, the cell without a surface.
+        I-2, the cell's one candidate.
       - k = 4: the ten (-1)-classes Ei and u - Ei - Ej hold five sets of
         four disjoint ones: {E1, ..., E4}, and each Ei with the three
         u - Ej - El off i.  They give T = (2; -2, -2, -2, -2) and T = -2Ei,
@@ -403,13 +407,10 @@ def _cells():
       - k = 4: both totals of the sphere case have b1 = -2.
     """
     for max_dim in TOP_LEVEL:
-        for surface in (True, False):
-            runs = _leading_coefficients if surface else lambda k: math.comb(k, 2) <= k
-            for k in itertools.takewhile(runs, itertools.count()):
-                m = {0: k, 2: k - 1, 4: 0}[max_dim]
-                closes = surface or math.comb(k, 2) == m and _closes(max_dim, 1 - k, k - 3, m)
-                if m >= 0 and closes:
-                    yield max_dim, k, m, surface
+        for k in itertools.takewhile(_leading_coefficients, itertools.count()):
+            m = {0: k, 2: k - 1, 4: 0}[max_dim]
+            if m >= 0:
+                yield max_dim, k, m
 
 
 def _canonicalize(total: CohClass, splitting):
@@ -496,14 +497,12 @@ def classify_all(strict: bool = True) -> list[TFD]:
 @lru_cache(maxsize=None)
 def _classify_cached() -> tuple[TFD, ...]:
     rows = []
-    for max_dim, k, m, surface in _cells():
-        for total in _candidate_totals(max_dim, k, m) if surface else [None]:
+    for max_dim, k, m in _cells():
+        for total in _candidate_totals(max_dim, k, m):
             slices = _sweep_path(max_dim, k, total, m)
             top = _check_top(max_dim, slices[-1])
-            splittings = {()} if total is None else {
-                _canonicalize(total, s) for s in component_splittings(total.lattice, total)
-            }
-            for splitting in splittings:
+            splittings = component_splittings(total.lattice, total)
+            for splitting in {_canonicalize(total, s) for s in splittings}:
                 tfd = _assemble(k, m, splitting, slices, top)
                 if not (integrate(tfd, ONE).is_zero() and integrate(tfd, C1).is_zero()):
                     raise InternalArithmeticError(f"localization fails on {tfd.components}")

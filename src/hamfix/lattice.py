@@ -212,7 +212,7 @@ def component_splittings(
        c1.R >= 1 and Li-Liu positivity; or j = c1.R / 2 copies of
        F = R / j, where R.R = 0 and F is integral and Li-Liu positive.
 
-    So each subset S gives at most one splitting.
+    So each subset S gives at most one splitting; the zero class has one, ().
     """
     exc = exceptional_classes(lattice)
     subsets: list[tuple[CohClass, ...]] = [()]
@@ -237,6 +237,5 @@ def component_splittings(
                 if any(c % j for c in rest.coeffs):
                     continue
                 parts += [(CohClass(lattice, tuple(c // j for c in rest.coeffs)), 0)] * j
-        if parts:
-            out.append(tuple(sorted(parts, key=lambda p: p[0].coeffs)))
+        out.append(tuple(sorted(parts, key=lambda p: p[0].coeffs)))
     return sorted(out, key=lambda s: [c.coeffs for c, _ in s])

@@ -417,8 +417,8 @@ def _pairing_count(a, tail, m):
 
 def test_level_one_count_reads_the_total_ints(monkeypatch):
     # `_contracts` counts the zero-area classes at level one from the total's
-    # ints, so generation builds no (-1)-class; on every tail of every surface
-    # cell it agrees with pairing omega(1) against the reference's classes,
+    # ints, so generation builds no (-1)-class; on every tail of every cell it
+    # agrees with pairing omega(1) against the reference's classes,
     # and on a box of tails, where zero-area classes also meet
     from hamfix import lattice
 
@@ -428,9 +428,7 @@ def test_level_one_count_reads_the_total_ints(monkeypatch):
     for module in (classify6, lattice):
         monkeypatch.setattr(module, "exceptional_classes", refuse)
     tails = 0
-    for max_dim, k, m, surface in classify6._cells():
-        if not surface:
-            continue
+    for max_dim, k, m in classify6._cells():
         list(_candidate_totals(max_dim, k, m))
         for a in classify6._leading_coefficients(k):
             for tail in classify6._sorted_tails(k, -2 if m else -1, (4 - a) ** 2 - 1):
@@ -465,9 +463,7 @@ def _widened_box(k):
 
 def _level_one_vanishing(k, total):
     """The (-1)-classes of zero area at level one, read off the swept slice."""
-    state = blow_up(initial_slice(), -1, k)
-    if total is not None:
-        state = shift(state, 0, total)
+    state = shift(blow_up(initial_slice(), -1, k), 0, total)
     return vanishing_classes(state, 1, unpruned.exceptional_classes(state.lattice))
 
 
@@ -492,32 +488,29 @@ def _unpruned_cells(level_0):
     }
 
 
-def _cells(level_0):
-    """The (max_dim, k, m) cells of the search with or without a level-0 surface."""
-    return {(max_dim, k, m) for max_dim, k, m, surface in classify6._cells() if surface == level_0}
+def _zero_total_cells():
+    """The (max_dim, k, m) cells of the search that yield the zero total."""
+    return {
+        cell for cell in classify6._cells() if any(t.is_zero() for t in _candidate_totals(*cell))
+    }
 
 
-# (max_dim, k, m, surface) -> candidates swept, in the order of `_cells`
+# (max_dim, k, m) -> candidates swept, in the order of `_cells`
 CELLS = {
-    (0, 0, 0, True): 1, (0, 1, 1, True): 1, (0, 2, 2, True): 0, (0, 3, 3, True): 0,
-    (0, 4, 4, True): 0, (0, 3, 3, False): 1,
-    (2, 1, 0, True): 3, (2, 2, 1, True): 2, (2, 3, 2, True): 1, (2, 4, 3, True): 0,
-    (4, 0, 0, True): 3, (4, 1, 0, True): 4, (4, 2, 0, True): 1, (4, 3, 0, True): 0,
-    (4, 4, 0, True): 0, (4, 0, 0, False): 1, (4, 1, 0, False): 1,
+    (0, 0, 0): 1, (0, 1, 1): 1, (0, 2, 2): 0, (0, 3, 3): 1, (0, 4, 4): 0,
+    (2, 1, 0): 3, (2, 2, 1): 2, (2, 3, 2): 1, (2, 4, 3): 0,
+    (4, 0, 0): 4, (4, 1, 0): 5, (4, 2, 0): 1, (4, 3, 0): 0, (4, 4, 0): 0,
 }
 
 
 def test_cells_and_their_candidates():
-    # the cells come from the counting identities, and the six that yield
-    # nothing are derived empty in the `_cells` docstring; a cell without a
-    # surface sweeps one candidate, None for the level-0 total
+    # the cells come from the counting identities, and the five that yield
+    # nothing are derived empty in the `_cells` docstring; the zero total is
+    # one of the candidates of the three cells without a level-0 surface
     assert list(classify6._cells()) == list(CELLS)
-    counts = [
-        len(list(_candidate_totals(max_dim, k, m))) if surface else 1
-        for max_dim, k, m, surface in CELLS
-    ]
+    counts = [len(list(_candidate_totals(max_dim, k, m))) for max_dim, k, m in CELLS]
     assert counts == list(CELLS.values())
-    assert (sum(n > 0 for n in counts), sum(counts), counts.count(0)) == (11, 19, 6)
+    assert (sum(n > 0 for n in counts), sum(counts), counts.count(0)) == (9, 19, 5)
 
 
 def _survives(max_dim, k, total, m):
@@ -539,7 +532,8 @@ def test_candidate_totals_match_unpruned_box(k, has_blowdown):
     # in each cell of the unpruned search with k points at level -1 and a
     # level-0 surface, generation yields, in order, exactly the filtered box
     # totals that the unpruned sweep admits and that have a splitting; the
-    # derived ranges leave no box total with a <= 3 for k >= 5
+    # derived ranges leave no box total with a <= 3 for k >= 5; the zero total
+    # has volume 0, below the box's filter
     lat = make_blowup_lattice(k)
     box = list(_unpruned_totals(k, has_blowdown, _widened_box(k)))
     cells = sorted(
@@ -548,7 +542,7 @@ def test_candidate_totals_match_unpruned_box(k, has_blowdown):
     )
     assert cells or (k, has_blowdown) == (0, True)  # nothing to blow down
     for max_dim, m in cells:
-        got = [c.coeffs for c in _candidate_totals(max_dim, k, m)]
+        got = [c.coeffs for c in _candidate_totals(max_dim, k, m) if not c.is_zero()]
         assert got == [
             t for t in box
             if _survives(max_dim, k, CohClass(lat, t), m) and _has_splitting(CohClass(lat, t))
@@ -562,16 +556,17 @@ def test_candidate_totals_cover_box_survivors():
     # split: over the 26 cells of the unpruned search with a level-0 surface,
     # the derived point counts and generation give the same (cell, total)
     # pairs as the filtered box swept with the former predicates, less the 3
-    # survivors with no splitting (`test_generation_funnel`), and without
-    # level 0 the derived point counts keep exactly the cells whose path
+    # survivors with no splitting (`test_generation_funnel`), and the zero
+    # total is generated in exactly the cells without level 0 whose path
     # closes
-    unpruned_cells, kept = _unpruned_cells(True), _cells(True)
+    unpruned_cells, kept = _unpruned_cells(True), set(classify6._cells())
     assert (len(unpruned_cells), len(kept)) == (26, 14)
     assert kept <= unpruned_cells
     generated, survivors, checked = set(), set(), 0
     for max_dim, k, m in unpruned_cells:
         if (max_dim, k, m) in kept:
-            generated |= {(max_dim, k, m, c.coeffs) for c in _candidate_totals(max_dim, k, m)}
+            generated |= {(max_dim, k, m, c.coeffs) for c in _candidate_totals(max_dim, k, m)
+                          if not c.is_zero()}
         lat = make_blowup_lattice(k)
         for t in _unpruned_totals(k, m > 0, _widened_box(k)):
             checked += 1
@@ -590,19 +585,18 @@ def test_candidate_totals_cover_box_survivors():
     }
     assert generated == split and len(generated) == 16
     bare = {(d, k, m) for d, k, m in _unpruned_cells(False) if _survives(d, k, None, m)}
-    assert bare == _cells(False) == {(0, 3, 3), (4, 0, 0), (4, 1, 0)}
+    assert bare == _zero_total_cells() == {(0, 3, 3), (4, 0, 0), (4, 1, 0)}
 
 
 def test_generation_funnel(rows):
-    # 19 candidates reach the sweep: 16 level-0 totals and the 3 cells without
-    # level 0, and each ends in exactly one row
+    # 19 candidates reach the sweep: 16 nonzero level-0 totals and 3 zero
+    # totals, and each ends in exactly one row
     candidates = 0
-    for max_dim, k, m, surface in classify6._cells():
-        for total in _candidate_totals(max_dim, k, m) if surface else [None]:
+    for max_dim, k, m in classify6._cells():
+        for total in _candidate_totals(max_dim, k, m):
             candidates += 1
-            if total is not None:
-                splittings = component_splittings(total.lattice, total)
-                assert len(splittings) == 1, (max_dim, total)
+            splittings = component_splittings(total.lattice, total)
+            assert len(splittings) == 1, (max_dim, total)
     assert candidates == len(rows) == 19
     # rows of different cells differ in max_dim or critical levels, so the
     # rows need no de-duplication across cells
@@ -715,11 +709,11 @@ def test_search_call_counts(monkeypatch):
                     monkeypatch.setattr(module, key, wrappers[value])
     classify6._classify_cached.__wrapped__()
     assert counts == {
-        "_candidate_totals yielded": 16,
+        "_candidate_totals yielded": 19,
         "_sweep_path": 19,
-        "component_splittings": 16,
-        "splittings found": 16,
-        "exceptional_classes": 21,
+        "component_splittings": 19,
+        "splittings found": 19,
+        "exceptional_classes": 24,
         "vanishing_classes": 5,
         "blowdown_lattice": 5,
     }
@@ -844,7 +838,7 @@ def test_canonicalize_undoes_every_permutation_fixing_the_total(rows):
     # permutation that moves the total keeps the total it was given
     from hamfix.classify6 import _canonicalize
 
-    for max_dim, k, m in _cells(True):
+    for max_dim, k, m in classify6._cells():
         for total in _candidate_totals(max_dim, k, m):
             assert list(total.coeffs[1:]) == sorted(total.coeffs[1:]), total
 

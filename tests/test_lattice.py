@@ -250,6 +250,14 @@ def test_splitting_plane_conic_connected():
     assert out == [((cls(p2, 2), 0),)]
 
 
+@pytest.mark.parametrize("k", range(5))
+def test_zero_class_splits_into_no_parts(k):
+    # the level-0 total of a path with no fixed surface has the one empty
+    # splitting, so it passes the splitting step like every other total
+    lat = make_blowup_lattice(k)
+    assert component_splittings(lat, lat.zero()) == [()]
+
+
 def test_splitting_mixed_pair():
     two = make_blowup_lattice(2)
     out = component_splittings(two, cls(two, 2, -2, -1))
