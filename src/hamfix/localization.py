@@ -34,12 +34,8 @@ from .lattice import PRODUCT, CohClass, SurfaceLattice, pair
 from .record import record
 from .reduction import dh_quadratic
 
-ONE = "one"
-C1 = "c1"
-C1_CUBED = "c1cubed"
+ONE, C1, C1_CUBED = 0, 1, 3  # the integrands c1^p, named by p
 INTEGRANDS = (ONE, C1, C1_CUBED)
-
-_POWER = {ONE: 0, C1: 1, C1_CUBED: 3}
 
 
 @record
@@ -271,21 +267,21 @@ class ExtremalFourManifold:
         return ("fourmanifold", lat.kind, lat.blowups, pair(w, w))
 
 
-def contribution(fc, alpha: str) -> int:
+def contribution(fc, alpha: int) -> int:
     """Localization summand of the component for one of the three integrands.
 
-    It is the coefficient of x^(p-3), for the integrand c1^p.
+    It is the coefficient of x^(p-3), for the integrand c1^p with p = alpha.
     """
-    if alpha not in _POWER:
+    if alpha not in INTEGRANDS:
         raise ValueError(f"unknown integrand {alpha!r}")
-    return fc.contribution(_POWER[alpha])
+    return fc.contribution(alpha)
 
 
-def integrate(components, alpha: str) -> LaurentPoly:
+def integrate(components, alpha: int) -> LaurentPoly:
     """Sum of localization contributions over all fixed components."""
     comps = getattr(components, "components", components)
     total = sum(contribution(fc, alpha) for fc in comps)
-    return LaurentPoly(((_POWER[alpha] - 3, total),) if total else ())
+    return LaurentPoly(((alpha - 3, total),) if total else ())
 
 
 def chern_number(tfd) -> int:

@@ -15,18 +15,10 @@ sympy = pytest.importorskip("sympy")
 
 from hamfix.classify6 import classify_all  # noqa: E402
 from hamfix.lattice import pair  # noqa: E402
-from hamfix.localization import (  # noqa: E402
-    C1,
-    C1_CUBED,
-    INTEGRANDS,
-    ONE,
-    contribution,
-    integrate,
-)
+from hamfix.localization import INTEGRANDS, contribution, integrate  # noqa: E402
 from row_cases import CASE_IDS, rows_and_flips  # noqa: E402
 
 x, t, a, n = sympy.symbols("x t a n")
-POWER = {ONE: 0, C1: 1, C1_CUBED: 3}
 
 
 def _graded_part(expr, degree):
@@ -77,8 +69,7 @@ def fourmanifold_integral(fc, p):
 INTEGRAL = {0: point_integral, 2: surface_integral, 4: fourmanifold_integral}
 
 
-def oracle(tfd, alpha):
-    p = POWER[alpha]
+def oracle(tfd, p):
     return sympy.simplify(sum(INTEGRAL[fc.dim](fc, p) for fc in tfd.components))
 
 
@@ -90,21 +81,19 @@ def cases():
 @pytest.mark.parametrize("case", CASE_IDS)
 def test_integrals_match_sympy_oracle(cases, case):
     tfd = cases[case]
-    for alpha in INTEGRANDS:
-        p = POWER[alpha]
-        value = integrate(tfd, alpha)
-        assert value.terms in ((), ((p - 3, value.coeff(p - 3)),)), (case, alpha)
-        exact = oracle(tfd, alpha)
-        assert sympy.simplify(exact - value.coeff(p - 3) * x ** (p - 3)) == 0, (case, alpha)
+    for p in INTEGRANDS:
+        value = integrate(tfd, p)
+        assert value.terms in ((), ((p - 3, value.coeff(p - 3)),)), (case, p)
+        exact = oracle(tfd, p)
+        assert sympy.simplify(exact - value.coeff(p - 3) * x ** (p - 3)) == 0, (case, p)
 
 
 @pytest.mark.parametrize("case", CASE_IDS)
 def test_contributions_match_sympy_oracle(cases, case):
     # each component's integral is one int times x^(p-3), by degree counting
     for fc in cases[case].components:
-        for alpha in INTEGRANDS:
-            p = POWER[alpha]
-            value = contribution(fc, alpha)
-            assert type(value) is int, (case, fc, alpha)
+        for p in INTEGRANDS:
+            value = contribution(fc, p)
+            assert type(value) is int, (case, fc, p)
             exact = INTEGRAL[fc.dim](fc, p)
-            assert sympy.simplify(exact - value * x ** (p - 3)) == 0, (case, fc, alpha)
+            assert sympy.simplify(exact - value * x ** (p - 3)) == 0, (case, fc, p)
