@@ -488,13 +488,6 @@ def _unpruned_cells(level_0):
     }
 
 
-def _zero_total_cells():
-    """The (max_dim, k, m) cells of the search that yield the zero total."""
-    return {
-        cell for cell in classify6._cells() if any(t.is_zero() for t in _candidate_totals(*cell))
-    }
-
-
 # (max_dim, k, m) -> candidates swept, in the order of `_cells`
 CELLS = {
     (0, 0, 0): 1, (0, 1, 1): 1, (0, 2, 2): 0, (0, 3, 3): 1, (0, 4, 4): 0,
@@ -585,7 +578,8 @@ def test_candidate_totals_cover_box_survivors():
     }
     assert generated == split and len(generated) == 16
     bare = {(d, k, m) for d, k, m in _unpruned_cells(False) if _survives(d, k, None, m)}
-    assert bare == _zero_total_cells() == {(0, 3, 3), (4, 0, 0), (4, 1, 0)}
+    zero = {cell for cell in kept if any(t.is_zero() for t in _candidate_totals(*cell))}
+    assert bare == zero == {(0, 3, 3), (4, 0, 0), (4, 1, 0)}
 
 
 def test_generation_funnel(rows):

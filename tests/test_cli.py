@@ -208,6 +208,7 @@ def p3_with(tmp_path, keys, value):
 @pytest.mark.parametrize(
     "polytope,xi,prefix",
     [("p3.json", "1,0", "hamfix toric: --xi: "), ("index.json", "1,0,0", "invalid input: ")],
+    ids=["p3.json-1,0", "index.json-1,0,0"],
 )
 def test_toric_verify_bad_input_exits_2(polytope, xi, prefix):
     # a short direction, and a JSON file that is not a polytope record
