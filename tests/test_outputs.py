@@ -65,9 +65,9 @@ def commands():
         ["toric", "verify", "--corpus="], ["toric", "verify", "--polytope=", "--xi", "1,1,1"],
         ["classify", "--dim", "6", "--emit-dh="],
     ]
-    # a direction that is not three ints, or not primitive
+    # a direction that is not three ints, or not primitive, or not ASCII digits
     out += [["toric", "verify", "--polytope", p3, "--xi", xi]
-            for xi in ("1,x,1", "1,0", "2,0,0", "0,0,0")]
+            for xi in ("1,x,1", "1,0", "2,0,0", "0,0,0", "1_0,1,1", " 1,1,1", "١,1,1")]
     return out
 
 

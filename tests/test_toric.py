@@ -447,6 +447,32 @@ def test_row_prune_matches_brute_force(corpus, rows):
         assert matched == 44
 
 
+def test_facet_walks_of_one_sweep(corpus, rows, monkeypatch):
+    # the corpus is built before the count, so only the sweep's walks count
+    fixed = sum(
+        f.kind == "facet"
+        for p, _d, _row in corpus.values()
+        for xi in SWEEP
+        if is_semifree(p, d := CircleDirection(xi))
+        for f in fixed_faces(p, d)
+    )
+    walks = []
+    walk = Polytope.facet_cycle
+
+    def counted(self, f):
+        walks.append((self.name, f))
+        return walk(self, f)
+
+    monkeypatch.setattr(Polytope, "facet_cycle", counted)
+    for p, _d, _row in corpus.values():
+        for xi in SWEEP:
+            try:
+                tfd_from_polytope(p, CircleDirection(xi), rows)
+            except NoMatchingTFD:
+                pass
+    assert len(walks) == 2 * fixed == 300
+
+
 def test_fixed_faces_are_the_maximal_level_faces(corpus):
     checked = 0
     for p, _d, _row in corpus.values():
