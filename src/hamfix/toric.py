@@ -6,15 +6,15 @@ checks it reflexive: the toric manifold is monotone with [omega] = c1.  Given
 a primitive direction, the module checks semifreeness, extracts the fixed
 faces with their balanced levels, read from the interior point, assembles the
 data into a fixed-point-data shape and matches it against the classified
-rows, and computes the anticanonical degree from the normalized volume.
+rows, and reads the anticanonical degree off the facet areas.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import gcd, lcm
+from math import gcd
 
-from .errors import InternalArithmeticError, NoMatchingTFD, NotDelzant, NotReflexive
+from .errors import NoMatchingTFD, NotDelzant, NotReflexive
 from .classify6 import TFD, classify_all
 from .localization import chern_number
 from .record import record
@@ -143,7 +143,10 @@ class Polytope:
     When it is built it derives its `vertices` and `edges`, which checks it
     Delzant, then its `interior_point` c, the point at lattice distance 1
     from the facets at vertex 0 (a lattice basis), and checks that every
-    facet lies at lattice distance 1 from c; then it computes its `degree`.
+    facet lies at lattice distance 1 from c; then its `degree`, six times
+    its volume.  It is the union of the pyramids from c over its facets, each
+    of height 1 in the lattice, so the degree is the sum of twice the facet
+    areas.
     """
 
     name: str
@@ -160,7 +163,8 @@ class Polytope:
             if (distance := _dot(n, c) - o) != 1:
                 raise NotReflexive(f"{self.name}: facet {n} at lattice distance {distance}")
         object.__setattr__(self, "interior_point", c)
-        object.__setattr__(self, "degree", self.normalized_volume())
+        degree = sum(twice_facet_area(self, self.facet_cycle(f)) for f in range(len(self.facets)))
+        object.__setattr__(self, "degree", degree)
 
     @staticmethod
     def from_dict(d) -> Polytope:
@@ -208,28 +212,6 @@ class Polytope:
             nxt = [v for v in adj[cycle[-1]] if v != cycle[-2]]
             cycle.append(nxt[0])
         return cycle
-
-    def normalized_volume(self) -> int:
-        """Six times the Euclidean volume, by localization at the vertices.
-
-        For a covector c that pairs to zero with no edge direction, 6 vol is
-        the sum over the vertices v of <c, v>^3 / prod(-<c, w>), w running
-        over the primitive edge directions at v (Brion 1988, Lawrence 1991),
-        as every vertex cone is unimodular (`_combinatorics`).
-        """
-        dirs = [_primitive(_sub(self.vertices[b], self.vertices[a]))[0] for a, b in self.edges]
-        m = 2 * max(abs(x) for d in dirs for x in d) + 1
-        c = (1, m, m * m)  # <c, d> = 0 needs a coordinate of d of size m / 2
-        den = [1] * len(self.vertices)
-        for (a, b), d in zip(self.edges, dirs):
-            den[a] *= -_dot(c, d)
-            den[b] *= _dot(c, d)
-        common = lcm(*den)  # the sum is over this denominator, and must be whole
-        total = sum(_dot(c, v) ** 3 * (common // q) for v, q in zip(self.vertices, den))
-        volume, rest = divmod(total, common)
-        if rest:
-            raise InternalArithmeticError(f"{self.name}: volume sum {total}/{common} not whole")
-        return volume
 
 
 def is_semifree(p: Polytope, d: CircleDirection) -> bool:
@@ -290,6 +272,12 @@ def fixed_faces(p: Polytope, d: CircleDirection) -> list[FixedFace]:
 
 
 def _facet_cycle_of(p: Polytope, verts: tuple[int, ...]) -> list[int]:
+    """The boundary walk of the facet with vertex set `verts`.
+
+    It scans every facet's vertices for the match, as a polytope stores
+    neither its facet vertex sets nor its edge directions: either would cost
+    memory on every polytope the benchmark holds (ROADMAP item 15).
+    """
     fi = next(
         i for i in range(len(p.facets))
         if tuple(sorted(p.facet_vertices(i))) == tuple(sorted(verts))
@@ -297,14 +285,13 @@ def _facet_cycle_of(p: Polytope, verts: tuple[int, ...]) -> list[int]:
     return p.facet_cycle(fi)
 
 
-def twice_facet_area(p: Polytope, verts: tuple[int, ...]) -> int:
-    """Twice the lattice-normalized area of a fixed 2-face, an int.
+def twice_facet_area(p: Polytope, cycle: list[int]) -> int:
+    """Twice the lattice-normalized area of the 2-face walked by `cycle`, an int.
 
     The cross products of a fan triangulation from the first vertex sum to
     m n for the face's primitive normal n, and m is twice the area in units
     of the fundamental parallelogram, as a unimodular triangle has area 1/2.
     """
-    cycle = _facet_cycle_of(p, verts)
     v0 = p.vertices[cycle[0]]
     acc = (0, 0, 0)
     for a, b in zip(cycle[1:], cycle[2:]):
@@ -313,8 +300,8 @@ def twice_facet_area(p: Polytope, verts: tuple[int, ...]) -> int:
     return _primitive(acc)[1]
 
 
-def _facet_shape(p: Polytope, verts: tuple[int, ...]):
-    """(lattice kind, blow-up count) of the 4-manifold over a fixed 2-face.
+def _facet_shape(p: Polytope, cycle: list[int]):
+    """(lattice kind, blow-up count) of the 4-manifold over the 2-face walked by `cycle`.
 
     A smooth toric surface with m boundary edges has b2 = m - 2.  With the
     walk's primitive edge vectors a_i, the self-intersection of edge i reads
@@ -322,7 +309,6 @@ def _facet_shape(p: Polytope, verts: tuple[int, ...]):
     is S^2 x S^2 (a Hirzebruch surface F_2k), exactly when m = 4 and every
     D_i^2 is even; otherwise it is P^2 blown up m - 3 times.
     """
-    cycle = _facet_cycle_of(p, verts)
     m = len(cycle)  # at least 3, as `_combinatorics` makes every facet a 2-face
     if m == 4:
         a = [
@@ -352,8 +338,9 @@ def observed_profile(p: Polytope, d: CircleDirection):
         elif f.kind == "edge":
             desc = ("sphere", p.edge_length(f.vertices))
         else:
-            kind, blowups = _facet_shape(p, f.vertices)
-            desc = ("fourmanifold", kind, blowups, twice_facet_area(p, f.vertices))
+            cycle = _facet_cycle_of(p, f.vertices)
+            kind, blowups = _facet_shape(p, cycle)
+            desc = ("fourmanifold", kind, blowups, twice_facet_area(p, cycle))
         levels.setdefault(f.level, []).append(desc)
     return {lvl: tuple(sorted(ds)) for lvl, ds in sorted(levels.items())}
 
