@@ -93,6 +93,15 @@ def cmd_capacities(_args) -> int:
     return 0
 
 
+def _ascii_int(text: str) -> int:
+    """ASCII digits with an optional leading sign; `int` also reads spaces,
+    underscores and other scripts' digits."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
+
+
 def cmd_toric(args) -> int:
     if args.polytope and not args.xi:
         raise UsageError("toric", "--polytope needs --xi a,b,c")
@@ -102,7 +111,7 @@ def cmd_toric(args) -> int:
         raise UsageError("toric", "--corpus and --polytope exclude each other")
     if args.polytope:
         try:
-            xi = CircleDirection(tuple(int(x) for x in args.xi.split(",")))
+            xi = CircleDirection(tuple(_ascii_int(x) for x in args.xi.split(",")))
         except ValueError:
             raise UsageError("toric", f"--xi: {args.xi!r} is not a primitive direction a,b,c")
     try:

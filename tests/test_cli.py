@@ -477,6 +477,13 @@ P3 = str(corpus_dir() / "p3.json")
          "hamfix toric: --xi: '2,0,0' is not a primitive direction a,b,c\n"),
         ("usage", ["toric", "verify", "--polytope", P3, "--xi", "0,0,0"],
          "hamfix toric: --xi: '0,0,0' is not a primitive direction a,b,c\n"),
+        # int() would read these as 10, 1 and 1
+        ("usage", ["toric", "verify", "--polytope", P3, "--xi", "1_0,1,1"],
+         "hamfix toric: --xi: '1_0,1,1' is not a primitive direction a,b,c\n"),
+        ("usage", ["toric", "verify", "--polytope", P3, "--xi", " 1,1,1"],
+         "hamfix toric: --xi: ' 1,1,1' is not a primitive direction a,b,c\n"),
+        ("usage", ["toric", "verify", "--polytope", P3, "--xi", "١,1,1"],
+         "hamfix toric: --xi: '١,1,1' is not a primitive direction a,b,c\n"),
     ],
 )
 def test_parser_contract(capsys, kind, argv, want):
