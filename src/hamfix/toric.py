@@ -101,7 +101,7 @@ def _combinatorics(name, facets):
     the sorted points where three facets meet and that satisfy every facet, and
     the vertex pairs i < j on two common facets."""
     for n, _ in facets:
-        if _primitive(n)[1] != 1:
+        if gcd(*n) != 1:  # 0 for the zero normal
             raise NotDelzant(f"{name}: facet normal {n} not primitive")
     on = {}  # vertex -> indices of the facets through it
     for i, j, k in itertools.combinations(range(len(facets)), 3):

@@ -187,8 +187,9 @@ OCTANT = (((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0))
         (OCTANT + (((-1, 0, 0), 1), ((1, 1, 1), 2)), "meet at no vertex"),
         ((), "meet at no vertex"),
         (OCTANT[1:] + (((2, 0, 0), 0), ((-1, -1, -1), -4)), r"normal \(2, 0, 0\) not primitive"),
+        (OCTANT + (((0, 0, 0), 0),), r"^bad: facet normal \(0, 0, 0\) not primitive$"),
     ],
-    ids=["octant", "infeasible", "empty", "non-primitive"],
+    ids=["octant", "infeasible", "empty", "non-primitive", "zero"],
 )
 def test_facets_that_bound_no_delzant_polytope(facets, message):
     with pytest.raises(NotDelzant, match=message):
