@@ -274,9 +274,10 @@ def fixed_faces(p: Polytope, d: CircleDirection) -> list[FixedFace]:
 def _facet_cycle_of(p: Polytope, verts: tuple[int, ...]) -> list[int]:
     """The boundary walk of the facet with vertex set `verts`.
 
-    It scans every facet's vertices for the match, as a polytope stores
-    neither its facet vertex sets nor its edge directions: either would cost
-    memory on every polytope the benchmark holds (ROADMAP item 15).
+    It scans every facet's vertices for the match: a polytope stores neither
+    its facet vertex sets nor its edge directions, which wait until the
+    benchmark's memory figure stops growing with its sample count (ROADMAP
+    items 4a and 15).
     """
     fi = next(
         i for i in range(len(p.facets))
