@@ -289,16 +289,18 @@ def _facet_cycle_of(p: Polytope, verts: tuple[int, ...]) -> list[int]:
 def twice_facet_area(p: Polytope, cycle: list[int]) -> int:
     """Twice the lattice-normalized area of the 2-face walked by `cycle`, an int.
 
-    The cross products of a fan triangulation from the first vertex sum to
-    m n for the face's primitive normal n, and m is twice the area in units
-    of the fundamental parallelogram, as a unimodular triangle has area 1/2.
+    The cross products v_i x v_{i+1} of consecutive vertices, around the
+    closed walk, sum to those of a fan triangulation from any vertex: m n
+    for the face's primitive normal n, and m is twice the area in units of
+    the fundamental parallelogram, as a unimodular triangle has area 1/2.
     """
-    v0 = p.vertices[cycle[0]]
-    acc = (0, 0, 0)
-    for a, b in zip(cycle[1:], cycle[2:]):
-        c = _cross(_sub(p.vertices[a], v0), _sub(p.vertices[b], v0))
-        acc = tuple(x + y for x, y in zip(acc, c))
-    return _primitive(acc)[1]
+    vs = [p.vertices[i] for i in cycle]
+    x = y = z = 0
+    for (ax, ay, az), (bx, by, bz) in zip(vs, vs[1:] + vs[:1]):
+        x += ay * bz - az * by
+        y += az * bx - ax * bz
+        z += ax * by - ay * bx
+    return gcd(x, y, z)
 
 
 def _facet_shape(p: Polytope, cycle: list[int]):
