@@ -272,13 +272,9 @@ def fixed_faces(p: Polytope, d: CircleDirection) -> list[FixedFace]:
 
 
 def _facet_cycle_of(p: Polytope, verts: tuple[int, ...]) -> list[int]:
-    """The boundary walk of the facet with vertex set `verts`.
-
-    It scans every facet's vertices for the match: a polytope stores neither
-    its facet vertex sets nor its edge directions, which wait until the
-    benchmark's memory figure stops growing with its sample count (ROADMAP
-    items 4a and 15).
-    """
+    """The boundary walk of the facet whose vertex set is `verts`, found by
+    scanning every facet, as a polytope stores no facet vertex sets yet
+    (ROADMAP item 15 says why)."""
     fi = next(
         i for i in range(len(p.facets))
         if tuple(sorted(p.facet_vertices(i))) == tuple(sorted(verts))
